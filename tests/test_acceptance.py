@@ -8,6 +8,7 @@ at most 1.08e-7 (sigma_ell = 1.2), far inside the budget.  See the
 failure message for numbers should it ever fail.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -266,23 +267,52 @@ def test_criterion_09_feasibility_grid():
     assert time.perf_counter() - start < 10.0
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--geometry", "ring", "--ell", "4", "--sigma-ell", "-6:6:61"],
-    ["spectrum", "--geometry", "harmonic", "--ell", "4", "--sigma-ell", "-4:4:17"],
-    ["gap", "--geometry", "ring", "--ell", "4", "--sigma-ell", "-6:6:121"],
-    ["gap", "--geometry", "harmonic", "--ell", "6", "--sigma-ell", "-2:2:41"],
-    ["superpose", "--geometry", "ring", "--case", "i", "--ell", "16",
-     "--sigma-ell", "1:12:12", "--delta-alpha", "0.5:4:36"],
-    ["superpose", "--geometry", "harmonic", "--case", "ii", "--ell", "16",
-     "--sigma-ell", "2,6,10", "--delta-alpha", "0.5:4:15", "--format", "json"],
-    ["superpose", "--geometry", "ring", "--ell", "5", "--alpha-plus", "2",
-     "--alpha-minus", "0.5", "--beta-mag2", "1", "--delta-alpha", "1.5"],
-    ["verify", "--ring-grid", "256", "--radial-grid", "2000"],
-])
-def test_criterion_10_determinism(argv, tmp_path):
-    """Every subcommand yields byte-identical output on repeated runs."""
+# sha256 of each output, pinned before the sweep engine moved into the
+# library.  Only the verify digest may change, and only with its old and
+# new values recorded in CHANGES.md.  Ids stay positional so that
+# re-pinning a digest keeps the test name.
+GOLDEN_OUTPUTS = [
+    (["spectrum", "--geometry", "ring", "--ell", "4", "--sigma-ell", "-6:6:61"],
+     "9074f38821ead0d4da5adafb97932da92329abbb34a7d35a3797d0f7529a876a"),
+    (["spectrum", "--geometry", "harmonic", "--ell", "4", "--sigma-ell", "-4:4:17"],
+     "90480f3440594a19250909434b8594fce10ce3c917b0f3f74cf4add10b3f94cc"),
+    (["gap", "--geometry", "ring", "--ell", "4", "--sigma-ell", "-6:6:121"],
+     "47da679b39289cbbbc1d8178d2d1f061813733e2aa2934bcda49e81edef79398"),
+    (["gap", "--geometry", "harmonic", "--ell", "6", "--sigma-ell", "-2:2:41"],
+     "3c83ebd8b808f2b0d9104daabc0a062b7bea4a9b949fdd8b2660825e30e0f085"),
+    (["superpose", "--geometry", "ring", "--case", "i", "--ell", "16",
+      "--sigma-ell", "1:12:12", "--delta-alpha", "0.5:4:36"],
+     "2d77d7089b885b4d22d9407ad334accac6fc67c33ef2242eb1036a8a6442e94f"),
+    (["superpose", "--geometry", "harmonic", "--case", "ii", "--ell", "16",
+      "--sigma-ell", "2,6,10", "--delta-alpha", "0.5:4:15", "--format", "json"],
+     "4234c7c6518de7f59ef30b9b65c9fb91cf064e9c039d6b391327c6b6a5997498"),
+    (["superpose", "--geometry", "ring", "--ell", "5", "--alpha-plus", "2",
+      "--alpha-minus", "0.5", "--beta-mag2", "1", "--delta-alpha", "1.5"],
+     "aba811461b427ba761b305f54d41c6559064024c09012eeafb2fb3e24fa07406"),
+    (["verify", "--ring-grid", "256", "--radial-grid", "2000"],
+     "80a76abca11f56a6bbcddf471641dcd4ec2628cbb060d928339ca116801f8a14"),
+    (["spectrum", "--geometry", "ring", "--ell", "4"],
+     "c0eceb8fd7c1304c54369f435b696d7e6595895c3b8ff08fe5200d08d8e30c0b"),
+    (["spectrum", "--geometry", "harmonic", "--ell", "4"],
+     "6babf1a94abe39f610bc34c1cf5793122981740333c22f1fdd5b6dfa1ecc0d7a"),
+    (["gap", "--geometry", "ring", "--ell", "4"],
+     "c059f50a08f31999085f1a0c65e05082b41ec5613171b4ce4d887f60209b696e"),
+    (["gap", "--geometry", "harmonic", "--ell", "6"],
+     "2e813e162a5f61e321d336e67d41b9a159e3fcbaa7ac2e071aafa62a83fa465d"),
+    (["superpose", "--geometry", "ring", "--case", "ii", "--ell", "16",
+      "--sigma-ell", "1:12:12", "--delta-alpha", "0.5:4:351"],
+     "3eb3517abf07baa2b0c81e5cbe1a1d1a711d931e435474ba6753e04013b077ab"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_OUTPUTS,
+                         ids=[f"argv{k}" for k in range(len(GOLDEN_OUTPUTS))])
+def test_criterion_10_determinism(argv, digest, tmp_path):
+    """Every subcommand yields byte-identical output on repeated runs,
+    and those bytes match the pinned golden digest."""
     first = tmp_path / "first.out"
     second = tmp_path / "second.out"
     assert cli_main(argv + ["--out", str(first)]) == 0
     assert cli_main(argv + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == digest
