@@ -22,9 +22,9 @@ from .darkstate import (CaseClassification, DarkOverlaps, FluxCase, SpinPair,
                         scalar_potential, superposition_norm)
 from .ring import (RingSweepRow, ground_m, ring_energy, ring_gap,
                    ring_spectrum_sweep, ring_wavefunction)
-from .harmonic import (RadialFunction, ground_quantum_numbers, harmonic_energy,
-                       harmonic_gap, laguerre_gen, log_gamma, mu, radial_profile,
-                       radial_wavefunction)
+from .harmonic import (HarmonicSweepRow, RadialFunction, ground_quantum_numbers,
+                       harmonic_energy, harmonic_gap, harmonic_spectrum_sweep,
+                       laguerre_gen, log_gamma, mu, radial_profile, radial_wavefunction)
 from .superposition import (FeasibilityPoint, GenEig2, SuperpositionResult,
                             build_block, feasibility_boundary, feasibility_sweep,
                             gen_eig_2x2, small_eps_delta_e, superpose_harmonic,
@@ -55,8 +55,8 @@ __all__ = [
     "ring_wavefunction",
     # harmonic spectrum
     "mu", "harmonic_energy", "ground_quantum_numbers", "harmonic_gap",
-    "laguerre_gen", "log_gamma", "RadialFunction", "radial_wavefunction",
-    "radial_profile",
+    "harmonic_spectrum_sweep", "HarmonicSweepRow", "laguerre_gen", "log_gamma",
+    "RadialFunction", "radial_wavefunction", "radial_profile",
     # superpositions
     "GenEig2", "gen_eig_2x2", "SuperpositionResult", "build_block",
     "superpose_ring", "superpose_harmonic", "small_eps_delta_e",

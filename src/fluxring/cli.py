@@ -14,21 +14,20 @@ import json
 import math
 import re
 import sys
+from typing import Sequence
 
 import numpy as np
 
 from .darkstate import FluxCase, case_of, classify_flux_case, epsilon_param
 from .errors import (CaseError, ConvergenceError, DomainError, UsageError,
                      ValidationError, VerificationError)
-from .harmonic import ground_quantum_numbers, harmonic_energy, harmonic_gap, mu
+from .harmonic import harmonic_gap, harmonic_spectrum_sweep
 from .oracle import run_verification
 from .params import FieldConfig, GeometryKind, GeometrySpec, as_geometry_kind, energy_unit
-from .ring import ground_m, ring_gap, ring_spectrum_sweep
-from .superposition import superpose_harmonic, superpose_ring
+from .ring import ring_gap, ring_spectrum_sweep
+from .superposition import feasibility_sweep, superpose_harmonic, superpose_ring
 
 __all__ = ["main"]
-
-_HARMONIC_N_VALUES = (0, 1, 2)  # radial levels tabulated by the harmonic sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,7 +90,7 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _emit_table(unit: str, header: list[str], rows: list[tuple],
+def _emit_table(unit: str, header: Sequence[str], rows: Sequence[tuple],
                 fmt: str, out: str | None) -> None:
     if fmt == "csv":
         lines = [f"# unit: {unit}", ",".join(header)]
@@ -117,45 +116,18 @@ def _sigma_grid(args, ell: int, geometry: GeometryKind) -> np.ndarray:
         return _parse_grid(args.sigma_ell)
     if geometry is GeometryKind.RING:
         return np.linspace(-6.0, 6.0, 601)
-    if ell == 0:
+    if ell <= 0:  # a negative ell is left for the trap spectrum to reject
         return np.array([0.0])
     return np.linspace(-float(ell), float(ell), 8 * ell + 1)
-
-
-def _default_window(grid: np.ndarray) -> int:
-    return math.ceil(float(np.max(np.abs(grid)))) + 2
 
 
 def cmd_spectrum(args) -> int:
     geometry = as_geometry_kind(args.geometry)
     grid = _sigma_grid(args, args.ell, geometry)
-    unit = _unit_label(geometry)
-    if geometry is GeometryKind.RING:
-        rows = [(r.sigma_ell, r.m, r.energy, r.is_ground, r.gap)
-                for r in ring_spectrum_sweep(args.ell, grid, m_window=args.m_window)]
-        _emit_table(unit, ["sigma_ell", "m", "energy", "is_ground", "gap"],
-                    rows, args.format, args.out)
-        return 0
-    window = args.m_window if args.m_window is not None else _default_window(grid)
-    window = int(window)
-    worst = max(abs(ground_m(float(s))) for s in grid)
-    if window < worst + 1:
-        raise UsageError(
-            f"m_window {window} does not cover the ground state and one neighbor "
-            f"(need >= {worst + 1})")
-    rows = []
-    for s in grid:
-        s = float(s)
-        gap = harmonic_gap(args.ell, s)
-        ground = ground_quantum_numbers(s)
-        e_min = harmonic_energy(args.ell, s, *ground)
-        for n in _HARMONIC_N_VALUES:
-            for m in range(-window, window + 1):
-                energy = harmonic_energy(args.ell, s, n, m)
-                rows.append((s, n, m, mu(args.ell, s, m), energy,
-                             energy == e_min, gap))
-    _emit_table(unit, ["sigma_ell", "n", "m", "mu", "energy", "is_ground", "gap"],
-                rows, args.format, args.out)
+    sweep = (ring_spectrum_sweep if geometry is GeometryKind.RING
+             else harmonic_spectrum_sweep)
+    rows = sweep(args.ell, grid, m_window=args.m_window)
+    _emit_table(_unit_label(geometry), rows[0]._fields, rows, args.format, args.out)
     return 0
 
 
@@ -208,33 +180,12 @@ def cmd_superpose(args) -> int:
         raise UsageError("--case auto needs field amplitudes; sweeps take --case i|ii")
     if args.sigma_ell is None or args.delta_alpha is None:
         raise UsageError("sweep mode needs --sigma-ell and --delta-alpha")
-    if args.ell < 1:
-        raise UsageError("sweep mode needs --ell >= 1")
-    kind = case_of(args.case)
-    sig_grid = _parse_grid(args.sigma_ell)
-    da_grid = _parse_grid(args.delta_alpha)
-    for s in sig_grid:
-        if float(s) != int(s):
-            raise UsageError(f"sigma_ell grid must be integers, got {float(s)}")
-        if abs(s) >= args.ell:
-            raise UsageError(
-                f"|sigma_ell| = {abs(float(s))} must stay below ell = {args.ell}")
-    solve = superpose_ring if geometry is GeometryKind.RING else superpose_harmonic
-    rows = []
-    for s in sig_grid:
-        s = float(s)
-        sigma = s / args.ell
-        for da in da_grid:
-            da = float(da)
-            eps = epsilon_param(da, sigma, args.overlap_convention)
-            result = solve(kind, args.ell, s, eps, args.theta)
-            rows.append((kind.value, geometry.value, args.ell, s, da, eps,
-                         result.delta_e, result.gap, result.mixing_ratio,
-                         result.feasible))
-    _emit_table(_unit_label(geometry),
-                ["case", "geometry", "ell", "sigma_ell", "delta_alpha", "epsilon",
-                 "delta_e", "gap", "mixing_ratio", "feasible"],
-                rows, args.format, args.out)
+    points = feasibility_sweep(args.case, geometry, args.ell, _parse_grid(args.sigma_ell),
+                               _parse_grid(args.delta_alpha), args.theta,
+                               args.overlap_convention)
+    fixed = (case_of(args.case).value, geometry.value, args.ell)
+    _emit_table(_unit_label(geometry), ("case", "geometry", "ell") + points[0]._fields,
+                [fixed + point for point in points], args.format, args.out)
     return 0
 
 

@@ -19,17 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .ring import ground_m
+from .ring import _sweep_window, ground_m
 
 __all__ = [
     "mu",
     "harmonic_energy",
     "ground_quantum_numbers",
     "harmonic_gap",
+    "harmonic_spectrum_sweep",
+    "HarmonicSweepRow",
     "laguerre_gen",
     "log_gamma",
     "RadialFunction",
@@ -44,6 +47,8 @@ def mu(ell: int, sigma_ell: float, m: int) -> float:
     The radicand is nonnegative whenever |sigma_ell| <= ell; anything
     negative means the requested state does not exist.
     """
+    if ell < 0:
+        raise DomainError(f"ell must be >= 0, got {ell}")
     radicand = ell * ell + m * m + 2.0 * sigma_ell * m
     if radicand < 0.0:
         raise DomainError(
@@ -81,6 +86,40 @@ def harmonic_gap(ell: int, sigma_ell: float) -> float:
             continue  # |m| beyond the physical window for this sigma_ell
         best = min(best, e - e0)
     return best
+
+
+class HarmonicSweepRow(NamedTuple):
+    """One row of the trap spectrum table; the field names are its columns."""
+
+    sigma_ell: float
+    n: int
+    m: int
+    mu: float
+    energy: float
+    is_ground: bool
+    gap: float
+
+
+def harmonic_spectrum_sweep(ell: int, sigma_ell_values: Sequence[float] | Iterable[float],
+                            m_window: int | None = None) -> list[HarmonicSweepRow]:
+    """Tabulate E_{n,m} over a sigma_ell grid for n = 0, 1, 2 and |m| <= m_window.
+
+    Rows carry mu_m, an is_ground flag (energy equal to E_{0, m_check})
+    and the gap at that grid point.  The window follows the same rule as
+    ring_spectrum_sweep: it defaults to ceil(max |sigma_ell|) + 2 and
+    must at least contain the ground state plus one neighbor.
+    """
+    grid, m_window = _sweep_window(sigma_ell_values, m_window)
+    rows: list[HarmonicSweepRow] = []
+    for s in grid:
+        gap = harmonic_gap(ell, s)
+        e_min = harmonic_energy(ell, s, *ground_quantum_numbers(s))
+        for n in range(3):
+            for m in range(-m_window, m_window + 1):
+                energy = harmonic_energy(ell, s, n, m)
+                rows.append(HarmonicSweepRow(s, n, m, mu(ell, s, m), energy,
+                                             energy == e_min, gap))
+    return rows
 
 
 def laguerre_gen(n: int, a: float, x):

@@ -406,9 +406,12 @@ def run_verification(ring_grid: int = 1024, radial_grid: int = 4000,
     """Deterministic cross-checks between closed forms and numeric routes.
 
     Returns a JSON-ready report with one entry per check.  Grid sizes are
-    adjustable; tolerances for the FD convergence checks scale as h^2 when
-    the grids shrink.  That is the radial stencil's order and an upper
-    bound for the fourth-order ring stencil.
+    adjustable, and each FD convergence tolerance scales with its
+    stencil's order as the grid shrinks: h^2 for the radial three-point
+    stencil and h^4 for the ring's five-point one, 1e-6 (1024/N)^4.  The
+    ring tolerance is floored at 1e-12, where rounding in the symbol
+    (about 7e-15 from N = 65536 on) takes over from the h^4 error.  A
+    second-order ring stencil fails the ring check at every N >= 256.
     """
     checks: list[dict] = []
 
@@ -440,7 +443,7 @@ def run_verification(ring_grid: int = 1024, radial_grid: int = 4000,
     # FD convergence against the closed-form spectra
     ring_report = ring_fd_spectrum(4, 1.2, n_grid=ring_grid, k_lowest=9)
     record("ring_fd_vs_analytic", ring_report.max_abs_dev,
-           1e-3 * (1024.0 / ring_grid) ** 2)
+           max(1e-6 * (1024.0 / ring_grid) ** 4, 1e-12))
     radial_report = radial_fd_spectrum(4, 1.0, m=-1, n_grid=radial_grid)
     record("radial_fd_vs_analytic", radial_report.max_abs_dev,
            1e-3 * (4000.0 / radial_grid) ** 2)
@@ -460,7 +463,7 @@ def run_verification(ring_grid: int = 1024, radial_grid: int = 4000,
         _, _, report = superposition_block_scan(case, geometry, 4, 1.0, 0.1)
         record(f"block_scan_case_{case}_{geometry}", report.max_rel_dev, 1e-12)
 
-    # closed-form pencil solve keeps its residual promise on random blocks
+    # the pencil solve keeps its residual promise on random blocks
     worst_pencil = 0.0
     for _ in range(50):
         eps = float(rng.uniform(0.0, 0.95))

@@ -13,8 +13,7 @@ oracle scans it freely even when ell itself is 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +60,9 @@ def ring_gap(ell: int, sigma_ell: float) -> float:
                for m in range(mc - 3, mc + 4) if m != mc)
 
 
-@dataclass(frozen=True)
-class RingSweepRow:
+class RingSweepRow(NamedTuple):
+    """One row of the ring spectrum table; the field names are its columns."""
+
     sigma_ell: float
     m: int
     energy: float
@@ -70,14 +70,12 @@ class RingSweepRow:
     gap: float
 
 
-def ring_spectrum_sweep(ell: int, sigma_ell_values: Sequence[float] | Iterable[float],
-                        m_window: int | None = None) -> list[RingSweepRow]:
-    """Tabulate E_m over a sigma_ell grid for |m| <= m_window.
+def _sweep_window(sigma_ell_values: Sequence[float] | Iterable[float],
+                  m_window: int | None) -> tuple[list[float], int]:
+    """The sigma_ell grid as floats and the |m| window every spectrum sweep tabulates.
 
-    Every row carries an is_ground flag (both members of a degenerate
-    pair are flagged at half-integer sigma_ell) and the gap at that grid
-    point.  The window defaults to ceil(max |sigma_ell|) + 2 and must at
-    least contain the ground state plus one neighbor.
+    The window defaults to ceil(max |sigma_ell|) + 2 and must at least
+    contain the ground state plus one neighbor at every grid point.
     """
     grid = [float(s) for s in sigma_ell_values]
     if not grid:
@@ -92,6 +90,19 @@ def ring_spectrum_sweep(ell: int, sigma_ell_values: Sequence[float] | Iterable[f
         raise UsageError(
             f"m_window {m_window} does not cover the ground state and one neighbor "
             f"(need >= {worst + 1})")
+    return grid, m_window
+
+
+def ring_spectrum_sweep(ell: int, sigma_ell_values: Sequence[float] | Iterable[float],
+                        m_window: int | None = None) -> list[RingSweepRow]:
+    """Tabulate E_m over a sigma_ell grid for |m| <= m_window.
+
+    Every row carries an is_ground flag (both members of a degenerate
+    pair are flagged at half-integer sigma_ell) and the gap at that grid
+    point.  The window defaults to ceil(max |sigma_ell|) + 2 and must at
+    least contain the ground state plus one neighbor.
+    """
+    grid, m_window = _sweep_window(sigma_ell_values, m_window)
     rows: list[RingSweepRow] = []
     for s in grid:
         gap = ring_gap(ell, s)

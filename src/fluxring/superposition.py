@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,41 +80,13 @@ class GenEig2:
                 f"overlap magnitude {abs(a[0, 1])} >= 1 leaves the metric indefinite")
 
 
-def _eigh_2x2(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of a 2x2 Hermitian matrix."""
-    p = b[0, 0].real
-    s = b[1, 1].real
-    q = b[0, 1]
-    mean = 0.5 * (p + s)
-    delta = 0.5 * (p - s)
-    radius = math.hypot(delta, abs(q))
-    vals = np.array([mean - radius, mean + radius])
-    if radius == 0.0:
-        return vals, np.eye(2, dtype=complex)
-    # pick the numerically larger representation of each eigenvector
-    if delta >= 0.0:
-        v_hi = np.array([radius + delta, q.conjugate()])
-        v_lo = np.array([-q, radius + delta])
-    else:
-        v_hi = np.array([q, radius - delta])
-        v_lo = np.array([radius - delta, -q.conjugate()])
-
-    def unit(v: np.ndarray) -> np.ndarray:
-        # rescale componentwise first: |v|^2 can underflow to 0, and
-        # complex division by a subnormal peak overflows internally
-        peak = np.abs(v).max()
-        v = v.real / peak + 1j * (v.imag / peak)
-        return v / np.linalg.norm(v)
-
-    return vals, np.column_stack([unit(v_lo), unit(v_hi)])
-
-
 def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
     """Solve the 2x2 pencil H v = E A v by congruence with A^(-1/2).
 
     Returns (eigenvalues ascending, eigenvectors as columns, normalized
-    in the A metric).  The overlap's eigenbasis is analytic, so the
-    whole solve is closed form; residuals are checked on exit.
+    in the A metric).  The overlap's eigenbasis is analytic, so A^(-1/2)
+    is closed form; the congruent Hermitian block goes to LAPACK through
+    np.linalg.eigh.  Residuals are checked on exit.
 
     Examples
     --------
@@ -138,8 +110,8 @@ def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
     q_half = 0.5 * (ip - im) * phase
     a_inv_half = np.array([[p_half, q_half], [q_half.conjugate(), p_half]])
     b = a_inv_half @ h @ a_inv_half
-    b = 0.5 * (b + b.conj().T)  # scrub rounding skew before the closed form
-    vals, w = _eigh_2x2(b)
+    b = 0.5 * (b + b.conj().T)  # scrub rounding skew before the Hermitian solve
+    vals, w = np.linalg.eigh(b)
     vecs = a_inv_half @ w
     scale = max(np.abs(h).max(), 1.0)
     for k in range(2):
@@ -274,6 +246,8 @@ def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     geo = as_geometry_kind(geometry)
     if kind is FluxCase.NEITHER:
         raise CaseError("superpositions exist only for case (i) or case (ii)")
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
     if ell != int(ell) or ell < 0:
         raise DomainError(f"ell must be a nonnegative integer, got {ell}")
     ell = int(ell)
@@ -420,14 +394,24 @@ def small_eps_delta_e(case, geometry, ell: int, sigma_ell: float,
     return q * eps2 / (2.0 * sigma)  # q = ell m / mu
 
 
-@dataclass(frozen=True)
-class FeasibilityPoint:
+class FeasibilityPoint(NamedTuple):
+    """One grid point of a feasibility sweep; the field names are its columns."""
+
     sigma_ell: float
     delta_alpha: float
     epsilon: float
     delta_e: float
     gap: float
+    mixing_ratio: float
     feasible: bool
+
+
+def _check_sweep_sigma_ell(ell: int, sigma_ell: float) -> None:
+    """Sweeps and boundary searches take integer sigma_ell with |sigma_ell| < ell."""
+    if not float(sigma_ell).is_integer():
+        raise UsageError(f"sigma_ell grid must be integers, got {sigma_ell}")
+    if abs(sigma_ell) >= ell:
+        raise UsageError(f"|sigma_ell| = {abs(sigma_ell)} must stay below ell = {ell}")
 
 
 def feasibility_sweep(case, geometry, ell: int,
@@ -440,17 +424,15 @@ def feasibility_sweep(case, geometry, ell: int,
     sigma_ell entries must be integers with |sigma_ell| < ell (they come
     from integer windings at fixed mean spin); delta_alpha sets epsilon
     through the coherent-state overlap.  Every grid point is emitted with
-    its feasible flag so the infeasible region stays visible in the output.
+    its mixing ratio and feasible flag so the infeasible region stays
+    visible in the output.
     """
     sig_grid = [float(s) for s in sigma_ell_values]
     da_grid = [float(d) for d in delta_alpha_values]
     if not sig_grid or not da_grid:
         raise UsageError("feasibility grid is empty")
     for s in sig_grid:
-        if s != int(s):
-            raise UsageError(f"sigma_ell grid must be integers, got {s}")
-        if abs(s) >= ell:
-            raise UsageError(f"|sigma_ell| = {abs(s)} must stay below ell = {ell}")
+        _check_sweep_sigma_ell(ell, s)
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
     points: list[FeasibilityPoint] = []
@@ -459,8 +441,8 @@ def feasibility_sweep(case, geometry, ell: int,
         for da in da_grid:
             eps = epsilon_param(da, sigma, convention)
             result = _superpose(kind, geo, ell, s, eps, theta)
-            points.append(FeasibilityPoint(s, da, eps, result.delta_e,
-                                           result.gap, result.feasible))
+            points.append(FeasibilityPoint(s, da, eps, result.delta_e, result.gap,
+                                           result.mixing_ratio, result.feasible))
     return points
 
 
@@ -475,8 +457,7 @@ def feasibility_boundary(case, geometry, ell: int, sigma_ell: float,
     coherent states coincide), so the edge is decided by its one-sided
     limit instead.
     """
-    if sigma_ell != int(sigma_ell) or abs(sigma_ell) >= ell:
-        raise UsageError("boundary search expects integer sigma_ell with |sigma_ell| < ell")
+    _check_sweep_sigma_ell(ell, sigma_ell)
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
     sigma = sigma_ell / ell

@@ -145,6 +145,26 @@ class TestSuperposeSweep:
         code, _, _ = run(capsys, self.ARGS[:9])
         assert code == 1
 
+    def test_sweep_rejects_ell_zero(self, capsys):
+        code, _, err = run(capsys, [
+            "superpose", "--geometry", "ring", "--case", "i", "--ell", "0",
+            "--sigma-ell", "1", "--delta-alpha", "1"])
+        assert code == 1
+        assert "must stay below ell = 0" in err
+
+    @pytest.mark.parametrize("theta", ["inf", "nan"])
+    @pytest.mark.parametrize("tail", [
+        ["--case", "i", "--sigma-ell", "8", "--delta-alpha", "0.5:3:6"],
+        ["--alpha-plus", "2", "--alpha-minus", "0.5", "--beta-mag2", "1",
+         "--delta-alpha", "1.5"],
+    ], ids=["sweep", "point"])
+    def test_non_finite_theta_is_a_validation_error(self, capsys, theta, tail):
+        code, out, err = run(capsys, ["superpose", "--geometry", "ring", "--ell", "16",
+                                      *tail, "--theta", theta])
+        assert code == 2
+        assert out == ""
+        assert "theta must be finite" in err
+
 
 class TestSuperposeAmplitudes:
     ARGS = ["superpose", "--geometry", "ring", "--ell", "5",
@@ -212,6 +232,17 @@ class TestVerifyCommand:
         assert code == 3
         assert "verification failed" in err
         assert json.loads(out)["all_passed"] is False
+
+
+class TestNegativeEll:
+    @pytest.mark.parametrize("command", ["spectrum", "gap"])
+    @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
+    @pytest.mark.parametrize("grid", [[], ["--sigma-ell", "0.2"]], ids=["default", "explicit"])
+    def test_is_a_validation_error(self, capsys, command, geometry, grid):
+        code, out, err = run(capsys, [command, "--geometry", geometry, "--ell", "-2", *grid])
+        assert code == 2
+        assert out == ""
+        assert "ell must be >= 0, got -2" in err
 
 
 class TestHarnessBehavior:

@@ -9,9 +9,11 @@ import scipy.special
 
 from fluxring import (
     DomainError,
+    UsageError,
     ground_quantum_numbers,
     harmonic_energy,
     harmonic_gap,
+    harmonic_spectrum_sweep,
     laguerre_gen,
     log_gamma,
     mu,
@@ -37,6 +39,10 @@ class TestMu:
     def test_negative_radicand_rejected(self):
         with pytest.raises(DomainError):
             mu(1, 5.0, -1)
+
+    def test_negative_winding_rejected(self):
+        with pytest.raises(DomainError, match="ell must be >= 0"):
+            mu(-3, 0.2, 0)
 
 
 class TestHarmonicEnergy:
@@ -84,6 +90,25 @@ class TestHarmonicGap:
     def test_shrinks_with_winding(self):
         gaps = [harmonic_gap(ell, 0.0) for ell in range(1, 12)]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+class TestSpectrumSweep:
+    def test_rows_per_grid_point_and_ground_flags(self):
+        rows = harmonic_spectrum_sweep(4, [0.0, 1.2], m_window=2)
+        assert rows[0]._fields == ("sigma_ell", "n", "m", "mu", "energy",
+                                   "is_ground", "gap")
+        assert len(rows) == 2 * 3 * 5  # n in 0..2, m in -2..2
+        assert [(r.sigma_ell, r.n, r.m) for r in rows if r.is_ground] == [
+            (0.0, 0, 0), (1.2, 0, -1)]
+        for r in rows:
+            assert r.energy == harmonic_energy(4, r.sigma_ell, r.n, r.m)
+            assert r.gap == harmonic_gap(4, r.sigma_ell)
+
+    def test_window_rule_matches_the_ring(self):
+        assert len(harmonic_spectrum_sweep(4, [-1.6, 2.2])) == 2 * 3 * 11  # ceil(2.2) + 2
+        for grid, window in (([], None), ([0.0], 0), ([3.0], 3)):
+            with pytest.raises(UsageError):
+                harmonic_spectrum_sweep(4, grid, m_window=window)
 
 
 class TestLaguerre:

@@ -26,6 +26,7 @@ from fluxring import (
     superposition_block_scan,
     superpose_ring,
 )
+from fluxring import oracle
 
 
 def _random_hermitian(n, seed):
@@ -225,7 +226,7 @@ class TestRunVerification:
             assert check["deviation"] <= check["tolerance"]
 
     def test_zero_tolerance_fails_every_inexact_check(self):
-        # the case (ii) block scans reproduce e_plus bitwise, so they
+        # the case (i) block scans reproduce e_plus bitwise, so they
         # survive even a zero tolerance; everything inexact must fail
         summary = run_verification(ring_grid=256, radial_grid=2000,
                                    tolerance_scale=0.0)
@@ -234,6 +235,20 @@ class TestRunVerification:
             assert check["passed"] == (check["deviation"] == 0.0)
         failing = sum(not c["passed"] for c in summary["checks"])
         assert failing >= 10
+
+    @pytest.mark.parametrize("ring_grid", [256, 1024])
+    def test_ring_check_sees_a_second_order_stencil(self, monkeypatch, ring_grid):
+        """The ring tolerance is sized for h^4, so a three-point stencil fails it."""
+        def three_point(ell, sigma_ell, n_grid):
+            h = 2.0 * math.pi / n_grid
+            mh = np.arange(-(n_grid // 2), n_grid - n_grid // 2, dtype=float) * h
+            return (4.0 * np.sin(0.5 * mh) ** 2 / (h * h) + float(ell * ell)
+                    + 2.0 * sigma_ell * np.sin(mh) / h)
+
+        monkeypatch.setattr(oracle, "_ring_fd_circulant_eigs", three_point)
+        summary = run_verification(ring_grid=ring_grid, radial_grid=2000)
+        ring = next(c for c in summary["checks"] if c["name"] == "ring_fd_vs_analytic")
+        assert ring["passed"] is False
 
     def test_parameters_echoed(self):
         summary = run_verification(ring_grid=256, radial_grid=2000)

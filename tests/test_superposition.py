@@ -23,6 +23,7 @@ from fluxring import (
     small_eps_delta_e,
     superpose_harmonic,
     superpose_ring,
+    superposition_block_scan,
 )
 
 # 50-digit evaluations of the closed forms, rounded to double
@@ -88,6 +89,24 @@ class TestGenEig2x2:
         for problem in _random_pencils(20, seed=3):
             values, _ = gen_eig_2x2(problem)
             assert values[0] <= values[1]
+
+    @pytest.mark.parametrize("off", [1e-310, 3e-310j, 1e-310 * (1 + 1j)])
+    @pytest.mark.parametrize("eps", [0.0, 1e-310, 4e-310])
+    @pytest.mark.parametrize("diag", [(1.0, 1.0), (0.0, 0.0), (2.0, -1.0)])
+    def test_subnormal_couplings(self, off, eps, diag):
+        """Couplings near 1e-310 give finite, A-orthonormal eigenvectors.
+
+        With equal diagonals the eigenvectors hinge on the subnormal
+        coupling alone, where |v|^2 underflows and complex division by
+        a subnormal overflows internally.
+        """
+        h = np.array([[diag[0], off], [np.conj(off), diag[1]]])
+        phase = np.exp(0.3j)
+        a = np.array([[1.0, eps * phase], [eps * np.conj(phase), 1.0]])
+        values, vectors = gen_eig_2x2((h, a))
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))
+        gram = vectors.conj().T @ a @ vectors
+        np.testing.assert_allclose(gram, np.eye(2), rtol=0, atol=1e-12)
 
 
 class TestBuildBlock:
@@ -272,6 +291,12 @@ class TestFeasibility:
         assert flags == sorted(flags)  # infeasible first, then feasible
         assert not flags[0] and flags[-1]
 
+    def test_sweep_carries_the_mixing_ratio(self):
+        points = feasibility_sweep("ii", "harmonic", 16, [2.0, 6.0], [0.5, 2.0])
+        for p in points:
+            result = superpose_harmonic("ii", 16, p.sigma_ell, p.epsilon)
+            assert p.mixing_ratio == result.mixing_ratio
+
     def test_sweep_validation(self):
         with pytest.raises(UsageError):
             feasibility_sweep("i", "ring", 16, [], [1.0])
@@ -297,3 +322,18 @@ class TestFeasibility:
     def test_boundary_validation(self):
         with pytest.raises(UsageError):
             feasibility_boundary("i", "ring", 16, 8.5)
+        with pytest.raises(UsageError):
+            feasibility_boundary("i", "ring", 16, 16.0)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_theta_is_rejected_on_every_route(self, theta):
+        with pytest.raises(DomainError, match="theta must be finite"):
+            superpose_ring("i", 4, 1.0, 0.1, theta)
+        with pytest.raises(DomainError, match="theta must be finite"):
+            superpose_harmonic("ii", 4, 1.0, 0.1, theta)
+        with pytest.raises(DomainError, match="theta must be finite"):
+            feasibility_sweep("i", "ring", 16, [1.0, 2.0], [1.0, 2.0], theta)
+        with pytest.raises(DomainError, match="theta must be finite"):
+            feasibility_boundary("i", "ring", 16, 8.0, theta)
+        with pytest.raises(DomainError, match="theta must be finite"):
+            superposition_block_scan("i", "ring", 4, 1.0, 0.1, theta)
