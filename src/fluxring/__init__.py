@@ -7,62 +7,72 @@ spectra in that gauge potential, the coherent-state superpositions that
 thread two opposite flux tubes at once, and an independent numerical
 oracle (finite differences, a hand-rolled eigensolver, quadrature) that
 cross-checks every closed form.
+
+`import fluxring` loads no submodule, numpy or scipy.  Each exported
+name resolves on access through the module `__getattr__` (PEP 562),
+which imports only the submodule that defines it.  Nothing is cached
+here, so a name rebound on its submodule is what the package returns.
 """
 
-from .errors import (CaseError, ConfigError, ConvergenceError, DegenerateFieldError,
-                     DegeneracyError, DomainError, DomainSizeError, ExpansionWarning,
-                     FluxRingError, SingularOverlapError, UsageError, ValidationError,
-                     VerificationError, WindowError)
-from .params import (HBAR, EnergyUnit, FieldConfig, GeometryKind, GeometrySpec,
-                     as_geometry_kind, energy_unit, oscillator_length)
-from .darkstate import (CaseClassification, DarkOverlaps, FluxCase, SpinPair,
-                        bright_excited_eigenvalues, case_of, classify_flux_case,
-                        dark_overlaps, decoherence_factor, effective_flux,
-                        epsilon_param, gauge_potential_phi, mean_spin,
-                        scalar_potential, superposition_norm)
-from .ring import (RingSweepRow, ground_m, ring_energy, ring_gap,
-                   ring_spectrum_sweep, ring_wavefunction)
-from .harmonic import (HarmonicSweepRow, RadialFunction, ground_quantum_numbers,
-                       harmonic_energy, harmonic_gap, harmonic_spectrum_sweep,
-                       laguerre_gen, log_gamma, mu, radial_profile, radial_wavefunction)
-from .superposition import (FeasibilityPoint, GenEig2, SuperpositionResult,
-                            build_block, feasibility_boundary, feasibility_sweep,
-                            gen_eig_2x2, small_eps_delta_e, superpose_harmonic,
-                            superpose_ring)
-from .oracle import (OracleReport, hermitian_eigs, quadrature_norm,
-                     quadrature_overlap, radial_fd_spectrum, ring_fd_spectrum,
-                     run_verification, superposition_block_scan)
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "FluxRingError", "UsageError", "ValidationError", "ConfigError", "DomainError",
-    "DegenerateFieldError", "CaseError", "DegeneracyError", "SingularOverlapError",
-    "DomainSizeError", "WindowError", "ConvergenceError", "VerificationError",
-    "ExpansionWarning",
+# submodule -> the names it exports through the package, in __all__ order
+_EXPORTS = {
+    "errors": (
+        "FluxRingError", "UsageError", "ValidationError", "ConfigError", "DomainError",
+        "DegenerateFieldError", "CaseError", "DegeneracyError", "SingularOverlapError",
+        "DomainSizeError", "WindowError", "ConvergenceError", "VerificationError",
+        "ExpansionWarning"),
     # parameters and units
-    "HBAR", "FieldConfig", "GeometryKind", "GeometrySpec", "EnergyUnit",
-    "energy_unit", "oscillator_length", "as_geometry_kind",
+    "params": (
+        "HBAR", "FieldConfig", "GeometryKind", "GeometrySpec", "EnergyUnit",
+        "energy_unit", "oscillator_length", "as_geometry_kind"),
     # dark-state observables
-    "FluxCase", "CaseClassification", "SpinPair", "DarkOverlaps", "case_of",
-    "mean_spin", "classify_flux_case", "gauge_potential_phi", "effective_flux",
-    "scalar_potential", "bright_excited_eigenvalues", "dark_overlaps",
-    "epsilon_param", "decoherence_factor", "superposition_norm",
+    "darkstate": (
+        "FluxCase", "CaseClassification", "SpinPair", "DarkOverlaps", "case_of",
+        "mean_spin", "classify_flux_case", "gauge_potential_phi", "effective_flux",
+        "scalar_potential", "bright_excited_eigenvalues", "dark_overlaps",
+        "epsilon_param", "decoherence_factor", "superposition_norm"),
     # ring spectrum
-    "ring_energy", "ground_m", "ring_gap", "ring_spectrum_sweep", "RingSweepRow",
-    "ring_wavefunction",
+    "ring": (
+        "ring_energy", "ground_m", "ring_gap", "ring_spectrum_sweep", "RingSweepRow",
+        "ring_wavefunction"),
     # harmonic spectrum
-    "mu", "harmonic_energy", "ground_quantum_numbers", "harmonic_gap",
-    "harmonic_spectrum_sweep", "HarmonicSweepRow", "laguerre_gen", "log_gamma",
-    "RadialFunction", "radial_wavefunction", "radial_profile",
+    "harmonic": (
+        "mu", "harmonic_energy", "ground_quantum_numbers", "harmonic_gap",
+        "harmonic_spectrum_sweep", "HarmonicSweepRow", "laguerre_gen", "log_gamma",
+        "RadialFunction", "radial_wavefunction", "radial_profile"),
     # superpositions
-    "GenEig2", "gen_eig_2x2", "SuperpositionResult", "build_block",
-    "superpose_ring", "superpose_harmonic", "small_eps_delta_e",
-    "FeasibilityPoint", "feasibility_sweep", "feasibility_boundary",
+    "superposition": (
+        "GenEig2", "gen_eig_2x2", "SuperpositionResult", "build_block",
+        "superpose_ring", "superpose_harmonic", "small_eps_delta_e",
+        "FeasibilityPoint", "feasibility_sweep", "feasibility_boundary"),
     # numerical oracle
-    "OracleReport", "hermitian_eigs", "ring_fd_spectrum", "radial_fd_spectrum",
-    "superposition_block_scan", "quadrature_norm", "quadrature_overlap",
-    "run_verification",
-]
+    "oracle": (
+        "OracleReport", "hermitian_eigs", "ring_fd_spectrum", "radial_fd_spectrum",
+        "superposition_block_scan", "quadrature_norm", "quadrature_overlap",
+        "run_verification"),
+}
+
+# exported name -> full name of its submodule
+_SOURCE = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items()
+           for name in names}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name: str):
+    source = _SOURCE.get(name)
+    if source is not None:
+        # sys.modules first: import_module costs ~3 us even when loaded
+        return getattr(sys.modules.get(source) or importlib.import_module(source), name)
+    if name in _EXPORTS:  # importing a submodule binds it on the package
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

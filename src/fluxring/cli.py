@@ -16,16 +16,15 @@ import re
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .darkstate import FluxCase, case_of, classify_flux_case, epsilon_param
 from .errors import (CaseError, ConvergenceError, DomainError, UsageError,
                      ValidationError, VerificationError)
 from .harmonic import harmonic_gap, harmonic_spectrum_sweep
-from .oracle import run_verification
 from .params import FieldConfig, GeometryKind, GeometrySpec, as_geometry_kind, energy_unit
 from .ring import ring_gap, ring_spectrum_sweep
-from .superposition import feasibility_sweep, superpose_harmonic, superpose_ring
+
+# The numpy-backed layers (superposition, oracle) are imported inside the
+# commands that use them, so spectrum and gap requests never load numpy.
 
 __all__ = ["main"]
 
@@ -33,14 +32,26 @@ __all__ = ["main"]
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let grid values like -6:6:601 or -2,-1 pass as arguments
-        self._negative_number_matcher = re.compile(r"^-\d|^-\.\d")
+        # let grid values like -6:6:601 or -2,-1, and -inf or -nan, pass as arguments
+        self._negative_number_matcher = re.compile(r"^-\d|^-\.\d|^-(inf|nan)", re.IGNORECASE)
 
     def error(self, message):  # argparse would sys.exit(2); we own the exit codes
         raise UsageError(message)
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """np.linspace(lo, hi, count) bit for bit, for count >= 2, as a list."""
+    span = hi - lo
+    step = span / (count - 1)
+    if step == 0.0:  # numpy scales by the span when the step underflows
+        values = [i / (count - 1) * span + lo for i in range(count)]
+    else:
+        values = [i * step + lo for i in range(count)]
+    values[-1] = hi
+    return values
+
+
+def _parse_grid(text: str) -> list[float]:
     """Grid syntax: 'min:max:count' (inclusive, count >= 2), comma list, or one value."""
     try:
         if ":" in text:
@@ -50,36 +61,24 @@ def _parse_grid(text: str) -> np.ndarray:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 2:
                 raise UsageError(f"range count must be >= 2, got {count}")
-            values = np.linspace(lo, hi, count)
+            values = _linspace(lo, hi, count)
         elif "," in text:
-            values = np.array([float(p) for p in text.split(",")])
+            values = [float(p) for p in text.split(",")]
         else:
-            values = np.array([float(text)])
+            values = [float(text)]
     except ValueError as exc:
         raise UsageError(f"could not parse grid {text!r}: {exc}") from exc
-    if values.size == 0 or not np.all(np.isfinite(values)):
+    if not values or not all(map(math.isfinite, values)):
         raise UsageError(f"grid {text!r} must be non-empty and finite")
     return values
 
 
 def _fmt_csv(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return "%.12e" % float(value)
-
-
-def _json_value(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, str):
-        return value
-    return float(value)
+    if isinstance(value, (int, str)):
+        return str(value)
+    return "%.12e" % value
 
 
 def _write(text: str, out: str | None) -> None:
@@ -99,7 +98,7 @@ def _emit_table(unit: str, header: Sequence[str], rows: Sequence[tuple],
     else:
         payload = {
             "unit": unit,
-            "rows": [{k: _json_value(v) for k, v in zip(header, row)} for row in rows],
+            "rows": [dict(zip(header, row)) for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
     _write(text, out)
@@ -111,14 +110,14 @@ def _unit_label(geometry: GeometryKind) -> str:
     return energy_unit(spec).label
 
 
-def _sigma_grid(args, ell: int, geometry: GeometryKind) -> np.ndarray:
+def _sigma_grid(args, ell: int, geometry: GeometryKind) -> list[float]:
     if args.sigma_ell is not None:
         return _parse_grid(args.sigma_ell)
     if geometry is GeometryKind.RING:
-        return np.linspace(-6.0, 6.0, 601)
+        return _linspace(-6.0, 6.0, 601)
     if ell <= 0:  # a negative ell is left for the trap spectrum to reject
-        return np.array([0.0])
-    return np.linspace(-float(ell), float(ell), 8 * ell + 1)
+        return [0.0]
+    return _linspace(-float(ell), float(ell), 8 * ell + 1)
 
 
 def cmd_spectrum(args) -> int:
@@ -135,7 +134,7 @@ def cmd_gap(args) -> int:
     geometry = as_geometry_kind(args.geometry)
     grid = _sigma_grid(args, args.ell, geometry)
     gap_of = ring_gap if geometry is GeometryKind.RING else harmonic_gap
-    rows = [(float(s), gap_of(args.ell, float(s))) for s in grid]
+    rows = [(s, gap_of(args.ell, s)) for s in grid]
     _emit_table(_unit_label(geometry), ["sigma_ell", "gap"], rows, args.format, args.out)
     return 0
 
@@ -164,6 +163,8 @@ def _superpose_point(args, geometry: GeometryKind) -> int:
     sigma = spins.sigma_plus
     delta_alpha = abs(args.alpha_plus - args.alpha_minus)
     eps = epsilon_param(delta_alpha, sigma, args.overlap_convention)
+    from .superposition import superpose_harmonic, superpose_ring
+
     solve = superpose_ring if geometry is GeometryKind.RING else superpose_harmonic
     result = solve(verdict.case, args.ell, sigma * args.ell, eps, args.theta)
     _write(json.dumps(result.to_dict(), indent=2) + "\n", args.out)
@@ -180,6 +181,8 @@ def cmd_superpose(args) -> int:
         raise UsageError("--case auto needs field amplitudes; sweeps take --case i|ii")
     if args.sigma_ell is None or args.delta_alpha is None:
         raise UsageError("sweep mode needs --sigma-ell and --delta-alpha")
+    from .superposition import feasibility_sweep
+
     points = feasibility_sweep(args.case, geometry, args.ell, _parse_grid(args.sigma_ell),
                                _parse_grid(args.delta_alpha), args.theta,
                                args.overlap_convention)
@@ -190,6 +193,8 @@ def cmd_superpose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import run_verification
+
     report = run_verification(ring_grid=args.ring_grid, radial_grid=args.radial_grid,
                               tolerance_scale=args.tolerance_scale)
     _write(json.dumps(report, indent=2) + "\n", args.out)

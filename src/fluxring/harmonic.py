@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
 from .ring import _sweep_window, ground_m
+
+if TYPE_CHECKING:  # the array functions import numpy, so spectra and gaps load without it
+    import numpy as np
 
 __all__ = [
     "mu",
@@ -139,6 +140,8 @@ def laguerre_gen(n: int, a: float, x):
     n = int(n)
     if a <= -1.0:
         raise DomainError(f"a must be > -1, got {a}")
+    import numpy as np
+
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0):
         raise DomainError("x must be >= 0")
@@ -172,6 +175,8 @@ class RadialFunction:
     log_norm: float = field(repr=False)
 
     def __call__(self, r):
+        import numpy as np
+
         rs = np.asarray(r, dtype=float)
         if np.any(rs < 0.0):
             raise DomainError("r must be >= 0")
@@ -214,5 +219,7 @@ def radial_profile(f: RadialFunction, r_max: float, n_points: int = 512) -> np.n
         raise DomainError(f"r_max must be > 0, got {r_max}")
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
+    import numpy as np
+
     r = np.linspace(0.0, r_max, n_points)
     return np.column_stack([r, f(r)])

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (ConvergenceError, DomainError, DomainSizeError, UsageError,
                      ValidationError, VerificationError, WindowError)
@@ -382,6 +381,8 @@ def quadrature_overlap(f: RadialFunction, g: RadialFunction,
     tail = abs(f(r_max) * g(r_max)) * r_max * 2.0
     if tail > 1e-8:
         raise DomainSizeError(f"integrand tail estimate {tail} at r_max = {r_max}")
+    from scipy.integrate import quad  # ~0.6 s to import, so only when integrating
+
     value, _ = quad(lambda rr: f(rr) * g(rr) * rr, 0.0, r_max,
                     limit=200, epsabs=1e-12, epsrel=1e-12)
     return value
@@ -412,7 +413,10 @@ def run_verification(ring_grid: int = 1024, radial_grid: int = 4000,
     ring tolerance is floored at 1e-12, where rounding in the symbol
     (about 7e-15 from N = 65536 on) takes over from the h^4 error.  A
     second-order ring stencil fails the ring check at every N >= 256.
+    tolerance_scale must be finite and >= 0; 0 fails every inexact check.
     """
+    if not (math.isfinite(tolerance_scale) and tolerance_scale >= 0.0):
+        raise DomainError(f"tolerance_scale must be finite and >= 0, got {tolerance_scale}")
     checks: list[dict] = []
 
     def record(name: str, deviation: float, tolerance: float) -> None:

@@ -213,6 +213,12 @@ def _block_parameters(geometry: GeometryKind, ell: int, sigma_ell: float,
     return center, d, q
 
 
+def _check_theta(theta: float) -> None:
+    """Every route into a block rejects a non-finite relative phase."""
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
+
+
 def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
                 theta: float = 0.0, m: int | None = None) -> GenEig2:
     """Explicit (H, A) pencil of the two-sector block at angular momentum m.
@@ -223,6 +229,7 @@ def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     """
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
+    _check_theta(theta)
     if m is None:
         m = ground_m(sigma_ell)
     center, d, q = _block_parameters(geo, ell, sigma_ell, m)
@@ -246,8 +253,7 @@ def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     geo = as_geometry_kind(geometry)
     if kind is FluxCase.NEITHER:
         raise CaseError("superpositions exist only for case (i) or case (ii)")
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta}")
+    _check_theta(theta)
     if ell != int(ell) or ell < 0:
         raise DomainError(f"ell must be a nonnegative integer, got {ell}")
     ell = int(ell)

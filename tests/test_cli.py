@@ -152,7 +152,7 @@ class TestSuperposeSweep:
         assert code == 1
         assert "must stay below ell = 0" in err
 
-    @pytest.mark.parametrize("theta", ["inf", "nan"])
+    @pytest.mark.parametrize("theta", ["inf", "nan", "-inf"])
     @pytest.mark.parametrize("tail", [
         ["--case", "i", "--sigma-ell", "8", "--delta-alpha", "0.5:3:6"],
         ["--alpha-plus", "2", "--alpha-minus", "0.5", "--beta-mag2", "1",
@@ -232,6 +232,13 @@ class TestVerifyCommand:
         assert code == 3
         assert "verification failed" in err
         assert json.loads(out)["all_passed"] is False
+
+    @pytest.mark.parametrize("scale", ["-1", "nan", "inf", "-inf"])
+    def test_bad_tolerance_scale_is_a_validation_error(self, capsys, scale):
+        code, out, err = run(capsys, ["verify", "--tolerance-scale", scale])
+        assert code == 2
+        assert out == ""
+        assert "tolerance_scale must be finite and >= 0" in err
 
 
 class TestNegativeEll:

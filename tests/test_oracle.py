@@ -236,6 +236,15 @@ class TestRunVerification:
         failing = sum(not c["passed"] for c in summary["checks"])
         assert failing >= 10
 
+    @pytest.mark.parametrize("scale", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_tolerance_scale_is_rejected_before_any_check(self, monkeypatch, scale):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(oracle, "hermitian_eigs", no_checks)
+        with pytest.raises(DomainError, match="tolerance_scale must be finite and >= 0"):
+            run_verification(ring_grid=256, radial_grid=2000, tolerance_scale=scale)
+
     @pytest.mark.parametrize("ring_grid", [256, 1024])
     def test_ring_check_sees_a_second_order_stencil(self, monkeypatch, ring_grid):
         """The ring tolerance is sized for h^4, so a three-point stencil fails it."""

@@ -23,6 +23,7 @@ from fluxring import (
     superpose_harmonic,
     superpose_ring,
 )
+from fluxring.cli import _linspace
 
 
 def away_from_half_integers(sigma_ell):
@@ -174,3 +175,20 @@ def test_mixing_ratio_stable_identity(geometry, ell, sigma_ell, epsilon):
     res = solve("i", ell, sigma_ell, epsilon)
     s = math.sqrt(1.0 - epsilon * epsilon)
     assert abs(res.mixing_ratio * (1.0 + s) ** 2 - epsilon * epsilon) <= 1e-14
+
+
+@given(floats(allow_nan=False, allow_infinity=False),
+       floats(allow_nan=False, allow_infinity=False),
+       integers(min_value=2, max_value=5000))
+def test_list_grid_is_numpy_linspace_bit_for_bit(lo, hi, count):
+    """The CLI's numpy-free range grid reproduces np.linspace to the last bit.
+
+    Extreme endpoints overflow the step to inf and subnormal spans round it
+    to 0; both must follow numpy too, so the bytes are compared, NaNs and
+    signed zeros included.
+    """
+    with np.errstate(all="ignore"):
+        expected = np.linspace(lo, hi, count)
+    got = _linspace(lo, hi, count)
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == expected.tobytes()

@@ -337,3 +337,6 @@ class TestFeasibility:
             feasibility_boundary("i", "ring", 16, 8.0, theta)
         with pytest.raises(DomainError, match="theta must be finite"):
             superposition_block_scan("i", "ring", 4, 1.0, 0.1, theta)
+        for case, geometry in (("i", "ring"), ("ii", "harmonic")):
+            with pytest.raises(DomainError, match="theta must be finite"):
+                build_block(case, geometry, 4, 1.0, 0.1, theta)
