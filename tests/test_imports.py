@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 import fluxring
-import fluxring.superposition
 
 SRC = str(Path(fluxring.__file__).resolve().parents[1])
 
@@ -74,18 +73,6 @@ def test_every_public_name_and_submodule_resolves_after_a_bare_import():
         "print(json.dumps([listed, missing, fluxring.oracle.__name__,\n"
         "                  fluxring.run_verification.__module__]))")
     assert resolved == [True, [], "fluxring.oracle", "fluxring.oracle"]
-
-
-def test_every_public_name_is_its_submodule_object():
-    for name in fluxring.__all__:
-        if name == "__version__":
-            continue
-        value = getattr(fluxring, name)
-        defining = {module for module in ("errors", "params", "darkstate", "ring",
-                                          "harmonic", "superposition", "oracle")
-                    if getattr(getattr(fluxring, module), name, None) is value}
-        assert defining, name
-        assert name in dir(fluxring)
 
 
 def test_unknown_attribute_is_an_attribute_error():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import scipy.special
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis.strategies import floats, integers, sampled_from
 
 from fluxring import (
@@ -180,6 +180,8 @@ def test_mixing_ratio_stable_identity(geometry, ell, sigma_ell, epsilon):
 @given(floats(allow_nan=False, allow_infinity=False),
        floats(allow_nan=False, allow_infinity=False),
        integers(min_value=2, max_value=5000))
+@example(0.0, 1e-323, 7)       # the step underflows to 0
+@example(-1e308, 1e308, 3)     # the span overflows to inf
 def test_list_grid_is_numpy_linspace_bit_for_bit(lo, hi, count):
     """The CLI's numpy-free range grid reproduces np.linspace to the last bit.
 
