@@ -4,7 +4,8 @@ All energies are emitted dimensionless with the unit named in a
 `# unit:` comment line (CSV) or a "unit" key (JSON).  Floats print as
 %.12e and bools as 1/0, so identical requests produce byte-identical
 files.  Exit codes: 0 success, 1 usage, 2 validation, 3 verification
-failure.
+failure.  Library warnings print on stderr as one line each,
+`fluxring: warning: <message>`, and leave the exit code alone.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from typing import Sequence
 
 from .darkstate import FluxCase, case_of, classify_flux_case, epsilon_param
@@ -272,20 +274,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning replacement: one line, no source location."""
+    print(f"fluxring: warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (VerificationError, ConvergenceError) as exc:
-        print(f"verification error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except (VerificationError, ConvergenceError) as exc:
+            print(f"verification error: {exc}", file=sys.stderr)
+            return 3
+        except ValidationError as exc:
+            print(f"validation error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

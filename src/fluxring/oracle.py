@@ -1,11 +1,14 @@
 """Independent numerical routes for every closed form in the package.
 
-Nothing here reuses the analytic spectra: eigenvalues come from a
-hand-rolled cyclic Jacobi sweep on the real-doubled matrix, from the
-exact Fourier diagonalization of the ring finite-difference circulant,
-or from Sturm-sequence bisection on the radial tridiagonal.  Agreement
-between these routes and the closed forms is what the verify suite and
-the acceptance tests certify.
+Nothing here reuses the analytic spectra: eigenvalues come from LAPACK
+on an assembled finite-difference matrix, from the exact Fourier
+diagonalization of the ring finite-difference circulant, or from
+Sturm-sequence bisection on the radial tridiagonal (LAPACK ?stebz).
+The routes are independent of the closed forms, not of LAPACK.
+Agreement between these routes and the closed forms is what the verify
+suite and the acceptance tests certify.  scipy.linalg is imported only
+inside radial_fd_spectrum and scipy.integrate only inside
+quadrature_overlap, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -34,10 +37,7 @@ __all__ = [
     "run_verification",
 ]
 
-_JACOBI_TOL = 1e-13     # off-diagonal Frobenius, relative to the matrix norm
-_JACOBI_SWEEPS = 40
-_PAIR_TOL = 1e-9        # absolute split allowed between doubled eigenvalues
-_RESIDUAL_TOL = 1e-10
+_RESIDUAL_TOL = 1e-10   # eigenvector residual, relative to ||H||_F
 
 
 @dataclass(frozen=True)
@@ -63,88 +63,34 @@ class OracleReport:
 
 
 # ---------------------------------------------------------------------------
-# dense Hermitian eigensolver (real doubling + cyclic Jacobi)
+# dense Hermitian eigensolver (LAPACK, with checked inputs and residuals)
 # ---------------------------------------------------------------------------
 
-def _jacobi_symmetric(s: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Cyclic Jacobi on a real symmetric matrix; returns (diag, rotations)."""
-    n = s.shape[0]
-    s = s.copy()
-    v = np.eye(n) if want_vectors else None
-    scale = math.sqrt(float((s * s).sum()))
-    if scale == 0.0:
-        return np.zeros(n), v
-    skip = _JACOBI_TOL * scale / (2.0 * n)
-    for _ in range(_JACOBI_SWEEPS):
-        # (1) convergence test on the strict upper triangle
-        off2 = float((np.triu(s, 1) ** 2).sum())
-        if math.sqrt(2.0 * off2) <= _JACOBI_TOL * scale:
-            return np.diagonal(s).copy(), v
-        # (2) one cyclic sweep of (p, q) rotations
-        for p in range(n - 1):
-            row = s[p]
-            for q in range(p + 1, n):
-                apq = row[q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (s[q, q] - s[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                sn = t * c
-                # (3) two-sided update S <- J^T S J restricted to rows/cols p, q
-                rp = s[p, :].copy()
-                rq = s[q, :].copy()
-                s[p, :] = c * rp - sn * rq
-                s[q, :] = sn * rp + c * rq
-                cp = s[:, p].copy()
-                cq = s[:, q].copy()
-                s[:, p] = c * cp - sn * cq
-                s[:, q] = sn * cp + c * cq
-                s[p, q] = s[q, p] = 0.0
-                if want_vectors:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - sn * vq
-                    v[:, q] = sn * vp + c * vq
-    raise ConvergenceError(f"Jacobi did not converge in {_JACOBI_SWEEPS} sweeps")
-
-
 def hermitian_eigs(h, compute_vectors: bool = False):
-    """Eigenvalues (ascending) of a complex Hermitian matrix, no LAPACK.
+    """Eigenvalues (ascending) of a complex Hermitian matrix, from LAPACK.
 
-    H = X + iY is embedded as the real symmetric [[X, -Y], [Y, X]], whose
-    spectrum is that of H doubled.  After the Jacobi sweeps the doubled
-    eigenvalues are paired within 1e-9 absolute; a failed pairing is
-    reported rather than merged.  With compute_vectors=True the complex
-    eigenvectors are reconstructed from the paired columns and their
-    residuals checked against 1e-10 ||H||.
+    The matrix must be square, finite and Hermitian to 1e-12 of its
+    largest entry; np.linalg.eigvalsh / eigh (LAPACK ?heevd) then read its
+    lower triangle.  With compute_vectors=True the unit-norm eigenvectors
+    come back as columns, and their residuals are checked against
+    1e-10 ||H||, so a solver failure is raised rather than returned.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {h.shape}")
-    n = h.shape[0]
+    if not np.isfinite(h).all():
+        raise ValidationError("matrix has non-finite entries")
     scale = max(float(np.abs(h).max(initial=0.0)), 1.0)
     if np.abs(h - h.conj().T).max(initial=0.0) > 1e-12 * scale:
         raise ValidationError("matrix is not Hermitian")
-    doubled = np.block([[h.real, -h.imag], [h.imag, h.real]])
-    diag, rotations = _jacobi_symmetric(doubled, compute_vectors)
-    order = np.argsort(diag, kind="stable")
-    lam = diag[order]
-    splits = lam[1::2] - lam[0::2]
-    if splits.size != n or float(np.abs(splits).max(initial=0.0)) > _PAIR_TOL:
-        raise ConvergenceError(
-            f"doubled spectrum failed to pair within {_PAIR_TOL} "
-            f"(worst split {float(np.abs(splits).max(initial=0.0))})")
-    values = 0.5 * (lam[0::2] + lam[1::2])
-    if not compute_vectors:
-        return values
-    cols = rotations[:, order[0::2]]
-    vectors = cols[:n, :] + 1j * cols[n:, :]
-    hnorm = math.sqrt(float((np.abs(h) ** 2).sum()))
-    worst = 0.0
-    for k in range(n):
-        worst = max(worst, float(np.abs(h @ vectors[:, k] - values[k] * vectors[:, k]).max()))
-    if worst > _RESIDUAL_TOL * max(hnorm, 1.0):
+    try:
+        if not compute_vectors:
+            return np.linalg.eigvalsh(h)
+        values, vectors = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
+    worst = float(np.abs(h @ vectors - vectors * values).max(initial=0.0))
+    if worst > _RESIDUAL_TOL * max(float(np.linalg.norm(h)), 1.0):
         raise ConvergenceError(f"eigenvector residual {worst} exceeds budget")
     return values, vectors
 
@@ -195,8 +141,8 @@ def ring_fd_spectrum(ell: int, sigma_ell: float, n_grid: int = 1024,
     which differs from ell^2 + m^2 + 2 sigma_ell m by
     -h^4 (m^6/90 + sigma_ell m^5/15) at leading order; that is the
     default route.  method='dense'
-    assembles the same pentadiagonal matrix and runs the Jacobi solver
-    instead, which doubles as the eigensolver's consistency check for
+    assembles the same pentadiagonal matrix and runs hermitian_eigs
+    instead, which checks the matrix assembly against the symbol on
     small grids.
     """
     if n_grid < 64:
@@ -221,62 +167,8 @@ def ring_fd_spectrum(ell: int, sigma_ell: float, n_grid: int = 1024,
 
 
 # ---------------------------------------------------------------------------
-# radial finite differences (Dirichlet tridiagonal + Sturm bisection)
+# radial finite differences (Dirichlet tridiagonal, LAPACK bisection)
 # ---------------------------------------------------------------------------
-
-def _sturm_counts(diag: np.ndarray, off2: float, lams: np.ndarray) -> np.ndarray:
-    """Number of tridiagonal eigenvalues strictly below each entry of lams."""
-    tiny = 1e-280
-    q = diag[0] - lams
-    counts = (q < 0.0).astype(np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for d in diag[1:]:
-            q = np.where(np.abs(q) < tiny, -tiny, q)
-            q = (d - lams) - off2 / q
-            counts += q < 0.0
-    return counts
-
-
-def _tridiag_lowest(diag: np.ndarray, off: float, k: int) -> np.ndarray:
-    """k lowest eigenvalues by bisection on the Sturm counts."""
-    bound = float(np.max(np.abs(diag))) + 2.0 * abs(off)
-    lo = np.full(k, -bound)
-    hi = np.full(k, bound)
-    targets = np.arange(1, k + 1)
-    off2 = off * off
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        counts = _sturm_counts(diag, off2, mid)
-        takes_hi = counts >= targets
-        hi = np.where(takes_hi, mid, hi)
-        lo = np.where(takes_hi, lo, mid)
-        if float((hi - lo).max()) <= 1e-10 * max(1.0, bound * 2 ** -40):
-            break
-        if float((hi - lo).max()) <= 1e-11 * np.abs(hi).max(initial=1.0):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _tridiag_solve(diag: list[float], off: float, rhs: list[float]) -> list[float]:
-    """Thomas solve of (tridiag - shift) u = rhs; caller pre-shifts diag."""
-    n = len(diag)
-    cp = [0.0] * n
-    dp = [0.0] * n
-    denom = diag[0]
-    cp[0] = off / denom
-    dp[0] = rhs[0] / denom
-    for j in range(1, n):
-        denom = diag[j] - off * cp[j - 1]
-        if denom == 0.0:
-            denom = 1e-300
-        cp[j] = off / denom
-        dp[j] = (rhs[j] - off * dp[j - 1]) / denom
-    u = [0.0] * n
-    u[-1] = dp[-1]
-    for j in range(n - 2, -1, -1):
-        u[j] = dp[j] - cp[j] * u[j + 1]
-    return u
-
 
 def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, r_max: float | None = None,
                        n_grid: int = 4000, k_lowest: int = 4) -> OracleReport:
@@ -285,12 +177,17 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, r_max: float | None =
     The substitution u = f sqrt(r) turns the radial problem into
     -u'' + [(mu^2 - 1/4)/r^2 + r^2/4] u = E u on (0, r_max) with u = 0 at
     both ends; the lowest k eigenvalues of the resulting tridiagonal are
-    located by Sturm bisection and compared against 2n + mu + 1.  The
-    eigenfunction of the highest requested level is recovered by inverse
-    iteration and its boundary tail must stay below 1e-6.
+    located by Sturm bisection (LAPACK ?stebz through
+    scipy.linalg.eigh_tridiagonal) and compared against 2n + mu + 1.  The
+    eigenfunction of the highest requested level is recovered by two steps
+    of inverse iteration (scipy.linalg.solve_banded) and its boundary tail
+    must stay below 1e-6.  A singular shifted matrix raises
+    ConvergenceError naming the shift.
     """
     if n_grid < 2000:
         raise UsageError(f"n_grid must be >= 2000, got {n_grid}")
+    if k_lowest < 1 or k_lowest > n_grid - 1:
+        raise UsageError(f"k_lowest must be in [1, {n_grid - 1}], got {k_lowest}")
     mu2 = ell * ell + m * m + 2.0 * sigma_ell * m
     if mu2 < 0.0:
         raise DomainError(f"mu^2 = {mu2} < 0; no such radial state")
@@ -300,20 +197,27 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, r_max: float | None =
         r_max = math.sqrt(2.0 * mu_m) + 12.0
     if r_max < r_floor:
         raise DomainSizeError(f"r_max = {r_max} is below the safe floor {r_floor}")
+    # scipy.linalg adds about 28 MiB resident, so it loads only for this oracle
+    from scipy.linalg import eigh_tridiagonal, solve_banded
+
     step = r_max / n_grid
     r = step * np.arange(1, n_grid, dtype=float)
     diag = 2.0 / (step * step) + (mu2 - 0.25) / (r * r) + 0.25 * r * r
     off = -1.0 / (step * step)
-    values = _tridiag_lowest(diag, off, k_lowest)
+    values = eigh_tridiagonal(diag, np.full(n_grid - 2, off), eigvals_only=True,
+                              select="i", select_range=(0, k_lowest - 1))
     # boundary-leakage check on the most extended of the requested states
-    shift = values[-1] + 1e-7 * max(1.0, abs(values[-1]))
-    shifted = (diag - shift).tolist()
-    u = [1.0] * (n_grid - 1)
-    for _ in range(2):
-        u = _tridiag_solve(shifted, off, u)
-        peak = max(abs(x) for x in u)
-        u = [x / peak for x in u]
-    tail = abs(u[-1])
+    shift = float(values[-1]) + 1e-7 * max(1.0, abs(float(values[-1])))
+    bands = np.array([np.full(n_grid - 1, off), diag - shift, np.full(n_grid - 1, off)])
+    u = np.ones(n_grid - 1)
+    try:
+        for _ in range(2):
+            u = solve_banded((1, 1), bands, u)
+            u /= np.abs(u).max()
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"inverse iteration at shift {shift!r}: the shifted "
+                               f"matrix is singular ({exc})") from exc
+    tail = float(abs(u[-1]))
     if tail > 1e-6:
         raise DomainSizeError(f"eigenfunction tail {tail} at r_max = {r_max} "
                               "indicates boundary leakage")

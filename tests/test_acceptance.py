@@ -290,7 +290,7 @@ GOLDEN_OUTPUTS = [
       "--alpha-minus", "0.5", "--beta-mag2", "1", "--delta-alpha", "1.5"],
      "aba811461b427ba761b305f54d41c6559064024c09012eeafb2fb3e24fa07406"),
     (["verify", "--ring-grid", "256", "--radial-grid", "2000"],
-     "73225514b19ba2a2b57e658b991a6c95a85cf228b0d37919d32b0012ea2590c4"),
+     "044ab560ec278af366f05b5cdcf5ae4e8419e71602b26d8b758e38d13c8440d5"),
     (["spectrum", "--geometry", "ring", "--ell", "4"],
      "c0eceb8fd7c1304c54369f435b696d7e6595895c3b8ff08fe5200d08d8e30c0b"),
     (["spectrum", "--geometry", "harmonic", "--ell", "4"],

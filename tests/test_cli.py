@@ -233,6 +233,22 @@ class TestVerifyCommand:
         assert "verification failed" in err
         assert json.loads(out)["all_passed"] is False
 
+    def test_singular_shift_is_a_verification_error(self, capsys, monkeypatch):
+        """A singular inverse-iteration solve exits 3 with the shift named."""
+        import numpy as np
+        import scipy.linalg
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+        code, out, err = run(capsys, [
+            "verify", "--ring-grid", "256", "--radial-grid", "2000"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("verification error: inverse iteration at shift ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("scale", ["-1", "nan", "inf", "-inf"])
     def test_bad_tolerance_scale_is_a_validation_error(self, capsys, scale):
         code, out, err = run(capsys, ["verify", "--tolerance-scale", scale])
@@ -250,6 +266,30 @@ class TestNegativeEll:
         assert code == 2
         assert out == ""
         assert "ell must be >= 0, got -2" in err
+
+
+class TestWarnings:
+    ARGV = ["superpose", "--geometry", "harmonic", "--case", "ii", "--ell", "3",
+            "--sigma-ell", "0", "--delta-alpha", "0.5:1:2"]
+
+    def test_library_warning_is_one_stderr_line(self, capsys):
+        code, out, err = run(capsys, self.ARGV)
+        assert code == 0
+        assert err == ("fluxring: warning: case (ii) with sigma = 0: the small-eps "
+                       "expansion is singular, exact forms remain valid\n")
+        assert out.splitlines()[0] == "# unit: hbar*Omega"
+        assert len(out.splitlines()) == 4
+
+    def test_stdout_does_not_depend_on_the_warning(self, capsys):
+        """An ignore filter set by the caller still holds inside main."""
+        import warnings
+
+        _, shown, _ = run(capsys, self.ARGV)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, silent, err = run(capsys, self.ARGV)
+        assert shown == silent
+        assert err == ""
 
 
 class TestHarnessBehavior:

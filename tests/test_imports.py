@@ -92,3 +92,20 @@ def test_package_names_follow_their_submodule(monkeypatch):
     monkeypatch.undo()
     assert fluxring.superpose_ring is original
     assert "superpose_ring" not in vars(fluxring)
+
+
+def test_oracle_block_scan_never_loads_scipy():
+    """superpose-style callers import the oracle for its block scan alone."""
+    assert fresh("import json, sys\n"
+                 "import fluxring.oracle\n"
+                 "fluxring.oracle.superposition_block_scan('i', 'ring', 4, 1.0, 0.1)\n"
+                 f"print({LOADED})") == ["numpy"]
+
+
+def test_radial_oracle_loads_scipy_linalg_but_not_integrate():
+    assert fresh("import json, sys\n"
+                 "import fluxring.oracle\n"
+                 "fluxring.oracle.radial_fd_spectrum(4, 1.0, -1, n_grid=2000)\n"
+                 "print(json.dumps([name in sys.modules\n"
+                 "                  for name in ('scipy.linalg', 'scipy.integrate')]))"
+                 ) == [True, False]

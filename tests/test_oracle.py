@@ -1,4 +1,4 @@
-"""Numerical oracle layer: hand-rolled eigensolver, FD routes, block scans."""
+"""Numerical oracle layer: LAPACK-backed eigensolvers, FD routes, block scans."""
 
 import math
 
@@ -58,7 +58,7 @@ class TestHermitianEigs:
         np.testing.assert_allclose(vals, [-1.0, 1.0], rtol=0, atol=1e-13)
 
     def test_against_lapack(self):
-        """Dual route: cyclic Jacobi on the doubled real form vs LAPACK."""
+        """hermitian_eigs wraps LAPACK, so this pins the wrapper, not the solver."""
         h = _random_hermitian(24, seed=5)
         vals = hermitian_eigs(h)
         np.testing.assert_allclose(vals, np.linalg.eigvalsh(h), rtol=0, atol=1e-11)
@@ -77,7 +77,7 @@ class TestHermitianEigs:
             assert np.linalg.norm(vecs[:, k]) == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate_spectrum(self):
-        """Repeated eigenvalues still pair up across the doubled form."""
+        """A threefold-repeated block survives the wrapper's validation."""
         h = np.diag([2.0, 2.0, 2.0, -1.0]).astype(complex)
         h[0, 3] = 0.5j
         h[3, 0] = -0.5j
@@ -85,11 +85,49 @@ class TestHermitianEigs:
         np.testing.assert_allclose(
             vals, np.linalg.eigvalsh(h), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("compute_vectors", [False, True])
+    def test_spectrum_known_by_construction(self, compute_vectors):
+        """U diag(lam) U^H with U unitary from QR: the spectrum is lam, sorted.
+
+        The reference never touches an eigensolver, so this check stays
+        independent of LAPACK; the repeated value 1.5 makes it degenerate.
+        """
+        rng = np.random.default_rng(11)
+        n = 12
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        u, _ = np.linalg.qr(g)
+        lam = np.array([3.0, -2.0, 1.5, 0.25, 1.5, -7.0, 4.5, 1.5, 0.0, -0.5, 9.0, 2.0])
+        h = (u * lam) @ u.conj().T
+        h = 0.5 * (h + h.conj().T)
+        expected = np.sort(lam)
+        out = hermitian_eigs(h, compute_vectors=compute_vectors)
+        vals = out[0] if compute_vectors else out
+        np.testing.assert_allclose(vals, expected, rtol=0, atol=1e-12)
+        assert np.all(np.diff(vals) >= 0.0)
+        if compute_vectors:
+            vecs = out[1]
+            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(h @ vecs, vecs * vals, rtol=0, atol=1e-11)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             hermitian_eigs(np.ones((2, 3)))
         with pytest.raises(ValidationError):
             hermitian_eigs(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_are_rejected(self, bad):
+        """LAPACK would return a silently wrong spectrum for a NaN entry."""
+        with pytest.raises(ValidationError, match="non-finite"):
+            hermitian_eigs(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            hermitian_eigs(np.eye(3))
 
 
 class TestRingFd:
@@ -119,7 +157,7 @@ class TestRingFd:
         assert dev_coarse / dev_fine == pytest.approx(256.0, rel=1e-2)
 
     def test_dense_route_agrees_with_circulant(self):
-        """The assembled matrix run through Jacobi matches the symbol route."""
+        """The assembled matrix run through hermitian_eigs matches the symbol route."""
         sym = ring_fd_spectrum(4, 1.2, n_grid=64, k_lowest=9, method="circulant")
         dense = ring_fd_spectrum(4, 1.2, n_grid=64, k_lowest=9, method="dense")
         np.testing.assert_allclose(dense.computed, sym.computed, rtol=0, atol=1e-8)
@@ -147,9 +185,28 @@ class TestRadialFd:
         assert rep.max_abs_dev < 1e-3
         assert rep.metadata["tail"] < 1e-6
 
+    def test_second_order_convergence(self):
+        """The three-point stencil's error falls as h^2: halving h divides it by 4."""
+        dev_coarse = radial_fd_spectrum(4, 1.0, -1, n_grid=2000).max_abs_dev
+        dev_fine = radial_fd_spectrum(4, 1.0, -1, n_grid=4000).max_abs_dev
+        assert dev_coarse / dev_fine == pytest.approx(4.0, rel=1e-2)
+
+    def test_singular_shift_is_a_convergence_error(self, monkeypatch):
+        import scipy.linalg
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+        with pytest.raises(ConvergenceError, match=r"inverse iteration at shift 1\d\.\d+"):
+            radial_fd_spectrum(4, 1.0, -1, n_grid=2000)
+
     def test_validation(self):
         with pytest.raises(UsageError):
             radial_fd_spectrum(4, 1.0, -1, n_grid=500)
+        for k_lowest in (0, 2000):
+            with pytest.raises(UsageError):
+                radial_fd_spectrum(4, 1.0, -1, n_grid=2000, k_lowest=k_lowest)
         with pytest.raises(DomainError):
             radial_fd_spectrum(1, 5.0, -1)
         with pytest.raises(DomainSizeError):
