@@ -195,6 +195,8 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, r_max: float | None =
     r_floor = math.sqrt(2.0 * mu_m) + 10.0
     if r_max is None:
         r_max = math.sqrt(2.0 * mu_m) + 12.0
+    if not math.isfinite(r_max):
+        raise DomainError(f"r_max must be finite, got {r_max}")
     if r_max < r_floor:
         raise DomainSizeError(f"r_max = {r_max} is below the safe floor {r_floor}")
     # scipy.linalg adds about 28 MiB resident, so it loads only for this oracle
@@ -207,7 +209,8 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, r_max: float | None =
     values = eigh_tridiagonal(diag, np.full(n_grid - 2, off), eigvals_only=True,
                               select="i", select_range=(0, k_lowest - 1))
     # boundary-leakage check on the most extended of the requested states
-    shift = float(values[-1]) + 1e-7 * max(1.0, abs(float(values[-1])))
+    top = float(values[-1])
+    shift = top + 1e-7 * max(1.0, abs(top))
     bands = np.array([np.full(n_grid - 1, off), diag - shift, np.full(n_grid - 1, off)])
     u = np.ones(n_grid - 1)
     try:

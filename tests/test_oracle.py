@@ -77,7 +77,7 @@ class TestHermitianEigs:
             assert np.linalg.norm(vecs[:, k]) == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate_spectrum(self):
-        """A threefold-repeated block survives the wrapper's validation."""
+        """A repeated eigenvalue (2, twice) passes through the wrapper unchanged."""
         h = np.diag([2.0, 2.0, 2.0, -1.0]).astype(complex)
         h[0, 3] = 0.5j
         h[3, 0] = -0.5j
@@ -211,6 +211,9 @@ class TestRadialFd:
             radial_fd_spectrum(1, 5.0, -1)
         with pytest.raises(DomainSizeError):
             radial_fd_spectrum(4, 1.0, -1, r_max=5.0, n_grid=2000)
+        for r_max in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="r_max must be finite"):
+                radial_fd_spectrum(4, 1.0, -1, r_max=r_max, n_grid=2000)
 
 
 class TestBlockScan:
