@@ -50,7 +50,11 @@ def mu(ell: int, sigma_ell: float, m: int) -> float:
     """
     if ell < 0:
         raise DomainError(f"ell must be >= 0, got {ell}")
-    radicand = ell * ell + m * m + 2.0 * sigma_ell * m
+    try:
+        radicand = ell * ell + m * m + 2.0 * sigma_ell * m
+    except OverflowError:  # the integer ell^2 + m^2 has no float
+        raise DomainError(f"ell^2 + m^2 exceeds the float range at ell={ell}, "
+                          f"sigma_ell={sigma_ell}") from None
     if radicand < 0.0:
         raise DomainError(
             f"mu^2 = {radicand} < 0 for ell={ell}, sigma_ell={sigma_ell}, m={m}")

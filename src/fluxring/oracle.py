@@ -24,7 +24,8 @@ from .errors import (ConvergenceError, DomainError, DomainSizeError, UsageError,
 from .harmonic import RadialFunction
 from .params import GeometryKind, as_geometry_kind
 from .ring import ground_m
-from .superposition import build_block, gen_eig_2x2, superpose_harmonic, superpose_ring
+from .superposition import (_block_stack, _check_pencils, _solve_pencils, gen_eig_2x2,
+                            superpose_harmonic, superpose_ring)
 
 __all__ = [
     "OracleReport",
@@ -241,10 +242,16 @@ def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
                              m_max: int | None = None) -> tuple[float, int, OracleReport]:
     """Scan the per-m 2x2 blocks and verify the minimum sits at m_check.
 
-    Every block with |m| <= m_max is solved through gen_eig_2x2 (harmonic
-    blocks fix n = 0).  The global minimum must land at |m| = |m_check|
-    and match the closed-form e_plus to 1e-12 relative; a minimum pressed
-    against the window edge raises WindowError instead of being trusted.
+    The 2 m_max + 1 blocks with |m| <= m_max (harmonic blocks fix n = 0)
+    are assembled from _block_parameters into one (2 m_max + 1, 2, 2)
+    stack, checked Hermitian against an overlap with |eps| < 1, and
+    solved by the stacked congruence behind gen_eig_2x2: one LAPACK
+    eigh call, one 1e-12 residual check per block, and the same bits
+    as gen_eig_2x2(build_block(..., m=m)) block by block.  H comes from
+    the block matrix, never from the closed forms.  The global minimum
+    must land at |m| = |m_check| and match the closed-form e_plus to
+    1e-12 relative; a minimum pressed against the window edge raises
+    WindowError instead of being trusted.
     """
     geo = as_geometry_kind(geometry)
     analytic = (superpose_ring(case, ell, sigma_ell, epsilon, theta)
@@ -255,11 +262,11 @@ def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
         m_max = abs(mc) + 8
     if m_max < abs(mc) + 5:
         raise UsageError(f"m_max must be >= |m_check| + 5 = {abs(mc) + 5}")
-    minima: dict[int, float] = {}
-    for m in range(-m_max, m_max + 1):
-        block = build_block(case, geo, ell, sigma_ell, epsilon, theta, m=m)
-        vals, _ = gen_eig_2x2(block)
-        minima[m] = float(vals[0])
+    ms = range(-m_max, m_max + 1)
+    h, a = _block_stack(case, geo, ell, sigma_ell, epsilon, theta, ms)
+    _check_pencils(h, a)
+    vals, _ = _solve_pencils(h, a)
+    minima = dict(zip(ms, vals[:, 0].tolist()))
     m_star = min(minima, key=lambda mm: (minima[mm], mm))
     if abs(m_star) >= m_max:
         raise WindowError(f"block-scan minimum sits at the window edge m = {m_star}")

@@ -31,7 +31,11 @@ def ring_energy(ell: int, sigma_ell: float, m: int) -> float:
     """Energy ell^2 + m^2 + 2 sigma_ell m of angular-momentum state m."""
     if ell < 0:
         raise DomainError(f"ell must be >= 0, got {ell}")
-    return ell * ell + m * m + 2.0 * sigma_ell * m
+    try:
+        return ell * ell + m * m + 2.0 * sigma_ell * m
+    except OverflowError:  # the integer ell^2 + m^2 has no float
+        raise DomainError(f"ell^2 + m^2 exceeds the float range at ell={ell}, "
+                          f"sigma_ell={sigma_ell}") from None
 
 
 def ground_m(sigma_ell: float) -> int:

@@ -17,6 +17,12 @@ and the superposition is worthwhile when |delta_e| stays below the
 excitation gap.  All closed forms below are evaluated through the
 cancellation-free identities 1 - s = eps^2 / (1 + s) and
 R - sigma = eps^2 / (R + sigma).
+
+Single points, sweep rows and boundary searches share one engine: the
+checks, the block parameters and the gap depend on sigma_ell alone and
+are computed once per row (_row); each epsilon then costs one scalar
+kernel call (_closed_form).  The pencils go through one stacked solve
+(_solve_pencils), of which gen_eig_2x2 is the one-block case.
 """
 
 from __future__ import annotations
@@ -68,36 +74,32 @@ class GenEig2:
         a = np.asarray(self.a, dtype=complex).reshape(2, 2)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "a", a)
-        scale = max(np.abs(h).max(), 1.0)
-        if np.abs(h - h.conj().T).max() > _HERMITICITY_TOL * scale:
-            raise DomainError("h is not Hermitian")
-        if abs(a[0, 0] - 1.0) > _HERMITICITY_TOL or abs(a[1, 1] - 1.0) > _HERMITICITY_TOL:
-            raise DomainError("a must have unit diagonal")
-        if abs(a[1, 0] - a[0, 1].conjugate()) > _HERMITICITY_TOL:
-            raise DomainError("a is not Hermitian")
-        if abs(a[0, 1]) >= 1.0:
-            raise SingularOverlapError(
-                f"overlap magnitude {abs(a[0, 1])} >= 1 leaves the metric indefinite")
+        _check_pencils(h, a)
 
 
-def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the 2x2 pencil H v = E A v by congruence with A^(-1/2).
+def _check_pencils(h: np.ndarray, a: np.ndarray) -> None:
+    """Reject a stack of 2x2 H (..., 2, 2) unless each block is Hermitian and
+    the shared overlap a is a unit-diagonal Hermitian metric with |a01| < 1."""
+    scale = np.abs(h).max(axis=(-2, -1), initial=1.0)
+    skew = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (skew > _HERMITICITY_TOL * scale).any():
+        raise DomainError("h is not Hermitian")
+    if abs(a[0, 0] - 1.0) > _HERMITICITY_TOL or abs(a[1, 1] - 1.0) > _HERMITICITY_TOL:
+        raise DomainError("a must have unit diagonal")
+    if abs(a[1, 0] - a[0, 1].conjugate()) > _HERMITICITY_TOL:
+        raise DomainError("a is not Hermitian")
+    if abs(a[0, 1]) >= 1.0:
+        raise SingularOverlapError(
+            f"overlap magnitude {abs(a[0, 1])} >= 1 leaves the metric indefinite")
 
-    Returns (eigenvalues ascending, eigenvectors as columns, normalized
-    in the A metric).  The overlap's eigenbasis is analytic, so A^(-1/2)
-    is closed form; the congruent Hermitian block goes to LAPACK through
-    np.linalg.eigh.  Residuals are checked on exit.
 
-    Examples
-    --------
-    >>> vals, _ = gen_eig_2x2(GenEig2([[15, 1.7], [1.7, 19]],
-    ...                               [[1, 0.1], [0.1, 1]]))
-    >>> round(float(vals[0]), 7)
-    14.9899244
+def _solve_pencils(h: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve every pencil of a (..., 2, 2) stack of H against one overlap A.
+
+    One closed-form A^(-1/2), one np.linalg.eigh call over the whole
+    stack and one residual check per block; the inputs must already
+    have passed _check_pencils.
     """
-    if not isinstance(problem, GenEig2):
-        problem = GenEig2(*problem)
-    h, a = problem.h, problem.a
     c = a[0, 1]
     eps = abs(c)
     # componentwise division: complex c / eps overflows internally when
@@ -110,16 +112,40 @@ def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
     q_half = 0.5 * (ip - im) * phase
     a_inv_half = np.array([[p_half, q_half], [q_half.conjugate(), p_half]])
     b = a_inv_half @ h @ a_inv_half
-    b = 0.5 * (b + b.conj().T)  # scrub rounding skew before the Hermitian solve
+    # scrub rounding skew before the Hermitian solve
+    b = 0.5 * (b + b.conj().swapaxes(-1, -2))
     vals, w = np.linalg.eigh(b)
     vecs = a_inv_half @ w
-    scale = max(np.abs(h).max(), 1.0)
-    for k in range(2):
-        residual = np.abs(h @ vecs[:, k] - vals[k] * (a @ vecs[:, k])).max()
-        if residual > _RESIDUAL_TOL * scale:
-            raise VerificationError(
-                f"pencil residual {residual} exceeds {_RESIDUAL_TOL * scale}")
+    scale = np.abs(h).max(axis=(-2, -1), initial=1.0)
+    residual = np.abs(h @ vecs - (a @ vecs) * vals[..., None, :]).max(axis=(-2, -1))
+    bad = residual > _RESIDUAL_TOL * scale
+    if bad.any():
+        first = np.argmax(bad)  # flat index of the first failing block
+        raise VerificationError(f"pencil residual {residual.flat[first]} exceeds "
+                                f"{_RESIDUAL_TOL * scale.flat[first]}")
     return vals, vecs
+
+
+def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the 2x2 pencil H v = E A v by congruence with A^(-1/2).
+
+    Returns (eigenvalues ascending, eigenvectors as columns, normalized
+    in the A metric).  The overlap's eigenbasis is analytic, so A^(-1/2)
+    is closed form; the congruent Hermitian block goes to LAPACK through
+    np.linalg.eigh.  Residuals are checked on exit.  This is the
+    one-block case of the stacked solve the block scan runs over every m,
+    so a block gives the same bits either way.
+
+    Examples
+    --------
+    >>> vals, _ = gen_eig_2x2(GenEig2([[15, 1.7], [1.7, 19]],
+    ...                               [[1, 0.1], [0.1, 1]]))
+    >>> round(float(vals[0]), 7)
+    14.9899244
+    """
+    if not isinstance(problem, GenEig2):
+        problem = GenEig2(*problem)
+    return _solve_pencils(problem.h, problem.a)
 
 
 @dataclass(frozen=True)
@@ -219,48 +245,89 @@ def _check_theta(theta: float) -> None:
         raise DomainError(f"theta must be finite, got {theta}")
 
 
+def _block_stack(case, geometry, ell: int, sigma_ell: float, epsilon: float,
+                 theta: float, ms: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked (H stack of shape (len(ms), 2, 2), shared A) of the blocks at each m.
+
+    ms = None stands for the ground-state m alone.
+    """
+    kind = case_of(case)
+    geo = as_geometry_kind(geometry)
+    _check_theta(theta)
+    if ms is None:
+        ms = (ground_m(sigma_ell),)
+    params = [_block_parameters(geo, ell, sigma_ell, m) for m in ms]
+    phase = complex(math.cos(theta), math.sin(theta))
+    case_i = kind is FluxCase.CASE_I
+    if case_i:
+        a01 = epsilon * phase
+    elif kind is FluxCase.CASE_II:
+        a01 = 0.0 + 0.0j
+    else:
+        raise CaseError("blocks exist only for case (i) or case (ii)")
+    entries: list[complex] = []  # row-major, four per block
+    for center, d, q in params:
+        off = epsilon * center * phase if case_i else -q * epsilon * phase
+        entries += (center + d, off, off.conjugate(), center - d)
+    h = np.array(entries, dtype=complex).reshape(-1, 2, 2)
+    a = np.array([[1.0, a01], [a01.conjugate(), 1.0]])
+    return h, a
+
+
 def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
                 theta: float = 0.0, m: int | None = None) -> GenEig2:
     """Explicit (H, A) pencil of the two-sector block at angular momentum m.
 
     m defaults to the ground-state value.  This is the matrix the closed
     forms in superpose_ring / superpose_harmonic diagonalize; feeding it
-    to gen_eig_2x2 provides the independent numerical route.
+    to gen_eig_2x2 provides the independent numerical route.  It is the
+    one-m case of the stacked blocks superposition_block_scan solves.
     """
-    kind = case_of(case)
-    geo = as_geometry_kind(geometry)
-    _check_theta(theta)
-    if m is None:
-        m = ground_m(sigma_ell)
-    center, d, q = _block_parameters(geo, ell, sigma_ell, m)
-    phase = complex(math.cos(theta), math.sin(theta))
-    if kind is FluxCase.CASE_I:
-        off = epsilon * center * phase
-        a01 = epsilon * phase
-    elif kind is FluxCase.CASE_II:
-        off = -q * epsilon * phase
-        a01 = 0.0 + 0.0j
-    else:
-        raise CaseError("blocks exist only for case (i) or case (ii)")
-    h = np.array([[center + d, off], [off.conjugate(), center - d]])
-    a = np.array([[1.0, a01], [a01.conjugate(), 1.0]])
-    return GenEig2(h, a)
+    h, a = _block_stack(case, geometry, ell, sigma_ell, epsilon, theta,
+                        None if m is None else (m,))
+    return GenEig2(h[0], a)
 
 
-def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
-               theta: float) -> SuperpositionResult:
-    kind = case_of(case)
-    geo = as_geometry_kind(geometry)
+class _Row(NamedTuple):
+    """Everything a superposition depends on except epsilon.
+
+    One value serves a whole sweep row or boundary search at fixed
+    sigma_ell; sigma is 0 in case (i), where no closed form reads it.
+    """
+
+    case_i: bool  # not the FluxCase: a member lookup costs ~0.1 us per point
+    ell: int
+    sigma_ell: float
+    m_check: int
+    center: float
+    d: float
+    q: float
+    sigma: float
+    gap: float
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon:
+        raise DomainError(f"epsilon must be >= 0, got {epsilon}")
+    if epsilon >= 1.0:
+        raise SingularOverlapError(f"epsilon = {epsilon} >= 1")
+
+
+def _row(kind: FluxCase, geo: GeometryKind, ell: int, sigma_ell: float, epsilon: float,
+         theta: float, stacklevel: int) -> _Row:
+    """Run every check of a superposition at (sigma_ell, epsilon), in order,
+    and return the invariants of its row.
+
+    Later points of the row need only _check_epsilon, which _closed_form
+    runs.  The case (ii) sigma = 0 warning points stacklevel frames up.
+    """
     if kind is FluxCase.NEITHER:
         raise CaseError("superpositions exist only for case (i) or case (ii)")
     _check_theta(theta)
     if ell != int(ell) or ell < 0:
         raise DomainError(f"ell must be a nonnegative integer, got {ell}")
     ell = int(ell)
-    if not 0.0 <= epsilon:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon}")
-    if epsilon >= 1.0:
-        raise SingularOverlapError(f"epsilon = {epsilon} >= 1")
+    _check_epsilon(epsilon)
     if abs(sigma_ell) > ell:
         raise DomainError(
             f"|sigma_ell| = {abs(sigma_ell)} exceeds ell = {ell} (|sigma| > 1)")
@@ -277,43 +344,56 @@ def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
         if sigma == 0.0:
             warnings.warn("case (ii) with sigma = 0: the small-eps expansion is "
                           "singular, exact forms remain valid", ExpansionWarning,
-                          stacklevel=3)
-
+                          stacklevel=stacklevel)
     mc = ground_m(sigma_ell)
     center, d, q = _block_parameters(geo, ell, sigma_ell, mc)
-    e_zero = center + d  # sgn(sigma_ell * m_check) <= 0 keeps d <= 0 here
-    phase = complex(math.cos(theta), math.sin(theta))
-
-    if kind is FluxCase.CASE_I:
-        s = math.sqrt(1.0 - epsilon * epsilon)
-        one_minus_s = epsilon * epsilon / (1.0 + s)
-        delta_e = d * one_minus_s / s
-        e_plus = e_zero + delta_e
-        e_minus = (center - d) - delta_e
-        mixing = (epsilon / (1.0 + s)) ** 2
-        xi = np.array([-epsilon * phase, one_minus_s + 0.0j])
-        zeta = np.array([-epsilon * phase, 1.0 + s + 0.0j])
-    else:
-        radius = math.hypot(sigma, epsilon)
-        r_minus_sigma = (epsilon * epsilon / (radius + sigma)
-                         if radius + sigma > 0.0 else 0.0)
-        delta_e = -abs(q) * r_minus_sigma
-        e_plus = e_zero + delta_e
-        e_minus = (center - d) + abs(q) * r_minus_sigma
-        mixing = ((epsilon / (radius + sigma)) ** 2
-                  if radius + sigma > 0.0 else 0.0)
-        xi = np.array([epsilon * phase, -r_minus_sigma + 0.0j])
-        zeta = np.array([epsilon * phase, sigma + radius + 0.0j])
-
     gap = (ring_gap(ell, sigma_ell) if geo is GeometryKind.RING
            else harmonic_gap(ell, sigma_ell))
+    return _Row(kind is FluxCase.CASE_I, ell, float(sigma_ell), mc, center, d, q, sigma, gap)
+
+
+def _closed_form(row: _Row, epsilon: float) -> tuple[float, float, float, float]:
+    """(delta_e, mixing ratio, xi[1], zeta[1]) of the row's block at epsilon.
+
+    The scalar kernel behind every single point, sweep and boundary
+    search: plain math on floats, so a sweep row reproduces the single
+    point bit for bit.  xi[1] and zeta[1] are the lower components of
+    the bare E_plus and E_minus eigenvectors.
+    """
+    if not 0.0 <= epsilon < 1.0:
+        _check_epsilon(epsilon)
+    if row.case_i:
+        s = math.sqrt(1.0 - epsilon * epsilon)
+        one_minus_s = epsilon * epsilon / (1.0 + s)
+        return (row.d * one_minus_s / s, (epsilon / (1.0 + s)) ** 2,
+                one_minus_s, 1.0 + s)
+    sigma = row.sigma
+    radius = math.hypot(sigma, epsilon)
+    if radius + sigma > 0.0:
+        r_minus_sigma = epsilon * epsilon / (radius + sigma)
+        mixing = (epsilon / (radius + sigma)) ** 2
+    else:
+        r_minus_sigma = mixing = 0.0
+    return -abs(row.q) * r_minus_sigma, mixing, -r_minus_sigma, sigma + radius
+
+
+def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
+               theta: float) -> SuperpositionResult:
+    kind = case_of(case)
+    geo = as_geometry_kind(geometry)
+    row = _row(kind, geo, ell, sigma_ell, epsilon, theta, stacklevel=4)
+    delta_e, mixing, xi_low, zeta_low = _closed_form(row, epsilon)
+    center, d = row.center, row.d
+    e_zero = center + d  # sgn(sigma_ell * m_check) <= 0 keeps d <= 0 here
+    phase = complex(math.cos(theta), math.sin(theta))
+    upper = (-epsilon if row.case_i else epsilon) * phase
+    xi = np.array([upper, xi_low + 0.0j])
+    zeta = np.array([upper, zeta_low + 0.0j])
     shift = abs(delta_e)
-    feasible = shift < gap
-    boundary = shift == gap
 
     metric = (np.array([[1.0, epsilon * phase],
                         [epsilon * phase.conjugate(), 1.0]])
-              if kind is FluxCase.CASE_I else np.eye(2, dtype=complex))
+              if row.case_i else np.eye(2, dtype=complex))
 
     def unit(v: np.ndarray, fallback: int) -> np.ndarray:
         norm2 = (v.conj() @ metric @ v).real
@@ -324,11 +404,12 @@ def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
         return v / math.sqrt(norm2)
 
     return SuperpositionResult(
-        case=kind, geometry=geo, ell=ell, sigma_ell=float(sigma_ell),
-        epsilon=float(epsilon), theta=float(theta), m_check=mc,
-        e_zero=e_zero, e_plus=e_plus, e_minus=e_minus, delta_e=delta_e,
-        gap=gap, mixing_ratio=mixing, feasible=feasible, boundary=boundary,
-        xi=xi, zeta=zeta, xi_unit=unit(xi, 0), zeta_unit=unit(zeta, 1))
+        case=kind, geometry=geo, ell=row.ell, sigma_ell=row.sigma_ell,
+        epsilon=float(epsilon), theta=float(theta), m_check=row.m_check,
+        e_zero=e_zero, e_plus=e_zero + delta_e, e_minus=(center - d) - delta_e,
+        delta_e=delta_e, gap=row.gap, mixing_ratio=mixing, feasible=shift < row.gap,
+        boundary=shift == row.gap, xi=xi, zeta=zeta, xi_unit=unit(xi, 0),
+        zeta_unit=unit(zeta, 1))
 
 
 def superpose_ring(case, ell: int, sigma_ell: float, epsilon: float,
@@ -444,11 +525,14 @@ def feasibility_sweep(case, geometry, ell: int,
     points: list[FeasibilityPoint] = []
     for s in sig_grid:
         sigma = s / ell
+        row = None
         for da in da_grid:
             eps = epsilon_param(da, sigma, convention)
-            result = _superpose(kind, geo, ell, s, eps, theta)
-            points.append(FeasibilityPoint(s, da, eps, result.delta_e, result.gap,
-                                           result.mixing_ratio, result.feasible))
+            if row is None:
+                row = _row(kind, geo, ell, s, eps, theta, stacklevel=3)
+            delta_e, mixing, _, _ = _closed_form(row, eps)
+            points.append(FeasibilityPoint(s, da, eps, delta_e, row.gap, mixing,
+                                           abs(delta_e) < row.gap))
     return points
 
 
@@ -468,10 +552,14 @@ def feasibility_boundary(case, geometry, ell: int, sigma_ell: float,
     geo = as_geometry_kind(geometry)
     sigma = sigma_ell / ell
 
+    row = None
+
     def excess(da: float) -> float:
-        result = _superpose(kind, geo, ell, sigma_ell,
-                            epsilon_param(da, sigma, convention), theta)
-        return abs(result.delta_e) - result.gap
+        nonlocal row
+        eps = epsilon_param(da, sigma, convention)
+        if row is None:
+            row = _row(kind, geo, ell, sigma_ell, eps, theta, stacklevel=3)
+        return abs(_closed_form(row, eps)[0]) - row.gap
 
     lo = 0.0
     try:

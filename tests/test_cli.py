@@ -268,6 +268,21 @@ class TestNegativeEll:
         assert "ell must be >= 0, got -2" in err
 
 
+class TestSigmaEllBeyondFloatRange:
+    """Past |sigma_ell| ~ 1.3e154 the integer m_check^2 has no float."""
+
+    @pytest.mark.parametrize("sigma_ell", ["1e308", "-1e200"])
+    @pytest.mark.parametrize("command", ["gap", "spectrum"])
+    @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
+    def test_is_a_validation_error(self, capsys, geometry, command, sigma_ell):
+        code, out, err = run(capsys, [command, "--geometry", geometry, "--ell", "4",
+                                      "--sigma-ell", sigma_ell])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("validation error: ell^2 + m^2 exceeds the float range")
+
+
 class TestWarnings:
     ARGV = ["superpose", "--geometry", "harmonic", "--case", "ii", "--ell", "3",
             "--sigma-ell", "0", "--delta-alpha", "0.5:1:2"]

@@ -14,6 +14,8 @@ from fluxring import (
     ValidationError,
     VerificationError,
     WindowError,
+    build_block,
+    gen_eig_2x2,
     harmonic_energy,
     hermitian_eigs,
     quadrature_norm,
@@ -26,7 +28,7 @@ from fluxring import (
     superposition_block_scan,
     superpose_ring,
 )
-from fluxring import oracle
+from fluxring import oracle, superposition
 
 
 def _random_hermitian(n, seed):
@@ -250,6 +252,35 @@ class TestBlockScan:
         """When a neighboring block dips lower the scan refuses to certify."""
         with pytest.raises(VerificationError):
             superposition_block_scan("i", "ring", 4, 2.4, 0.5)
+
+
+class TestStackedPencils:
+    """The block scan solves all its blocks in one stacked call."""
+
+    @pytest.mark.parametrize("theta", [0.0, 1.3])
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
+    def test_block_minima_equal_single_blocks(self, geometry, case, theta):
+        _, _, rep = superposition_block_scan(case, geometry, 4, 1.0, 0.1, theta)
+        minima = rep.metadata["block_minima"]
+        assert len(minima) == 2 * rep.metadata["m_max"] + 1
+        for m, minimum in minima.items():
+            values, _ = gen_eig_2x2(build_block(case, geometry, 4, 1.0, 0.1, theta,
+                                                m=int(m)))
+            assert minimum == float(values[0])
+
+    def test_residual_check_survives_batching(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(b):
+            vals, vecs = eigh(b)
+            return vals, vecs + 1e-6
+
+        monkeypatch.setattr(superposition.np.linalg, "eigh", perturbed)
+        with pytest.raises(VerificationError, match="pencil residual"):
+            gen_eig_2x2(build_block("i", "ring", 4, 1.0, 0.1))
+        with pytest.raises(VerificationError, match="pencil residual"):
+            superposition_block_scan("i", "ring", 4, 1.0, 0.1)
 
 
 class TestQuadrature:

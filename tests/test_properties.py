@@ -1,15 +1,17 @@
 """Property-based checks of the closed-form invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import scipy.special
 from hypothesis import assume, example, given
-from hypothesis.strategies import floats, integers, sampled_from
+from hypothesis.strategies import data, floats, integers, lists, sampled_from
 
 from fluxring import (
     build_block,
     epsilon_param,
+    feasibility_sweep,
     gen_eig_2x2,
     ground_m,
     ground_quantum_numbers,
@@ -175,6 +177,31 @@ def test_mixing_ratio_stable_identity(geometry, ell, sigma_ell, epsilon):
     res = solve("i", ell, sigma_ell, epsilon)
     s = math.sqrt(1.0 - epsilon * epsilon)
     assert abs(res.mixing_ratio * (1.0 + s) ** 2 - epsilon * epsilon) <= 1e-14
+
+
+@given(sampled_from(["i", "ii"]), sampled_from(["ring", "harmonic"]),
+       integers(min_value=1, max_value=12),
+       lists(floats(min_value=1e-3, max_value=6.0), min_size=1, max_size=6),
+       sampled_from(["paper", "standard"]), floats(min_value=-7.0, max_value=7.0),
+       data())
+def test_sweep_rows_equal_single_points(case, geometry, ell, delta_alphas, convention,
+                                        theta, draw):
+    """Every sweep point is the single point at its epsilon, bit for bit."""
+    lowest = 0 if case == "ii" else 1 - ell  # case (ii) needs sigma >= 0
+    sigma_ells = draw.draw(lists(integers(min_value=lowest, max_value=ell - 1),
+                                 min_size=1, max_size=4))
+    solve = superpose_ring if geometry == "ring" else superpose_harmonic
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # case (ii) at sigma_ell = 0
+        points = feasibility_sweep(case, geometry, ell, sigma_ells, delta_alphas,
+                                   theta, convention)
+        assert [(p.sigma_ell, p.delta_alpha) for p in points] == [
+            (s, d) for s in sigma_ells for d in delta_alphas]
+        for p in points:
+            eps = epsilon_param(p.delta_alpha, p.sigma_ell / ell, convention)
+            res = solve(case, ell, p.sigma_ell, eps, theta)
+            assert (p.epsilon, p.delta_e, p.gap, p.mixing_ratio, p.feasible) == (
+                eps, res.delta_e, res.gap, res.mixing_ratio, res.feasible)
 
 
 @given(floats(allow_nan=False, allow_infinity=False),

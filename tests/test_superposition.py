@@ -16,6 +16,7 @@ from fluxring import (
     SingularOverlapError,
     UsageError,
     build_block,
+    epsilon_param,
     feasibility_boundary,
     feasibility_sweep,
     gen_eig_2x2,
@@ -25,6 +26,7 @@ from fluxring import (
     superpose_ring,
     superposition_block_scan,
 )
+from fluxring import superposition
 
 # 50-digit evaluations of the closed forms, rounded to double
 RING_I_DELTA_E = -0.010075630518424151      # ell=4, sigma_ell=1, eps=0.1
@@ -324,6 +326,65 @@ class TestFeasibility:
             feasibility_boundary("i", "ring", 16, 8.5)
         with pytest.raises(UsageError):
             feasibility_boundary("i", "ring", 16, 16.0)
+
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
+    def test_boundary_is_the_first_feasible_float(self, geometry, case):
+        """At b the shift fits under the gap; one float below b it does not.
+
+        This holds for any correct search, however it bisects, so it pins
+        the returned float without pinning the implementation.
+        """
+        solve = superpose_ring if geometry == "ring" else superpose_harmonic
+        nonzero = 0
+        for ell in range(1, 13):
+            lowest = 0 if case == "ii" else 1 - ell
+            for sigma_ell in range(lowest, ell):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ExpansionWarning)  # ii at sigma = 0
+                    b = feasibility_boundary(case, geometry, ell, float(sigma_ell))
+                    if b == 0.0:
+                        continue
+                    nonzero += 1
+                    sigma = sigma_ell / ell
+                    at = solve(case, ell, sigma_ell, epsilon_param(b, sigma))
+                    below = solve(case, ell, sigma_ell,
+                                  epsilon_param(math.nextafter(b, 0.0), sigma))
+                assert abs(at.delta_e) <= at.gap, (ell, sigma_ell, b)
+                assert abs(below.delta_e) > below.gap, (ell, sigma_ell, b)
+        assert nonzero > 0
+
+    @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
+    def test_zero_spin_case_ii_retry_returns_a_value(self, geometry):
+        """delta_alpha = 0 is singular at sigma_ell = 0; the search retries above it."""
+        for ell in (1, 2, 5, 12):
+            with pytest.warns(ExpansionWarning):
+                b = feasibility_boundary("ii", geometry, ell, 0.0)
+            assert math.isfinite(b) and b >= 0.0
+
+    @pytest.mark.parametrize("geometry, gap_name", [("ring", "ring_gap"),
+                                                    ("harmonic", "harmonic_gap")])
+    def test_gap_is_computed_once_per_row(self, monkeypatch, geometry, gap_name):
+        """Sweeps and boundary searches evaluate the gap once per sigma_ell.
+
+        The gap depends on sigma_ell alone; counting calls guards that
+        without a wall-clock bound.
+        """
+        calls = []
+        gap = getattr(superposition, gap_name)
+
+        def counted(ell, sigma_ell):
+            calls.append(sigma_ell)
+            return gap(ell, sigma_ell)
+
+        monkeypatch.setattr(superposition, gap_name, counted)
+        sigmas = [float(s) for s in range(1, 13)]
+        points = feasibility_sweep("i", geometry, 16, sigmas, np.linspace(0.5, 4.0, 351))
+        assert len(points) == 12 * 351
+        assert calls == sigmas
+        calls.clear()
+        feasibility_boundary("i", geometry, 16, 8.0)
+        assert calls == [8.0]
 
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
     def test_non_finite_theta_is_rejected_on_every_route(self, theta):
