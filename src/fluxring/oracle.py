@@ -247,10 +247,9 @@ def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
     stack, checked Hermitian against an overlap with |eps| < 1, and
     solved by the stacked congruence behind gen_eig_2x2: one LAPACK
     eigh call, one 1e-12 residual check per block, and the same bits
-    as gen_eig_2x2(build_block(..., m=m)) block by block.  H comes from
-    the block matrix, never from the closed forms.  The global minimum
-    must land at |m| = |m_check| and match the closed-form e_plus to
-    1e-12 relative; a minimum pressed against the window edge raises
+    as gen_eig_2x2(build_block(..., m=m)) block by block.  The global
+    minimum must land at |m| = |m_check| and match the closed-form e_plus
+    to 1e-12 relative; a minimum pressed against the window edge raises
     WindowError instead of being trusted.
     """
     geo = as_geometry_kind(geometry)
