@@ -5,8 +5,8 @@ carries an effective flux tube whose strength is set by the mean spin of
 its dark state.  This package provides the exact ring and harmonic-trap
 spectra in that gauge potential, the coherent-state superpositions that
 thread two opposite flux tubes at once, and an independent numerical
-oracle (finite differences, a hand-rolled eigensolver, quadrature) that
-cross-checks every closed form.
+oracle (finite differences, LAPACK eigensolvers, Gauss-Legendre
+quadrature) that cross-checks every closed form.
 
 `import fluxring` loads no submodule, numpy or scipy.  Each exported
 name resolves on access through the module `__getattr__` (PEP 562),

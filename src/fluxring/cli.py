@@ -23,7 +23,7 @@ from .errors import (CaseError, ConvergenceError, DomainError, UsageError,
                      ValidationError, VerificationError)
 from .harmonic import harmonic_gap, harmonic_spectrum_sweep
 from .params import FieldConfig, GeometryKind, GeometrySpec, as_geometry_kind, energy_unit
-from .ring import ring_gap, ring_spectrum_sweep
+from .ring import _check_table_rows, ring_gap, ring_spectrum_sweep
 
 # The numpy-backed layers (superposition, oracle) are imported inside the
 # commands that use them, so spectrum and gap requests never load numpy.
@@ -63,6 +63,7 @@ def _parse_grid(text: str) -> list[float]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 2:
                 raise UsageError(f"range count must be >= 2, got {count}")
+            _check_table_rows(count, f"range count {count}")
             values = _linspace(lo, hi, count)
         elif "," in text:
             values = [float(p) for p in text.split(",")]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
-from .ring import _sweep_window, ground_m
+from .ring import _square_sum, _sweep_window, ground_m
 
 if TYPE_CHECKING:  # the array functions import numpy, so spectra and gaps load without it
     import numpy as np
@@ -50,11 +50,7 @@ def mu(ell: int, sigma_ell: float, m: int) -> float:
     """
     if ell < 0:
         raise DomainError(f"ell must be >= 0, got {ell}")
-    try:
-        radicand = ell * ell + m * m + 2.0 * sigma_ell * m
-    except OverflowError:  # the integer ell^2 + m^2 has no float
-        raise DomainError(f"ell^2 + m^2 exceeds the float range at ell={ell}, "
-                          f"sigma_ell={sigma_ell}") from None
+    radicand = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m
     if radicand < 0.0:
         raise DomainError(
             f"mu^2 = {radicand} < 0 for ell={ell}, sigma_ell={sigma_ell}, m={m}")
@@ -114,7 +110,7 @@ def harmonic_spectrum_sweep(ell: int, sigma_ell_values: Sequence[float] | Iterab
     ring_spectrum_sweep: it defaults to ceil(max |sigma_ell|) + 2 and
     must at least contain the ground state plus one neighbor.
     """
-    grid, m_window = _sweep_window(sigma_ell_values, m_window)
+    grid, m_window = _sweep_window(ell, sigma_ell_values, m_window, levels=3)
     rows: list[HarmonicSweepRow] = []
     for s in grid:
         gap = harmonic_gap(ell, s)

@@ -4,11 +4,12 @@ Nothing here reuses the analytic spectra: eigenvalues come from LAPACK
 on an assembled finite-difference matrix, from the exact Fourier
 diagonalization of the ring finite-difference circulant, or from
 Sturm-sequence bisection on the radial tridiagonal (LAPACK ?stebz).
-The routes are independent of the closed forms, not of LAPACK.
-Agreement between these routes and the closed forms is what the verify
-suite and the acceptance tests certify.  scipy.linalg is imported only
-inside radial_fd_spectrum and scipy.integrate only inside
-quadrature_overlap, so importing this module loads numpy alone.
+Radial norms and overlaps come from graded Gauss-Legendre rules that
+refine until two orders agree.  The routes are independent of the
+closed forms, not of LAPACK.  Agreement between these routes and the
+closed forms is what the verify suite and the acceptance tests certify.
+scipy.linalg is imported only inside radial_fd_spectrum, so importing
+this module loads numpy alone, and no route needs scipy.integrate.
 """
 
 from __future__ import annotations
@@ -286,19 +287,63 @@ def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
     return minima[m_star], m_star, report
 
 
+_GAUSS_FIRST_ORDER = 64    # first Gauss-Legendre order; each refinement doubles it
+_GAUSS_MAX_ORDER = 2048    # the order past which the rule gives up
+_GAUSS_TOL = 1e-12         # |Q_n - Q_2n| that counts as settled
+_GAUSS_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _graded_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights c with integral_0^R h(r) r dr ~ R^2 sum c h(R t).
+
+    Gauss-Legendre on u in [0, 1] after r = R u^2, so dr = 2 R u du: the
+    nodes crowd towards the axis, where r^mu is not smooth for small mu.
+    """
+    rule = _GAUSS_RULES.get(order)
+    if rule is None:
+        x, w = np.polynomial.legendre.leggauss(order)
+        u = 0.5 * (x + 1.0)
+        rule = _GAUSS_RULES[order] = (u * u, w * u ** 3)
+    return rule
+
+
 def quadrature_overlap(f: RadialFunction, g: RadialFunction,
                        r_max: float | None = None) -> float:
-    """Radial overlap integral of two profiles, integral f g r dr."""
+    """Radial overlap integral of two profiles, integral f g r dr over [0, r_max].
+
+    r_max defaults to sqrt(2 max mu) + 12, and the integrand tail
+    2 r_max |f g| at r_max must stay below 1e-8 (DomainSizeError).  The
+    integral comes from Gauss-Legendre rules on r = r_max u^2, u in
+    [0, 1], with nodes from numpy's leggauss (Golub-Welsch), cached per
+    order.  Orders run 64, 128, ... up to 2048; Q_2n is returned once
+    |Q_n - Q_2n| <= 1e-12, and a rule that has not settled by then
+    raises ConvergenceError instead of returning a value.  The rule sees
+    only r_max, never mu or the normalization, and each profile is
+    evaluated once per order on an array (once in all when g is f).
+    """
     if r_max is None:
         r_max = math.sqrt(2.0 * max(f.mu, g.mu)) + 12.0
-    tail = abs(f(r_max) * g(r_max)) * r_max * 2.0
-    if tail > 1e-8:
-        raise DomainSizeError(f"integrand tail estimate {tail} at r_max = {r_max}")
-    from scipy.integrate import quad  # ~0.6 s to import, so only when integrating
-
-    value, _ = quad(lambda rr: f(rr) * g(rr) * rr, 0.0, r_max,
-                    limit=200, epsabs=1e-12, epsrel=1e-12)
-    return value
+    order, previous = _GAUSS_FIRST_ORDER, None
+    while True:
+        nodes, weights = _graded_rule(order)
+        r = r_max * nodes
+        if previous is None:  # r_max rides along for the tail check
+            r = np.append(r, r_max)
+        fr = f(r)
+        product = fr * fr if g is f else fr * g(r)
+        if previous is None:
+            tail = abs(float(product[-1])) * r_max * 2.0
+            if tail > 1e-8:
+                raise DomainSizeError(f"integrand tail estimate {tail} at r_max = {r_max}")
+            product = product[:-1]
+        value = float(r_max * r_max * (weights @ product))
+        if previous is not None and abs(value - previous) <= _GAUSS_TOL:
+            return value
+        if order >= _GAUSS_MAX_ORDER:
+            raise ConvergenceError(
+                f"Gauss-Legendre rule unsettled: orders {order // 2} and {order} "
+                f"differ by {abs(value - previous)}")
+        order, previous = 2 * order, value
 
 
 def quadrature_norm(f: RadialFunction, r_max: float | None = None) -> float:

@@ -27,15 +27,40 @@ __all__ = [
 ]
 
 
-def ring_energy(ell: int, sigma_ell: float, m: int) -> float:
-    """Energy ell^2 + m^2 + 2 sigma_ell m of angular-momentum state m."""
-    if ell < 0:
-        raise DomainError(f"ell must be >= 0, got {ell}")
+# Largest table a sweep builds.  The biggest real one (trap spectrum at
+# ell = 12) has about 8.4k rows; a request past this limit is refused
+# before anything is allocated.
+_MAX_TABLE_ROWS = 1_000_000
+
+
+def _check_table_rows(rows: int, what: str) -> None:
+    """UsageError when a table of `rows` rows would exceed _MAX_TABLE_ROWS."""
+    if rows > _MAX_TABLE_ROWS:
+        raise UsageError(f"{what} exceeds the {_MAX_TABLE_ROWS}-row table limit")
+
+
+def _square_sum(ell: int, sigma_ell: float, m: int) -> float:
+    """ell^2 + m^2 as a float; DomainError when the integer has none."""
     try:
-        return ell * ell + m * m + 2.0 * sigma_ell * m
-    except OverflowError:  # the integer ell^2 + m^2 has no float
+        return float(ell * ell + m * m)
+    except OverflowError:
         raise DomainError(f"ell^2 + m^2 exceeds the float range at ell={ell}, "
                           f"sigma_ell={sigma_ell}") from None
+
+
+def ring_energy(ell: int, sigma_ell: float, m: int) -> float:
+    """Energy ell^2 + m^2 + 2 sigma_ell m of angular-momentum state m.
+
+    An energy beyond the float range raises DomainError rather than
+    returning an infinity.
+    """
+    if ell < 0:
+        raise DomainError(f"ell must be >= 0, got {ell}")
+    energy = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m
+    if not math.isfinite(energy):
+        raise DomainError(f"ell^2 + m^2 + 2 sigma_ell m exceeds the float range at "
+                          f"ell={ell}, sigma_ell={sigma_ell}")
+    return energy
 
 
 def ground_m(sigma_ell: float) -> int:
@@ -72,26 +97,35 @@ class RingSweepRow(NamedTuple):
     gap: float
 
 
-def _sweep_window(sigma_ell_values: Sequence[float] | Iterable[float],
-                  m_window: int | None) -> tuple[list[float], int]:
+def _sweep_window(ell: int, sigma_ell_values: Sequence[float] | Iterable[float],
+                  m_window: int | None, levels: int) -> tuple[list[float], int]:
     """The sigma_ell grid as floats and the |m| window every spectrum sweep tabulates.
 
     The window defaults to ceil(max |sigma_ell|) + 2 and must at least
-    contain the ground state plus one neighbor at every grid point.
+    contain the ground state plus one neighbor at every grid point.  A
+    ground state whose ell^2 + m^2 has no float raises DomainError, and
+    a table of more than _MAX_TABLE_ROWS rows (grid x window x levels)
+    raises UsageError, both before any row is built.
     """
     grid = [float(s) for s in sigma_ell_values]
     if not grid:
         raise UsageError("sigma_ell grid is empty")
+    worst = 0
+    for s in grid:
+        mc = ground_m(s)
+        _square_sum(ell, s, mc)
+        worst = max(worst, abs(mc))
     if m_window is None:
         m_window = math.ceil(max(abs(s) for s in grid)) + 2
     m_window = int(m_window)
     if m_window < 1:
         raise UsageError(f"m_window must be >= 1, got {m_window}")
-    worst = max(abs(ground_m(s)) for s in grid)
     if m_window < worst + 1:
         raise UsageError(
             f"m_window {m_window} does not cover the ground state and one neighbor "
             f"(need >= {worst + 1})")
+    _check_table_rows(len(grid) * (2 * m_window + 1) * levels,
+                      "the sigma_ell grid times the m window")
     return grid, m_window
 
 
@@ -104,7 +138,7 @@ def ring_spectrum_sweep(ell: int, sigma_ell_values: Sequence[float] | Iterable[f
     point.  The window defaults to ceil(max |sigma_ell|) + 2 and must at
     least contain the ground state plus one neighbor.
     """
-    grid, m_window = _sweep_window(sigma_ell_values, m_window)
+    grid, m_window = _sweep_window(ell, sigma_ell_values, m_window, levels=1)
     rows: list[RingSweepRow] = []
     for s in grid:
         gap = ring_gap(ell, s)

@@ -39,7 +39,7 @@ from .errors import (CaseError, DegeneracyError, DomainError, ExpansionWarning,
                      SingularOverlapError, UsageError, VerificationError)
 from .harmonic import harmonic_gap
 from .params import GeometryKind, as_geometry_kind
-from .ring import ground_m, ring_gap
+from .ring import _check_table_rows, ground_m, ring_gap
 
 __all__ = [
     "GenEig2",
@@ -518,6 +518,8 @@ def feasibility_sweep(case, geometry, ell: int,
     da_grid = [float(d) for d in delta_alpha_values]
     if not sig_grid or not da_grid:
         raise UsageError("feasibility grid is empty")
+    _check_table_rows(len(sig_grid) * len(da_grid),
+                      "the sigma_ell grid times the delta_alpha grid")
     for s in sig_grid:
         _check_sweep_sigma_ell(ell, s)
     kind = case_of(case)

@@ -2,11 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fluxring import ground_m
+import fluxring
+from fluxring import UsageError, feasibility_sweep, ground_m, harmonic_spectrum_sweep
 from fluxring.cli import main
+
+SRC = str(Path(fluxring.__file__).resolve().parents[1])
 
 RING_WINDOW_ONE = """\
 # unit: hbar^2/2I
@@ -281,6 +288,92 @@ class TestSigmaEllBeyondFloatRange:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("validation error: ell^2 + m^2 exceeds the float range")
+
+    @pytest.mark.parametrize("sigma_ell", ["1.34e154", "-1.34e154"])
+    def test_ring_energy_overflow_is_a_validation_error(self, capsys, sigma_ell):
+        """m_check^2 still has a float here, but 2 sigma_ell m_check does not."""
+        code, out, err = run(capsys, ["gap", "--geometry", "ring", "--ell", "4",
+                                      "--sigma-ell", sigma_ell])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("validation error: ell^2 + m^2 + 2 sigma_ell m exceeds the "
+                              "float range")
+
+
+UNBOUNDED_TABLES = [
+    ["spectrum", "--geometry", "ring", "--ell", "4", "--sigma-ell", "1.2e154"],
+    ["spectrum", "--geometry", "ring", "--ell", "4", "--sigma-ell", "0:1:100000000"],
+    ["spectrum", "--geometry", "ring", "--ell", "4", "--sigma-ell", "0",
+     "--m-window", "99999999999999999999"],
+]
+
+
+class TestTableRowCap:
+    @pytest.mark.parametrize("argv", UNBOUNDED_TABLES, ids=["window", "count", "m-window"])
+    def test_unbounded_table_is_refused_quickly(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "fluxring", *argv], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage error: ")
+
+    def test_trap_rows_count_three_levels(self):
+        """333 335 ring rows fit under the cap; the same window in the trap is 1 000 005 rows."""
+        with pytest.raises(UsageError, match="1000000-row table limit"):
+            harmonic_spectrum_sweep(4, [0.0], m_window=166667)
+
+    def test_feasibility_grid_is_capped(self):
+        with pytest.raises(UsageError, match="delta_alpha grid exceeds"):
+            feasibility_sweep("i", "ring", 5000, range(1001), [0.5] * 1000)
+
+
+# The error surface: every argv below pins its exit code and its whole
+# stderr, the way criterion 10 pins stdout.  A nonzero exit prints nothing
+# on stdout.
+ERROR_SURFACE = [
+    ([], 1, "usage error: the following arguments are required: command\n"),
+    (["gap", "--geometry", "ring", "--ell", "4", "--sigma-ell", "nan"], 1,
+     "usage error: grid 'nan' must be non-empty and finite\n"),
+    (["gap", "--geometry", "ring", "--ell", "4", "--sigma-ell", "1.34e154"], 2,
+     "validation error: ell^2 + m^2 + 2 sigma_ell m exceeds the float range at ell=4, "
+     "sigma_ell=1.34e+154\n"),
+    (["gap", "--geometry", "ring", "--ell", "4", "--sigma-ell", "-1.34e154"], 2,
+     "validation error: ell^2 + m^2 + 2 sigma_ell m exceeds the float range at ell=4, "
+     "sigma_ell=-1.34e+154\n"),
+    (["gap", "--geometry", "ring", "--ell", "4", "--sigma-ell", "1e308"], 2,
+     "validation error: ell^2 + m^2 exceeds the float range at ell=4, sigma_ell=1e+308\n"),
+    (["spectrum", "--geometry", "harmonic", "--ell", "4", "--sigma-ell", "-1e200"], 2,
+     "validation error: ell^2 + m^2 exceeds the float range at ell=4, sigma_ell=-1e+200\n"),
+    (UNBOUNDED_TABLES[0], 1,
+     "usage error: the sigma_ell grid times the m window exceeds the 1000000-row "
+     "table limit\n"),
+    (UNBOUNDED_TABLES[1], 1,
+     "usage error: range count 100000000 exceeds the 1000000-row table limit\n"),
+    (UNBOUNDED_TABLES[2], 1,
+     "usage error: the sigma_ell grid times the m window exceeds the 1000000-row "
+     "table limit\n"),
+    (["spectrum", "--geometry", "ring", "--ell", "-1"], 2,
+     "validation error: ell must be >= 0, got -1\n"),
+    (["verify", "--ring-grid", "8"], 1, "usage error: n_grid must be >= 64, got 8\n"),
+    (["verify", "--radial-grid", "1000"], 1,
+     "usage error: n_grid must be >= 2000, got 1000\n"),
+    (["superpose", "--geometry", "harmonic", "--case", "ii", "--ell", "3",
+      "--sigma-ell", "0", "--delta-alpha", "0.5:1:2"], 0,
+     "fluxring: warning: case (ii) with sigma = 0: the small-eps expansion is singular, "
+     "exact forms remain valid\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stderr", ERROR_SURFACE,
+                         ids=[f"err{k}" for k in range(len(ERROR_SURFACE))])
+def test_error_surface(capsys, argv, code, stderr):
+    got, out, err = run(capsys, argv)
+    assert (got, err) == (code, stderr)
+    assert (out == "") == (code != 0)
 
 
 class TestWarnings:

@@ -109,3 +109,19 @@ def test_radial_oracle_loads_scipy_linalg_but_not_integrate():
                  "print(json.dumps([name in sys.modules\n"
                  "                  for name in ('scipy.linalg', 'scipy.integrate')]))"
                  ) == [True, False]
+
+
+def test_verification_loads_scipy_linalg_but_not_integrate():
+    assert fresh("import json, sys\n"
+                 "import fluxring.oracle\n"
+                 "assert fluxring.oracle.run_verification()['all_passed']\n"
+                 "print(json.dumps([name in sys.modules\n"
+                 "                  for name in ('scipy.linalg', 'scipy.integrate')]))"
+                 ) == [True, False]
+
+
+def test_quadrature_norm_never_loads_scipy():
+    assert fresh("import json, sys\n"
+                 "from fluxring import quadrature_norm, radial_wavefunction\n"
+                 "quadrature_norm(radial_wavefunction(4, 1.0, 0, -1))\n"
+                 f"print({LOADED})") == ["numpy"]

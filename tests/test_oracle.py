@@ -305,6 +305,42 @@ class TestQuadrature:
         with pytest.raises(DomainSizeError):
             quadrature_norm(f, r_max=3.0)
 
+    def test_small_mu_norm(self):
+        """r^mu with mu ~ 0.14 is not smooth at the axis; the graded rule still settles."""
+        f = radial_wavefunction(1, 0.99, 0, -1)
+        assert f.mu == pytest.approx(math.sqrt(0.02))
+        assert abs(quadrature_norm(f) - 1.0) <= 1e-12
+
+    def test_large_mu_refines_and_matches_adaptive_quadrature(self, monkeypatch):
+        from scipy.integrate import quad
+
+        orders = []
+        rule = oracle._graded_rule
+
+        def recorded(order):
+            orders.append(order)
+            return rule(order)
+
+        monkeypatch.setattr(oracle, "_graded_rule", recorded)
+        f = radial_wavefunction(150, 1.0, 10, -1)
+        r_max = math.sqrt(2.0 * f.mu) + 12.0
+        reference, _ = quad(lambda r: f(r) ** 2 * r, 0.0, r_max,
+                            limit=200, epsabs=1e-12, epsrel=1e-12)
+        assert abs(quadrature_norm(f) - reference) <= 1e-12
+        assert orders == [64, 128, 256, 512]
+
+    def test_jump_inside_the_domain_never_settles(self):
+        class Step:
+            """Stand-in profile: 1 below r = 3, 0 beyond, so the tail check passes."""
+
+            mu = 4.0
+
+            def __call__(self, r):
+                return np.where(np.asarray(r) < 3.0, 1.0, 0.0)
+
+        with pytest.raises(ConvergenceError, match="orders 1024 and 2048 differ"):
+            quadrature_norm(Step())
+
 
 class TestRunVerification:
     def test_all_checks_pass_on_reduced_grids(self):
