@@ -311,18 +311,21 @@ def quadrature_overlap(f: RadialFunction, g: RadialFunction,
                        r_max: float | None = None) -> float:
     """Radial overlap integral of two profiles, integral f g r dr over [0, r_max].
 
-    r_max defaults to sqrt(2 max mu) + 12, and the integrand tail
-    2 r_max |f g| at r_max must stay below 1e-8 (DomainSizeError).  The
-    integral comes from Gauss-Legendre rules on r = r_max u^2, u in
-    [0, 1], with nodes from numpy's leggauss (Golub-Welsch), cached per
-    order.  Orders run 64, 128, ... up to 2048; Q_2n is returned once
-    |Q_n - Q_2n| <= 1e-12, and a rule that has not settled by then
-    raises ConvergenceError instead of returning a value.  The rule sees
-    only r_max, never mu or the normalization, and each profile is
-    evaluated once per order on an array (once in all when g is f).
+    r_max must be finite (DomainError) and defaults to sqrt(2 max mu)
+    + 12; the integrand tail 2 r_max |f g| at r_max must stay below 1e-8
+    (DomainSizeError).  The integral comes from Gauss-Legendre rules on
+    r = r_max u^2, u in [0, 1], with nodes from numpy's leggauss
+    (Golub-Welsch), cached per order.  Orders run 64, 128, ... up to
+    2048; Q_2n is returned once |Q_n - Q_2n| <= 1e-12, and a rule that
+    has not settled by then raises ConvergenceError instead of returning
+    a value.  The rule sees only r_max, never mu or the normalization,
+    and each profile is evaluated once per order on an array (once in
+    all when g is f).
     """
     if r_max is None:
         r_max = math.sqrt(2.0 * max(f.mu, g.mu)) + 12.0
+    if not math.isfinite(r_max):
+        raise DomainError(f"r_max must be finite, got {r_max}")
     order, previous = _GAUSS_FIRST_ORDER, None
     while True:
         nodes, weights = _graded_rule(order)

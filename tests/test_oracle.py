@@ -305,6 +305,12 @@ class TestQuadrature:
         with pytest.raises(DomainSizeError):
             quadrature_norm(f, r_max=3.0)
 
+    @pytest.mark.parametrize("r_max", [math.inf, math.nan])
+    def test_non_finite_domain_rejected(self, r_max):
+        f = radial_wavefunction(4, 1.0, 0, -1)
+        with pytest.raises(DomainError, match="r_max must be finite"):
+            quadrature_norm(f, r_max=r_max)
+
     def test_small_mu_norm(self):
         """r^mu with mu ~ 0.14 is not smooth at the axis; the graded rule still settles."""
         f = radial_wavefunction(1, 0.99, 0, -1)
