@@ -25,8 +25,9 @@ from .harmonic import harmonic_gap, harmonic_spectrum_sweep
 from .params import FieldConfig, GeometryKind, GeometrySpec, as_geometry_kind, energy_unit
 from .ring import _check_table_rows, ring_gap, ring_spectrum_sweep
 
-# The numpy-backed layers (superposition, oracle) are imported inside the
-# commands that use them, so spectrum and gap requests never load numpy.
+# The superposition and oracle layers are imported inside the commands that
+# use them.  Only the oracle loads numpy at import, so spectrum, gap and
+# superpose requests never load numpy.
 
 __all__ = ["main"]
 

@@ -52,6 +52,9 @@ def mu(ell: int, sigma_ell: float, m: int) -> float:
         raise DomainError(f"ell must be >= 0, got {ell}")
     radicand = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m
     if radicand < 0.0:
+        if radicand == -math.inf:
+            raise DomainError(f"ell^2 + m^2 + 2 sigma_ell m exceeds the float range at "
+                              f"ell={ell}, sigma_ell={sigma_ell}")
         raise DomainError(
             f"mu^2 = {radicand} < 0 for ell={ell}, sigma_ell={sigma_ell}, m={m}")
     return math.sqrt(radicand)

@@ -23,6 +23,10 @@ checks, the block parameters and the gap depend on sigma_ell alone and
 are computed once per row (_row); each epsilon then costs one scalar
 kernel call (_closed_form).  The pencils go through one stacked solve
 (_solve_pencils), of which gen_eig_2x2 is the one-block case.
+
+Points, sweeps and boundaries are plain math, eigenvectors included
+(tuples of complex), so they run without numpy; only the pencil code
+(GenEig2, _check_pencils, _solve_pencils, _block_stack) imports it.
 """
 
 from __future__ import annotations
@@ -30,9 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .darkstate import FluxCase, case_of, epsilon_param
 from .errors import (CaseError, DegeneracyError, DomainError, ExpansionWarning,
@@ -40,6 +42,9 @@ from .errors import (CaseError, DegeneracyError, DomainError, ExpansionWarning,
 from .harmonic import harmonic_gap
 from .params import GeometryKind, as_geometry_kind
 from .ring import _check_table_rows, ground_m, ring_gap
+
+if TYPE_CHECKING:  # the pencil code imports numpy, so points and sweeps load without it
+    import numpy as np
 
 __all__ = [
     "GenEig2",
@@ -70,6 +75,8 @@ class GenEig2:
     a: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         h = np.asarray(self.h, dtype=complex).reshape(2, 2)
         a = np.asarray(self.a, dtype=complex).reshape(2, 2)
         object.__setattr__(self, "h", h)
@@ -80,6 +87,8 @@ class GenEig2:
 def _check_pencils(h: np.ndarray, a: np.ndarray) -> None:
     """Reject a stack of 2x2 H (..., 2, 2) unless each block is Hermitian and
     the shared overlap a is a unit-diagonal Hermitian metric with |a01| < 1."""
+    import numpy as np
+
     scale = np.abs(h).max(axis=(-2, -1), initial=1.0)
     skew = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     if (skew > _HERMITICITY_TOL * scale).any():
@@ -100,6 +109,8 @@ def _solve_pencils(h: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray
     stack and one residual check per block; the inputs must already
     have passed _check_pencils.
     """
+    import numpy as np
+
     c = a[0, 1]
     eps = abs(c)
     # componentwise division: complex c / eps overflows internally when
@@ -153,8 +164,9 @@ class SuperpositionResult:
     """Closed-form solution of the coupled ground-state pair.
 
     xi and zeta are the E_plus and E_minus eigenvectors in the bare
-    two-component form; xi_unit and zeta_unit are normalized copies
-    (A metric in case (i), Euclidean in case (ii)).  feasible compares
+    two-component form, as (upper, lower) tuples of complex; xi_unit and
+    zeta_unit are normalized copies (A metric in case (i), Euclidean in
+    case (ii)).  Tuples keep the result hashable and comparable with ==.  feasible compares
     |delta_e| strictly against the single-state gap; exact equality is
     reported as boundary instead.
     """
@@ -174,14 +186,14 @@ class SuperpositionResult:
     mixing_ratio: float
     feasible: bool
     boundary: bool
-    xi: np.ndarray = field(repr=False)
-    zeta: np.ndarray = field(repr=False)
-    xi_unit: np.ndarray = field(repr=False)
-    zeta_unit: np.ndarray = field(repr=False)
+    xi: tuple[complex, complex] = field(repr=False)
+    zeta: tuple[complex, complex] = field(repr=False)
+    xi_unit: tuple[complex, complex] = field(repr=False)
+    zeta_unit: tuple[complex, complex] = field(repr=False)
 
     def to_dict(self) -> dict:
         """JSON-ready mirror of the fields (complex vectors as [re, im] pairs)."""
-        def cvec(v: np.ndarray) -> list[list[float]]:
+        def cvec(v: tuple[complex, complex]) -> list[list[float]]:
             return [[float(z.real), float(z.imag)] for z in v]
 
         return {
@@ -251,6 +263,8 @@ def _block_stack(case, geometry, ell: int, sigma_ell: float, epsilon: float,
 
     ms = None stands for the ground-state m alone.
     """
+    import numpy as np
+
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
     _check_theta(theta)
@@ -387,29 +401,32 @@ def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     e_zero = center + d  # sgn(sigma_ell * m_check) <= 0 keeps d <= 0 here
     phase = complex(math.cos(theta), math.sin(theta))
     upper = (-epsilon if row.case_i else epsilon) * phase
-    xi = np.array([upper, xi_low + 0.0j])
-    zeta = np.array([upper, zeta_low + 0.0j])
+    xi = (upper, xi_low + 0.0j)
+    zeta = (upper, zeta_low + 0.0j)
     shift = abs(delta_e)
+    kappa = epsilon * phase if row.case_i else 0.0j  # off-diagonal of the metric
 
-    metric = (np.array([[1.0, epsilon * phase],
-                        [epsilon * phase.conjugate(), 1.0]])
-              if row.case_i else np.eye(2, dtype=complex))
-
-    def unit(v: np.ndarray, fallback: int) -> np.ndarray:
-        norm2 = (v.conj() @ metric @ v).real
+    def unit(v: tuple[complex, complex],
+             fallback: tuple[complex, complex]) -> tuple[complex, complex]:
+        v0, v1 = v
+        cross = v0.conjugate() * kappa * v1
+        norm2 = ((v0.real * v0.real + v0.imag * v0.imag)
+                 + (v1.real * v1.real + v1.imag * v1.imag)) + 2.0 * cross.real
         if norm2 <= 0.0:
-            out = np.zeros(2, dtype=complex)
-            out[fallback] = 1.0
-            return out
-        return v / math.sqrt(norm2)
+            return fallback
+        scale = 1.0 / math.sqrt(norm2)
+        # complex-by-real division as numpy rounds it: times the reciprocal,
+        # with the divisor's zero imaginary part kept in both sums
+        return tuple(complex((z.real + z.imag * 0.0) * scale,
+                             (z.imag - z.real * 0.0) * scale) for z in v)
 
     return SuperpositionResult(
         case=kind, geometry=geo, ell=row.ell, sigma_ell=row.sigma_ell,
         epsilon=float(epsilon), theta=float(theta), m_check=row.m_check,
         e_zero=e_zero, e_plus=e_zero + delta_e, e_minus=(center - d) - delta_e,
         delta_e=delta_e, gap=row.gap, mixing_ratio=mixing, feasible=shift < row.gap,
-        boundary=shift == row.gap, xi=xi, zeta=zeta, xi_unit=unit(xi, 0),
-        zeta_unit=unit(zeta, 1))
+        boundary=shift == row.gap, xi=xi, zeta=zeta,
+        xi_unit=unit(xi, (1.0 + 0.0j, 0.0j)), zeta_unit=unit(zeta, (0.0j, 1.0 + 0.0j)))
 
 
 def superpose_ring(case, ell: int, sigma_ell: float, epsilon: float,

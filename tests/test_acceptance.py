@@ -288,7 +288,7 @@ GOLDEN_OUTPUTS = [
      "4234c7c6518de7f59ef30b9b65c9fb91cf064e9c039d6b391327c6b6a5997498"),
     (["superpose", "--geometry", "ring", "--ell", "5", "--alpha-plus", "2",
       "--alpha-minus", "0.5", "--beta-mag2", "1", "--delta-alpha", "1.5"],
-     "aba811461b427ba761b305f54d41c6559064024c09012eeafb2fb3e24fa07406"),
+     "50257bc3075e5b4fe4a2e9d2ab930dd2da8033bd35d9b5206e3755d6fb130c13"),
     (["verify", "--ring-grid", "256", "--radial-grid", "2000"],
      "143363c1326b8db3c97a743489cb96221507986e3375b2d2cbe6d8e527552dfb"),
     (["spectrum", "--geometry", "ring", "--ell", "4"],

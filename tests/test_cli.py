@@ -336,6 +336,9 @@ ERROR_SURFACE = [
     (["gap", "--geometry", "ring", "--ell", "4", "--sigma-ell", "-1.34e154"], 2,
      "validation error: ell^2 + m^2 + 2 sigma_ell m exceeds the float range at ell=4, "
      "sigma_ell=-1.34e+154\n"),
+    (["gap", "--geometry", "harmonic", "--ell", "4", "--sigma-ell", "1.34e154"], 2,
+     "validation error: ell^2 + m^2 + 2 sigma_ell m exceeds the float range at ell=4, "
+     "sigma_ell=1.34e+154\n"),
     (["gap", "--geometry", "ring", "--ell", "4", "--sigma-ell", "1e308"], 2,
      "validation error: ell^2 + m^2 exceeds the float range at ell=4, sigma_ell=1e+308\n"),
     (["spectrum", "--geometry", "harmonic", "--ell", "4", "--sigma-ell", "-1e200"], 2,

@@ -26,9 +26,10 @@ from fluxring import (
     ring_fd_spectrum,
     run_verification,
     superposition_block_scan,
+    superpose_harmonic,
     superpose_ring,
 )
-from fluxring import oracle, superposition
+from fluxring import oracle
 
 
 def _random_hermitian(n, seed):
@@ -269,6 +270,18 @@ class TestStackedPencils:
                                                 m=int(m)))
             assert minimum == float(values[0])
 
+    @pytest.mark.parametrize("theta", [0.0, 1.3])
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
+    def test_reference_is_the_single_point_e_plus(self, geometry, case, theta):
+        superpose = superpose_ring if geometry == "ring" else superpose_harmonic
+        for ell, sigma_ell, eps in ((4, 1.0, 0.1), (6, 2.0, 0.2), (9, 3.0, 0.05)):
+            _, _, rep = superposition_block_scan(case, geometry, ell, sigma_ell, eps, theta)
+            point = superpose(case, ell, sigma_ell, eps, theta)
+            assert rep.reference[0] == point.e_plus
+            assert rep.metadata["m_check"] == point.m_check
+            assert rep.metadata["case"] == point.case.value
+
     def test_residual_check_survives_batching(self, monkeypatch):
         eigh = np.linalg.eigh
 
@@ -276,7 +289,7 @@ class TestStackedPencils:
             vals, vecs = eigh(b)
             return vals, vecs + 1e-6
 
-        monkeypatch.setattr(superposition.np.linalg, "eigh", perturbed)
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(VerificationError, match="pencil residual"):
             gen_eig_2x2(build_block("i", "ring", 4, 1.0, 0.1))
         with pytest.raises(VerificationError, match="pencil residual"):

@@ -191,10 +191,17 @@ class TestClosedForms:
     def test_unit_vectors_normalized_in_their_metric(self):
         res_i = superpose_ring("i", 4, 1.0, 0.35)
         metric = np.array([[1.0, 0.35], [0.35, 1.0]])
-        assert (res_i.xi_unit.conj() @ metric @ res_i.xi_unit).real == pytest.approx(
-            1.0, rel=1e-13)
+        xi_unit = np.asarray(res_i.xi_unit)
+        assert (xi_unit.conj() @ metric @ xi_unit).real == pytest.approx(1.0, rel=1e-13)
         res_ii = superpose_ring("ii", 4, 1.0, 0.35)
-        assert np.linalg.norm(res_ii.zeta_unit) == pytest.approx(1.0, rel=1e-13)
+        assert np.linalg.norm(np.asarray(res_ii.zeta_unit)) == pytest.approx(1.0, rel=1e-13)
+
+    def test_equal_results_compare_equal_and_hash_alike(self):
+        first = superpose_ring("i", 4, 1.0, 0.1)
+        second = superpose_ring("i", 4, 1.0, 0.1)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first != superpose_ring("i", 4, 1.0, 0.2)
 
     def test_theta_moves_phases_not_energies(self):
         base = superpose_ring("i", 4, 1.0, 0.2, theta=0.0)
