@@ -46,17 +46,18 @@ def mu(ell: int, sigma_ell: float, m: int) -> float:
     """Radial exponent mu_m = sqrt(ell^2 + m^2 + 2 sigma_ell m).
 
     The radicand is nonnegative whenever |sigma_ell| <= ell; anything
-    negative means the requested state does not exist.
+    negative means the requested state does not exist.  A radicand beyond
+    the float range raises DomainError, as ring_energy does.
     """
     if ell < 0:
         raise DomainError(f"ell must be >= 0, got {ell}")
     radicand = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m
-    if radicand < 0.0:
-        if radicand == -math.inf:
-            raise DomainError(f"ell^2 + m^2 + 2 sigma_ell m exceeds the float range at "
-                              f"ell={ell}, sigma_ell={sigma_ell}")
-        raise DomainError(
-            f"mu^2 = {radicand} < 0 for ell={ell}, sigma_ell={sigma_ell}, m={m}")
+    if not 0.0 <= radicand < math.inf:
+        if -math.inf < radicand < 0.0:
+            raise DomainError(
+                f"mu^2 = {radicand} < 0 for ell={ell}, sigma_ell={sigma_ell}, m={m}")
+        raise DomainError(f"ell^2 + m^2 + 2 sigma_ell m exceeds the float range at "
+                          f"ell={ell}, sigma_ell={sigma_ell}")
     return math.sqrt(radicand)
 
 

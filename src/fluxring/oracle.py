@@ -26,8 +26,7 @@ from .errors import (ConvergenceError, DomainError, DomainSizeError, UsageError,
 from .harmonic import RadialFunction
 from .params import as_geometry_kind
 from .ring import ground_m
-from .superposition import (_block_stack, _check_pencils, _closed_form, _row,
-                            _solve_pencils, gen_eig_2x2)
+from .superposition import _closed_form, _row, build_block, gen_eig_2x2
 
 __all__ = [
     "OracleReport",
@@ -245,11 +244,11 @@ def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
     """Scan the per-m 2x2 blocks and verify the minimum sits at m_check.
 
     The 2 m_max + 1 blocks with |m| <= m_max (harmonic blocks fix n = 0)
-    are assembled from _block_parameters into one (2 m_max + 1, 2, 2)
-    stack, checked Hermitian against an overlap with |eps| < 1, and
-    solved by the stacked congruence behind gen_eig_2x2: one LAPACK
-    eigh call, one 1e-12 residual check per block, and the same bits
-    as gen_eig_2x2(build_block(..., m=m)) block by block.  The global
+    come from build_block(..., m=range(-m_max, m_max + 1)) as one
+    (2 m_max + 1, 2, 2) stack of H against their shared overlap, checked
+    finite and Hermitian by GenEig2 and solved by gen_eig_2x2 in one
+    LAPACK eigh call with one 1e-12 residual check per block: the same
+    bits as gen_eig_2x2(build_block(..., m=m)) block by block.  The global
     minimum must land at |m| = |m_check| and match the closed-form e_plus
     to 1e-12 relative; a minimum pressed against the window edge raises
     WindowError instead of being trusted.
@@ -266,9 +265,7 @@ def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
     if m_max < abs(mc) + 5:
         raise UsageError(f"m_max must be >= |m_check| + 5 = {abs(mc) + 5}")
     ms = range(-m_max, m_max + 1)
-    h, a = _block_stack(case, geo, ell, sigma_ell, epsilon, theta, ms)
-    _check_pencils(h, a)
-    vals, _ = _solve_pencils(h, a)
+    vals, _ = gen_eig_2x2(build_block(kind, geo, ell, sigma_ell, epsilon, theta, m=ms))
     minima = dict(zip(ms, vals[:, 0].tolist()))
     m_star = min(minima, key=lambda mm: (minima[mm], mm))
     if abs(m_star) >= m_max:

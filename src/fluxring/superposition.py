@@ -21,12 +21,14 @@ R - sigma = eps^2 / (R + sigma).
 Single points, sweep rows and boundary searches share one engine: the
 checks, the block parameters and the gap depend on sigma_ell alone and
 are computed once per row (_row); each epsilon then costs one scalar
-kernel call (_closed_form).  The pencils go through one stacked solve
-(_solve_pencils), of which gen_eig_2x2 is the one-block case.
+kernel call (_closed_form).  A pencil, one 2x2 block or a (k, 2, 2)
+stack sharing one overlap, is built by build_block, checked (finite,
+Hermitian, |eps| < 1) by GenEig2 and solved by gen_eig_2x2; the
+oracle's block scan is the stacked case of the same calls.
 
 Points, sweeps and boundaries are plain math, eigenvectors included
 (tuples of complex), so they run without numpy; only the pencil code
-(GenEig2, _check_pencils, _solve_pencils, _block_stack) imports it.
+(GenEig2, gen_eig_2x2, build_block) imports it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from .darkstate import FluxCase, case_of, epsilon_param
 from .errors import (CaseError, DegeneracyError, DomainError, ExpansionWarning,
@@ -65,52 +68,77 @@ _HERMITICITY_TOL = 1e-13
 
 @dataclass(frozen=True)
 class GenEig2:
-    """A 2x2 generalized eigenproblem H v = E A v.
+    """A 2x2 generalized eigenproblem H v = E A v, or a stack of them.
 
-    h must be Hermitian and a must be the unit-diagonal overlap
-    [[1, eps e^{i theta}], [conj, 1]] with eps < 1.
+    h is one 2x2 block or a (k, 2, 2) stack of blocks; every block must
+    be Hermitian.  a is the one overlap they share, the unit-diagonal
+    [[1, eps e^{i theta}], [conj, 1]] with eps < 1.  Every entry of h
+    and a must be finite, and so must its magnitude.  The checks run on
+    construction, before any arithmetic that could warn, and raise
+    DomainError (SingularOverlapError for eps >= 1).
     """
 
     h: np.ndarray
     a: np.ndarray
 
     def __post_init__(self) -> None:
+        import cmath
+
         import numpy as np
 
-        h = np.asarray(self.h, dtype=complex).reshape(2, 2)
+        h = np.asarray(self.h, dtype=complex)
+        if h.ndim != 3 or h.shape[1:] != (2, 2):
+            h = h.reshape(2, 2)
         a = np.asarray(self.a, dtype=complex).reshape(2, 2)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "a", a)
-        _check_pencils(h, a)
+        # every comparison below is written so that NaN fails it
+        scale = np.abs(h).max(axis=(-2, -1), initial=1.0)
+        if not (scale < math.inf).all():
+            raise DomainError("h must be finite")
+        a00, a01, a10, a11 = a.ravel().tolist()
+        if not all(map(cmath.isfinite, (a00, a01, a10, a11))):
+            raise DomainError("a must be finite")
+        skew = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        if not (skew <= _HERMITICITY_TOL * scale).all():
+            raise DomainError("h is not Hermitian")
+        try:
+            if not (abs(a00 - 1.0) <= _HERMITICITY_TOL and abs(a11 - 1.0) <= _HERMITICITY_TOL):
+                raise DomainError("a must have unit diagonal")
+            if not abs(a10 - a01.conjugate()) <= _HERMITICITY_TOL:
+                raise DomainError("a is not Hermitian")
+            magnitude = abs(a01)
+        except OverflowError:  # the abs of a complex with finite parts can overflow
+            raise DomainError("a has an entry beyond the float range") from None
+        if not magnitude < 1.0:
+            raise SingularOverlapError(
+                f"overlap magnitude {magnitude} >= 1 leaves the metric indefinite")
+        object.__setattr__(self, "_scale", scale)  # the residual check reuses it
 
 
-def _check_pencils(h: np.ndarray, a: np.ndarray) -> None:
-    """Reject a stack of 2x2 H (..., 2, 2) unless each block is Hermitian and
-    the shared overlap a is a unit-diagonal Hermitian metric with |a01| < 1."""
-    import numpy as np
+def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the 2x2 pencil H v = E A v by congruence with A^(-1/2).
 
-    scale = np.abs(h).max(axis=(-2, -1), initial=1.0)
-    skew = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if (skew > _HERMITICITY_TOL * scale).any():
-        raise DomainError("h is not Hermitian")
-    if abs(a[0, 0] - 1.0) > _HERMITICITY_TOL or abs(a[1, 1] - 1.0) > _HERMITICITY_TOL:
-        raise DomainError("a must have unit diagonal")
-    if abs(a[1, 0] - a[0, 1].conjugate()) > _HERMITICITY_TOL:
-        raise DomainError("a is not Hermitian")
-    if abs(a[0, 1]) >= 1.0:
-        raise SingularOverlapError(
-            f"overlap magnitude {abs(a[0, 1])} >= 1 leaves the metric indefinite")
+    Returns (eigenvalues ascending, eigenvectors as columns, normalized
+    in the A metric), shaped (2,) and (2, 2) for one block and (k, 2) and
+    (k, 2, 2) for a (k, 2, 2) stack; a bare (h, a) tuple is checked as a
+    GenEig2 first.  The overlap's eigenbasis is analytic, so A^(-1/2) is
+    closed form; all blocks go to LAPACK in one np.linalg.eigh call, and
+    each block's residual must stay within 1e-12 of its largest entry
+    (VerificationError).  A block gives the same bits alone or stacked.
 
-
-def _solve_pencils(h: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve every pencil of a (..., 2, 2) stack of H against one overlap A.
-
-    One closed-form A^(-1/2), one np.linalg.eigh call over the whole
-    stack and one residual check per block; the inputs must already
-    have passed _check_pencils.
+    Examples
+    --------
+    >>> vals, _ = gen_eig_2x2(GenEig2([[15, 1.7], [1.7, 19]],
+    ...                               [[1, 0.1], [0.1, 1]]))
+    >>> round(float(vals[0]), 7)
+    14.9899244
     """
     import numpy as np
 
+    if not isinstance(problem, GenEig2):
+        problem = GenEig2(*problem)
+    h, a = problem.h, problem.a
     c = a[0, 1]
     eps = abs(c)
     # componentwise division: complex c / eps overflows internally when
@@ -127,36 +155,14 @@ def _solve_pencils(h: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray
     b = 0.5 * (b + b.conj().swapaxes(-1, -2))
     vals, w = np.linalg.eigh(b)
     vecs = a_inv_half @ w
-    scale = np.abs(h).max(axis=(-2, -1), initial=1.0)
+    scale = problem._scale
     residual = np.abs(h @ vecs - (a @ vecs) * vals[..., None, :]).max(axis=(-2, -1))
-    bad = residual > _RESIDUAL_TOL * scale
-    if bad.any():
-        first = np.argmax(bad)  # flat index of the first failing block
+    ok = residual <= _RESIDUAL_TOL * scale  # a NaN residual fails too
+    if not ok.all():
+        first = np.argmin(ok)  # flat index of the first failing block
         raise VerificationError(f"pencil residual {residual.flat[first]} exceeds "
                                 f"{_RESIDUAL_TOL * scale.flat[first]}")
     return vals, vecs
-
-
-def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the 2x2 pencil H v = E A v by congruence with A^(-1/2).
-
-    Returns (eigenvalues ascending, eigenvectors as columns, normalized
-    in the A metric).  The overlap's eigenbasis is analytic, so A^(-1/2)
-    is closed form; the congruent Hermitian block goes to LAPACK through
-    np.linalg.eigh.  Residuals are checked on exit.  This is the
-    one-block case of the stacked solve the block scan runs over every m,
-    so a block gives the same bits either way.
-
-    Examples
-    --------
-    >>> vals, _ = gen_eig_2x2(GenEig2([[15, 1.7], [1.7, 19]],
-    ...                               [[1, 0.1], [0.1, 1]]))
-    >>> round(float(vals[0]), 7)
-    14.9899244
-    """
-    if not isinstance(problem, GenEig2):
-        problem = GenEig2(*problem)
-    return _solve_pencils(problem.h, problem.a)
 
 
 @dataclass(frozen=True)
@@ -257,20 +263,28 @@ def _check_theta(theta: float) -> None:
         raise DomainError(f"theta must be finite, got {theta}")
 
 
-def _block_stack(case, geometry, ell: int, sigma_ell: float, epsilon: float,
-                 theta: float, ms: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray]:
-    """Unchecked (H stack of shape (len(ms), 2, 2), shared A) of the blocks at each m.
+def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
+                theta: float = 0.0, m: int | Iterable[int] | None = None) -> GenEig2:
+    """Explicit (H, A) pencil of the two-sector block at angular momentum m.
 
-    ms = None stands for the ground-state m alone.
+    m defaults to the ground-state value.  A sequence of integers for m
+    (a range, say) gives a (len(m), 2, 2) stack of H, one block per m in
+    order, against the one overlap A they share.  This is the matrix the
+    closed forms in superpose_ring / superpose_harmonic diagonalize;
+    feeding it to gen_eig_2x2 provides the independent numerical route,
+    and superposition_block_scan solves its stacked form.  epsilon and
+    theta face the checks of superpose_*: 0 <= epsilon < 1 and a finite
+    theta.
     """
     import numpy as np
 
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
     _check_theta(theta)
-    if ms is None:
-        ms = (ground_m(sigma_ell),)
-    params = [_block_parameters(geo, ell, sigma_ell, m) for m in ms]
+    _check_epsilon(epsilon)
+    stacked = isinstance(m, Iterable)
+    ms = m if stacked else (ground_m(sigma_ell) if m is None else m,)
+    params = [_block_parameters(geo, ell, sigma_ell, mm) for mm in ms]
     phase = complex(math.cos(theta), math.sin(theta))
     case_i = kind is FluxCase.CASE_I
     if case_i:
@@ -283,23 +297,8 @@ def _block_stack(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     for center, d, q in params:
         off = epsilon * center * phase if case_i else -q * epsilon * phase
         entries += (center + d, off, off.conjugate(), center - d)
-    h = np.array(entries, dtype=complex).reshape(-1, 2, 2)
-    a = np.array([[1.0, a01], [a01.conjugate(), 1.0]])
-    return h, a
-
-
-def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
-                theta: float = 0.0, m: int | None = None) -> GenEig2:
-    """Explicit (H, A) pencil of the two-sector block at angular momentum m.
-
-    m defaults to the ground-state value.  This is the matrix the closed
-    forms in superpose_ring / superpose_harmonic diagonalize; feeding it
-    to gen_eig_2x2 provides the independent numerical route.  It is the
-    one-m case of the stacked blocks superposition_block_scan solves.
-    """
-    h, a = _block_stack(case, geometry, ell, sigma_ell, epsilon, theta,
-                        None if m is None else (m,))
-    return GenEig2(h[0], a)
+    h = np.array(entries, dtype=complex).reshape((-1, 2, 2) if stacked else (2, 2))
+    return GenEig2(h, np.array([[1.0, a01], [a01.conjugate(), 1.0]]))
 
 
 class _Row(NamedTuple):
@@ -488,14 +487,12 @@ def small_eps_delta_e(case, geometry, ell: int, sigma_ell: float,
         sigma = sigma_ell / ell
         if sigma <= 0.0:
             raise DomainError("case (ii) expansion is singular at sigma <= 0")
-    if geo is GeometryKind.RING:
-        if kind is FluxCase.CASE_I:
-            return -abs(sigma_ell * mc) * eps2
-        return ell * mc * eps2 / sigma
+    # d = 2 sigma_ell m, q = 2 ell m on a ring; sigma_ell m / mu, ell m / mu in
+    # a trap.  Halving d first is exact, so a subnormal shift is rounded once
     _, d, q = _block_parameters(geo, ell, sigma_ell, mc)
     if kind is FluxCase.CASE_I:
-        return -abs(d) * eps2 / 2.0  # d = sigma_ell m / mu
-    return q * eps2 / (2.0 * sigma)  # q = ell m / mu
+        return -abs(d) / 2.0 * eps2
+    return q * eps2 / (2.0 * sigma)
 
 
 class FeasibilityPoint(NamedTuple):
@@ -577,7 +574,8 @@ def feasibility_boundary(case, geometry, ell: int, sigma_ell: float,
         nonlocal row
         eps = epsilon_param(da, sigma, convention)
         if row is None:
-            row = _row(kind, geo, ell, sigma_ell, eps, theta, stacklevel=3)
+            # the warning skips _row, this closure and feasibility_boundary
+            row = _row(kind, geo, ell, sigma_ell, eps, theta, stacklevel=4)
         return abs(_closed_form(row, eps)[0]) - row.gap
 
     lo = 0.0

@@ -44,6 +44,15 @@ class TestMu:
         with pytest.raises(DomainError, match="ell must be >= 0"):
             mu(-3, 0.2, 0)
 
+    @pytest.mark.parametrize("sigma_ell, m", [(1e154, 10**154), (-1e154, -10**154),
+                                              (1e308, 10**308)],
+                             ids=["up", "down", "far"])
+    def test_radicand_beyond_the_float_range_rejected(self, sigma_ell, m):
+        """The true mu is finite here (about 1.7e154 for the first), but
+        its radicand overflows to +inf; ring_energy raises the same."""
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            mu(4, sigma_ell, m)
+
 
 class TestHarmonicEnergy:
     def test_closed_form(self):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fluxring import (
     GenEig2,
     SingularOverlapError,
     UsageError,
+    as_geometry_kind,
     build_block,
     epsilon_param,
     feasibility_boundary,
@@ -62,6 +64,41 @@ class TestGenEig2x2:
             GenEig2(np.eye(2), np.array([[2.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(SingularOverlapError):
             GenEig2(np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
+        # non-finite entries are rejected before any arithmetic could warn
+        with pytest.raises(DomainError, match="h must be finite"):
+            GenEig2(np.full((2, 2), np.nan), np.eye(2))
+        with pytest.raises(DomainError, match="h must be finite"):
+            GenEig2(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2))
+        with pytest.raises(DomainError, match="h must be finite"):
+            GenEig2(np.array([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]), np.eye(2))
+        for entry in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            for bad in (np.nan, np.inf):
+                a = np.eye(2, dtype=complex)
+                a[entry] = bad
+                with pytest.raises(DomainError, match="a must be finite"):
+                    GenEig2(np.eye(2), a)
+        huge = 1.5e308 + 1.5e308j  # finite parts, magnitude beyond the float range
+        for a in ([[huge, 0.0], [0.0, 1.0]], [[1.0, huge], [np.conj(huge), 1.0]]):
+            with pytest.raises(DomainError, match="beyond the float range"):
+                GenEig2(np.eye(2), a)
+        # one bad block anywhere in a stack rejects the stack
+        stack = np.stack([np.eye(2)] * 3).astype(complex)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(DomainError, match="h must be finite"):
+            GenEig2(stack, np.eye(2))
+        stack[1, 0, 1] = 2.0
+        with pytest.raises(DomainError, match="h is not Hermitian"):
+            GenEig2(stack, np.eye(2))
+
+    def test_stack_solves_each_block_as_alone(self):
+        problems = list(_random_pencils(7, seed=5))
+        a = problems[0].a
+        values, vectors = gen_eig_2x2(GenEig2(np.stack([p.h for p in problems]), a))
+        assert values.shape == (7, 2) and vectors.shape == (7, 2, 2)
+        for k, p in enumerate(problems):
+            one_values, one_vectors = gen_eig_2x2((p.h, a))
+            np.testing.assert_array_equal(values[k], one_values)
+            np.testing.assert_array_equal(vectors[k], one_vectors)
 
     def test_reference_block(self):
         """Ring case (i) block at ell=4, sigma_ell=1, eps=0.1."""
@@ -137,6 +174,32 @@ class TestBuildBlock:
     def test_neither_rejected(self):
         with pytest.raises(CaseError):
             build_block("neither", "ring", 4, 1.0, 0.1)
+
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
+    def test_shares_the_epsilon_domain_of_superpose(self, case, geometry):
+        with pytest.raises(DomainError, match="epsilon must be >= 0"):
+            build_block(case, geometry, 4, 1.0, math.nan)
+        with pytest.raises(DomainError, match="epsilon must be >= 0"):
+            build_block(case, geometry, 4, 1.0, -0.1)
+        with pytest.raises(SingularOverlapError, match=r"epsilon = 1\.5 >= 1"):
+            build_block(case, geometry, 4, 1.0, 1.5)
+        with pytest.raises(SingularOverlapError, match=r"epsilon = inf >= 1"):
+            build_block(case, geometry, 4, 1.0, math.inf)
+
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
+    def test_sequence_of_m_stacks_the_single_blocks(self, case, geometry):
+        ms = range(-5, 6)
+        stack = build_block(case, geometry, 6, 2.0, 0.2, 1.3, m=ms)
+        assert stack.h.shape == (len(ms), 2, 2)
+        for k, m in enumerate(ms):
+            single = build_block(case, geometry, 6, 2.0, 0.2, 1.3, m=m)
+            assert single.h.shape == (2, 2)
+            np.testing.assert_array_equal(stack.h[k], single.h)
+            np.testing.assert_array_equal(stack.a, single.a)
+        values, vectors = gen_eig_2x2(stack)
+        assert values.shape == (len(ms), 2) and vectors.shape == (len(ms), 2, 2)
 
 
 class TestClosedForms:
@@ -257,6 +320,17 @@ class TestValidation:
         # exact form survives: radius = eps, delta_e = -|q| eps with m_check = 0
         assert res.delta_e == 0.0
 
+    @pytest.mark.parametrize("route", [
+        lambda: superpose_harmonic("ii", 4, 0.0, 0.1),
+        lambda: feasibility_sweep("ii", "ring", 4, [0.0], [0.5, 1.0]),
+        lambda: feasibility_boundary("ii", "harmonic", 4, 0.0),
+        lambda: superposition_block_scan("ii", "ring", 4, 0.0, 0.1),
+    ], ids=["point", "sweep", "boundary", "scan"])
+    def test_zero_spin_warning_points_at_the_caller(self, route):
+        with pytest.warns(ExpansionWarning) as caught:
+            route()
+        assert [w.filename for w in caught] == [__file__]
+
 
 class TestSmallEps:
     @pytest.mark.parametrize("case, geometry, expected", [
@@ -273,6 +347,35 @@ class TestSmallEps:
         exact = (superpose_ring if geometry == "ring"
                  else superpose_harmonic)(case, 4, 1.0, eps).delta_e
         assert exact == pytest.approx(approx, rel=1e-8)
+
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    def test_ring_values_keep_the_explicit_forms(self, case):
+        """The ring law read from the block parameters d = 2 sigma_ell m and
+        q = 2 ell m equals the explicit ring forms bit for bit."""
+        for ell in (1, 2, 4, 7, 12, 40):
+            for sigma_ell in np.linspace(-ell, ell, 37):
+                sigma_ell = float(sigma_ell)
+                m_check = ground_m(sigma_ell)
+                for eps in (0.0, 1e-100, 1e-7, 0.013, 0.1, 0.29, 0.3):
+                    if case == "i":
+                        want = -abs(sigma_ell * m_check) * eps**2
+                    elif sigma_ell > 0.0:
+                        want = ell * m_check * eps**2 / (sigma_ell / ell)
+                    else:
+                        continue
+                    assert small_eps_delta_e(case, "ring", ell, sigma_ell, eps) == want
+
+    @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
+    def test_case_i_subnormal_shift_is_rounded_once(self, geometry):
+        """Down in the subnormal range the case (i) law is still the
+        correctly rounded -|d| eps^2 / 2 of its float factors."""
+        geo = as_geometry_kind(geometry)
+        for ell, sigma_ell in ((4, 1.0), (9, -3.3), (30, 12.2), (2, 0.7)):
+            _, d, _ = superposition._block_parameters(geo, ell, sigma_ell, ground_m(sigma_ell))
+            for eps in np.geomspace(1e-162, 1e-154, 40):
+                eps = float(eps)
+                want = float(-abs(Fraction(d)) * Fraction(eps * eps) / 2)
+                assert small_eps_delta_e("i", geometry, ell, sigma_ell, eps) == want
 
     def test_large_eps_warns(self):
         with pytest.warns(ExpansionWarning):
