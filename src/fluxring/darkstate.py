@@ -91,8 +91,15 @@ class DarkOverlaps:
     grad_coeff: float
 
 
+_CASE_VALUES = {member.value: member for member in FluxCase}
+
+
 def case_of(case) -> FluxCase:
     """Normalize FluxCase, CaseClassification, or 'i'/'ii' strings."""
+    if type(case) is str:  # an exact value string skips the general path below
+        kind = _CASE_VALUES.get(case)
+        if kind is not None:
+            return kind
     if isinstance(case, CaseClassification):
         return case.case
     if isinstance(case, FluxCase):
@@ -196,9 +203,7 @@ def dark_overlaps(case, sigma: float) -> DarkOverlaps:
     Case (i): (sqrt(1 - sigma^2), 0).  Case (ii): (0, -sqrt(1 - sigma^2)).
     An unclassified arrangement has no closed-form overlaps.
     """
-    if abs(sigma) > 1.0:
-        raise DomainError(f"sigma must lie in [-1, 1], got {sigma}")
-    root = math.sqrt(1.0 - sigma * sigma)
+    root = _spin_root(sigma)
     kind = case_of(case)
     if kind is FluxCase.CASE_I:
         return DarkOverlaps(root, 0.0)
@@ -207,28 +212,41 @@ def dark_overlaps(case, sigma: float) -> DarkOverlaps:
     raise CaseError("overlaps are defined only for case (i) or case (ii)")
 
 
+def _spin_root(sigma: float) -> float:
+    """sqrt(1 - sigma^2), the overlap factor of two dark states of spin +-sigma."""
+    if abs(sigma) > 1.0:
+        raise DomainError(f"sigma must lie in [-1, 1], got {sigma}")
+    return math.sqrt(1.0 - sigma * sigma)
+
+
+def _damping(delta_alpha: float, convention: str) -> float:
+    """Coherent-state damping exp(-delta_alpha^2), or exp(-delta_alpha^2 / 2)
+    under the 'standard' convention; delta_alpha >= 0 is checked first."""
+    if delta_alpha < 0.0:
+        raise DomainError(f"delta_alpha must be >= 0, got {delta_alpha}")
+    if convention == "paper":
+        return math.exp(-delta_alpha * delta_alpha)
+    if convention == "standard":
+        return math.exp(-0.5 * delta_alpha * delta_alpha)
+    raise UsageError(f"unknown overlap convention {convention!r}")
+
+
 def epsilon_param(delta_alpha: float, sigma: float, convention: str = "paper") -> float:
     """Coherent-state suppressed overlap epsilon entering the 2x2 pencils.
 
     epsilon = exp(-delta_alpha^2) * sqrt(1 - sigma^2) under the default
     convention; 'standard' keeps the textbook exp(-delta_alpha^2 / 2).
+    A feasibility sweep multiplies the same two factors, each computed
+    once per grid column or row, so its epsilons carry these bits.
 
     Examples
     --------
     >>> round(epsilon_param(1.0, 0.6), 7)
     0.2943036
     """
-    if delta_alpha < 0.0:
-        raise DomainError(f"delta_alpha must be >= 0, got {delta_alpha}")
-    if abs(sigma) > 1.0:
-        raise DomainError(f"sigma must lie in [-1, 1], got {sigma}")
-    if convention == "paper":
-        damp = math.exp(-delta_alpha * delta_alpha)
-    elif convention == "standard":
-        damp = math.exp(-0.5 * delta_alpha * delta_alpha)
-    else:
-        raise UsageError(f"unknown overlap convention {convention!r}")
-    return damp * math.sqrt(1.0 - sigma * sigma)
+    # a negative delta_alpha is reported before sigma, the convention after it
+    root = 1.0 if delta_alpha < 0.0 else _spin_root(sigma)
+    return _damping(delta_alpha, convention) * root
 
 
 def decoherence_factor(delta_alpha: float, gamma_t: float) -> float:

@@ -26,7 +26,7 @@ from .errors import (ConvergenceError, DomainError, DomainSizeError, UsageError,
 from .harmonic import RadialFunction
 from .params import as_geometry_kind
 from .ring import ground_m
-from .superposition import _closed_form, _row, build_block, gen_eig_2x2
+from .superposition import _closed_forms, _row, build_block, gen_eig_2x2
 
 __all__ = [
     "OracleReport",
@@ -59,9 +59,19 @@ class OracleReport:
         if computed.shape != reference.shape:
             raise ValidationError("computed and reference lists differ in length")
         abs_dev = np.abs(computed - reference)
-        scale = np.maximum(np.abs(reference), 1.0)
-        return cls(computed, reference, float(abs_dev.max(initial=0.0)),
-                   float((abs_dev / scale).max(initial=0.0)), dict(metadata or {}))
+        rel_dev = abs_dev / np.maximum(np.abs(reference), 1.0)
+        return cls(computed, reference, _peak(abs_dev), _peak(rel_dev), dict(metadata or {}))
+
+
+def _peak(deviations: np.ndarray) -> float:
+    """Largest of some nonnegative deviations, 0.0 for none and NaN when any is NaN.
+
+    deviations.max(initial=0.0) as a float, without its numpy call: a
+    report holds one to a few deviations.
+    """
+    values = deviations.ravel().tolist()
+    total = sum(values)  # NaN exactly when some value is: none is negative
+    return total if total != total else max(values, default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +268,7 @@ def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
     # the reference runs every check of superpose_* and gives its e_plus bits,
     # without the eigenvectors
     row = _row(kind, geo, ell, sigma_ell, epsilon, theta, stacklevel=3)
-    e_plus = (row.center + row.d) + _closed_form(row, epsilon)[0]
+    e_plus = (row.center + row.d) + _closed_forms(row, (epsilon,))[0]
     mc = row.m_check
     if m_max is None:
         m_max = abs(mc) + 8
@@ -266,11 +276,13 @@ def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
         raise UsageError(f"m_max must be >= |m_check| + 5 = {abs(mc) + 5}")
     ms = range(-m_max, m_max + 1)
     vals, _ = gen_eig_2x2(build_block(kind, geo, ell, sigma_ell, epsilon, theta, m=ms))
-    minima = dict(zip(ms, vals[:, 0].tolist()))
-    m_star = min(minima, key=lambda mm: (minima[mm], mm))
+    lower = vals[:, 0]
+    k = int(lower.argmin())  # the first minimum: the lowest m among equal values
+    m_star = ms[k]
+    minimum = float(lower[k])
     if abs(m_star) >= m_max:
         raise WindowError(f"block-scan minimum sits at the window edge m = {m_star}")
-    rel_dev = abs(minima[m_star] - e_plus) / max(1.0, abs(e_plus))
+    rel_dev = abs(minimum - e_plus) / max(1.0, abs(e_plus))
     if abs(m_star) != abs(mc):
         raise VerificationError(
             f"block-scan minimum at m = {m_star} disagrees with m_check = {mc}; "
@@ -278,13 +290,13 @@ def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
     if rel_dev > 1e-12:
         raise VerificationError(
             f"block-scan minimum deviates from e_plus by {rel_dev} relative")
-    report = OracleReport.from_arrays([minima[m_star]], [e_plus], {
+    report = OracleReport.from_arrays([minimum], [e_plus], {
         "case": kind.value, "geometry": geo.value, "ell": ell,
         "sigma_ell": sigma_ell, "epsilon": epsilon, "theta": theta,
         "m_star": m_star, "m_check": mc, "m_max": m_max,
-        "block_minima": {str(m): minima[m] for m in sorted(minima)},
+        "block_minima": dict(zip(map(str, ms), lower.tolist())),
     })
-    return minima[m_star], m_star, report
+    return minimum, m_star, report
 
 
 _GAUSS_FIRST_ORDER = 64    # first Gauss-Legendre order; each refinement doubles it

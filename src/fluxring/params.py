@@ -93,8 +93,15 @@ class GeometryKind(enum.Enum):
     HARMONIC = "harmonic"
 
 
+_GEOMETRY_VALUES = {member.value: member for member in GeometryKind}
+
+
 def as_geometry_kind(value) -> GeometryKind:
     """Normalize 'ring' / 'harmonic' strings or GeometryKind members."""
+    if type(value) is str:  # an exact value string skips the general path below
+        kind = _GEOMETRY_VALUES.get(value)
+        if kind is not None:
+            return kind
     if isinstance(value, GeometryKind):
         return value
     try:

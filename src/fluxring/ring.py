@@ -64,14 +64,19 @@ def ring_energy(ell: int, sigma_ell: float, m: int) -> float:
 
 
 def ground_m(sigma_ell: float) -> int:
-    """Angular momentum -floor(sigma_ell + 1/2) of the ground state.
+    """Angular momentum -n of the ground state, n the integer nearest sigma_ell.
 
     Ties at half-integer sigma_ell resolve to the lower m of the
     degenerate pair, matching a first-occurrence argmin over ascending m.
+    n is never formed as floor(sigma_ell + 1/2): that sum rounds, and
+    picks the wrong m at 0.49999999999999994 and at 2^52 + 1.
     """
     if not math.isfinite(sigma_ell):
         raise DomainError(f"sigma_ell must be finite, got {sigma_ell}")
-    return -math.floor(sigma_ell + 0.5)
+    n = round(sigma_ell)  # exact; a tie went to the even neighbour
+    if sigma_ell - n == 0.5:  # exact too: the tie goes up, to floor(sigma_ell) + 1
+        n += 1
+    return -n
 
 
 def ring_gap(ell: int, sigma_ell: float) -> float:

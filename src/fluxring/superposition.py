@@ -20,11 +20,14 @@ R - sigma = eps^2 / (R + sigma).
 
 Single points, sweep rows and boundary searches share one engine: the
 checks, the block parameters and the gap depend on sigma_ell alone and
-are computed once per row (_row); each epsilon then costs one scalar
-kernel call (_closed_form).  A pencil, one 2x2 block or a (k, 2, 2)
-stack sharing one overlap, is built by build_block, checked (finite,
-Hermitian, |eps| < 1) by GenEig2 and solved by gen_eig_2x2; the
-oracle's block scan is the stacked case of the same calls.
+are computed once per row (_row); one kernel loop (_closed_forms) then
+evaluates a row's epsilons, a whole sweep row per call.  A pencil, one
+2x2 block or a (k, 2, 2) stack sharing one overlap, is built by
+build_block, checked (finite, Hermitian, |eps| < 1) by GenEig2 and
+solved by gen_eig_2x2; the oracle's block scan is the stacked case of
+the same calls.  The pencil is real when its phase e^{i theta} is
+(theta = 0): H, A and the eigenvectors are then float64, and complex128
+for any other theta.  One dtype test in each function picks the route.
 
 Points, sweeps and boundaries are plain math, eigenvectors included
 (tuples of complex), so they run without numpy; only the pencil code
@@ -37,9 +40,10 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
-from .darkstate import FluxCase, case_of, epsilon_param
+from .darkstate import FluxCase, _damping, _spin_root, case_of
 from .errors import (CaseError, DegeneracyError, DomainError, ExpansionWarning,
                      SingularOverlapError, UsageError, VerificationError)
 from .harmonic import harmonic_gap
@@ -76,6 +80,10 @@ class GenEig2:
     and a must be finite, and so must its magnitude.  The checks run on
     construction, before any arithmetic that could warn, and raise
     DomainError (SingularOverlapError for eps >= 1).
+
+    The pencil keeps a real dtype: h and a become float64 unless either
+    is complex, and then both become complex128.  A real h is Hermitian
+    when each block's h01 matches its h10.
     """
 
     h: np.ndarray
@@ -86,21 +94,30 @@ class GenEig2:
 
         import numpy as np
 
-        h = np.asarray(self.h, dtype=complex)
+        h = np.asarray(self.h)
+        a = np.asarray(self.a)
+        dtype = complex if "c" in (h.dtype.kind, a.dtype.kind) else float
+        h = np.asarray(h, dtype=dtype)
         if h.ndim != 3 or h.shape[1:] != (2, 2):
             h = h.reshape(2, 2)
-        a = np.asarray(self.a, dtype=complex).reshape(2, 2)
+        a = np.asarray(a, dtype=dtype).reshape(2, 2)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "a", a)
         # every comparison below is written so that NaN fails it
-        scale = np.abs(h).max(axis=(-2, -1), initial=1.0)
-        if not (scale < math.inf).all():
+        flat = h.reshape(-1, 4)  # one row per block
+        scale = np.abs(flat).max(axis=1, initial=1.0)
+        if not scale.max(initial=1.0) < math.inf:
             raise DomainError("h must be finite")
         a00, a01, a10, a11 = a.ravel().tolist()
         if not all(map(cmath.isfinite, (a00, a01, a10, a11))):
             raise DomainError("a must be finite")
-        skew = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        if not (skew <= _HERMITICITY_TOL * scale).all():
+        limit = _HERMITICITY_TOL * scale
+        if dtype is complex:  # |h - h^H| entry by entry
+            skew = np.abs(h - h.conj().swapaxes(-1, -2)).reshape(-1, 4)
+            limit = limit[:, None]
+        else:  # h01 against h10
+            skew = np.abs(flat[:, 1] - flat[:, 2])
+        if not (skew - limit).max(initial=0.0) <= 0.0:
             raise DomainError("h is not Hermitian")
         try:
             if not (abs(a00 - 1.0) <= _HERMITICITY_TOL and abs(a11 - 1.0) <= _HERMITICITY_TOL):
@@ -126,6 +143,8 @@ def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
     closed form; all blocks go to LAPACK in one np.linalg.eigh call, and
     each block's residual must stay within 1e-12 of its largest entry
     (VerificationError).  A block gives the same bits alone or stacked.
+    A real pencil stays real, A^(-1/2) included, and returns float64
+    eigenvectors; a complex one returns complex128 eigenvectors.
 
     Examples
     --------
@@ -139,11 +158,15 @@ def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(problem, GenEig2):
         problem = GenEig2(*problem)
     h, a = problem.h, problem.a
-    c = a[0, 1]
+    c = a.item(1)
     eps = abs(c)
-    # componentwise division: complex c / eps overflows internally when
-    # eps is subnormal, the real quotients never do
-    phase = complex(c.real / eps, c.imag / eps) if eps > 0.0 else 1.0 + 0.0j
+    real = h.dtype.kind == "f"
+    if real:
+        phase = c / eps if eps > 0.0 else 1.0
+    else:
+        # componentwise division: complex c / eps overflows internally when
+        # eps is subnormal, the real quotients never do
+        phase = complex(c.real / eps, c.imag / eps) if eps > 0.0 else 1.0 + 0.0j
     # A = I + eps K has eigenvectors (1, +-e^{-i theta})/sqrt(2), values 1 +- eps
     ip = 1.0 / math.sqrt(1.0 + eps)
     im = 1.0 / math.sqrt(1.0 - eps)
@@ -152,16 +175,17 @@ def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
     a_inv_half = np.array([[p_half, q_half], [q_half.conjugate(), p_half]])
     b = a_inv_half @ h @ a_inv_half
     # scrub rounding skew before the Hermitian solve
-    b = 0.5 * (b + b.conj().swapaxes(-1, -2))
+    b = 0.5 * (b + (b if real else b.conj()).swapaxes(-1, -2))
     vals, w = np.linalg.eigh(b)
     vecs = a_inv_half @ w
     scale = problem._scale
-    residual = np.abs(h @ vecs - (a @ vecs) * vals[..., None, :]).max(axis=(-2, -1))
-    ok = residual <= _RESIDUAL_TOL * scale  # a NaN residual fails too
-    if not ok.all():
-        first = np.argmin(ok)  # flat index of the first failing block
-        raise VerificationError(f"pencil residual {residual.flat[first]} exceeds "
-                                f"{_RESIDUAL_TOL * scale.flat[first]}")
+    residual = np.abs(h @ vecs - (a @ vecs) * vals[..., None, :])
+    # one comparison for every entry of every block; a NaN residual fails it
+    if not (residual - (_RESIDUAL_TOL * scale)[:, None, None]).max(initial=0.0) <= 0.0:
+        worst = residual.reshape(-1, 4).max(axis=1)
+        first = np.argmin(worst <= _RESIDUAL_TOL * scale)  # the first failing block
+        raise VerificationError(f"pencil residual {worst[first]} exceeds "
+                                f"{_RESIDUAL_TOL * scale[first]}")
     return vals, vecs
 
 
@@ -269,12 +293,27 @@ def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
 
     m defaults to the ground-state value.  A sequence of integers for m
     (a range, say) gives a (len(m), 2, 2) stack of H, one block per m in
-    order, against the one overlap A they share.  This is the matrix the
-    closed forms in superpose_ring / superpose_harmonic diagonalize;
-    feeding it to gen_eig_2x2 provides the independent numerical route,
-    and superposition_block_scan solves its stacked form.  epsilon and
-    theta face the checks of superpose_*: 0 <= epsilon < 1 and a finite
-    theta.
+    order, against the one overlap A they share; the stack is computed
+    over all m at once, with the operations of the single block, so
+    each of its blocks has the bits of that block built alone.  This is
+    the matrix the closed forms in superpose_ring / superpose_harmonic
+    diagonalize; feeding it to gen_eig_2x2 provides the independent
+    numerical route, and superposition_block_scan solves its stacked
+    form.  epsilon and theta face the checks of superpose_*:
+    0 <= epsilon < 1 and a finite theta.  H and A are float64 when the
+    phase e^{i theta} is real (sin theta == 0.0, so theta = 0) and
+    complex128 otherwise.
+
+    Examples
+    --------
+    >>> block = build_block("i", "ring", 4, 1.0, 0.1)
+    >>> block.h
+    array([[15. ,  1.7],
+           [ 1.7, 19. ]])
+    >>> gen_eig_2x2(block)[1].dtype  # theta = 0: float64 eigenvectors
+    dtype('float64')
+    >>> gen_eig_2x2(build_block("i", "ring", 4, 1.0, 0.1, theta=1.3))[1].dtype
+    dtype('complex128')
     """
     import numpy as np
 
@@ -282,23 +321,61 @@ def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     geo = as_geometry_kind(geometry)
     _check_theta(theta)
     _check_epsilon(epsilon)
-    stacked = isinstance(m, Iterable)
-    ms = m if stacked else (ground_m(sigma_ell) if m is None else m,)
-    params = [_block_parameters(geo, ell, sigma_ell, mm) for mm in ms]
-    phase = complex(math.cos(theta), math.sin(theta))
-    case_i = kind is FluxCase.CASE_I
-    if case_i:
+    sin = math.sin(theta)
+    phase = math.cos(theta) if sin == 0.0 else complex(math.cos(theta), sin)
+    if isinstance(m, Iterable):
+        h = _block_stack(geo, ell, sigma_ell, epsilon, phase, kind is FluxCase.CASE_I,
+                         list(m))
+    else:
+        center, d, q = _block_parameters(geo, ell, sigma_ell,
+                                         ground_m(sigma_ell) if m is None else m)
+        off = epsilon * center * phase if kind is FluxCase.CASE_I else -q * epsilon * phase
+        h = np.array([[center + d, off], [off.conjugate(), center - d]])
+    if kind is FluxCase.CASE_I:
         a01 = epsilon * phase
     elif kind is FluxCase.CASE_II:
-        a01 = 0.0 + 0.0j
+        a01 = type(phase)(0.0)  # 0.0 or 0j, as real as the phase
     else:
         raise CaseError("blocks exist only for case (i) or case (ii)")
-    entries: list[complex] = []  # row-major, four per block
-    for center, d, q in params:
-        off = epsilon * center * phase if case_i else -q * epsilon * phase
-        entries += (center + d, off, off.conjugate(), center - d)
-    h = np.array(entries, dtype=complex).reshape((-1, 2, 2) if stacked else (2, 2))
     return GenEig2(h, np.array([[1.0, a01], [a01.conjugate(), 1.0]]))
+
+
+def _block_stack(geo: GeometryKind, ell: int, sigma_ell: float, epsilon: float,
+                 phase: float | complex, case_i: bool, ms: list[int]) -> np.ndarray:
+    """The (len(ms), 2, 2) H stack: _block_parameters and the off-diagonal
+    over all m at once, each operation in the order of the single block."""
+    import numpy as np
+
+    # ell^2 + m^2 and ell m are exact integers, each rounded once
+    ell_squared = ell * ell
+    squares = np.array([ell_squared + mm * mm for mm in ms], dtype=float)
+    mf = np.fromiter(ms, float, len(ms))
+    if geo is GeometryKind.RING:
+        center = squares
+        d = 2.0 * sigma_ell * mf
+        if not case_i:
+            q = 2.0 * ell * mf
+    else:
+        spin_m = sigma_ell * mf
+        abs_spin_m = np.abs(spin_m)
+        radicand = squares - 2.0 * abs_spin_m
+        if radicand.min(initial=1.0) <= 0.0:  # the single block names the first bad m
+            for mm in ms:
+                _block_parameters(geo, ell, sigma_ell, mm)
+        mu_star = np.sqrt(radicand)
+        center = (mu_star + 1.0) + abs_spin_m / mu_star
+        d = spin_m / mu_star
+        if not case_i:
+            q = np.array([ell * mm for mm in ms], dtype=float) / mu_star
+    off = epsilon * center if case_i else -q * epsilon
+    if phase != 1.0:  # off * 1.0 would be off again
+        off = off * phase
+    rows = np.empty((4, len(ms)), dtype=off.dtype)  # h00, h01, h10, h11 over m
+    rows[0] = center + d
+    rows[1] = off
+    rows[2] = off.conj() if off.dtype.kind == "c" else off
+    rows[3] = center - d
+    return rows.T.reshape(-1, 2, 2)
 
 
 class _Row(NamedTuple):
@@ -326,27 +403,40 @@ def _check_epsilon(epsilon: float) -> None:
         raise SingularOverlapError(f"epsilon = {epsilon} >= 1")
 
 
+def _check_ell(ell: int) -> int:
+    if ell != int(ell) or ell < 0:
+        raise DomainError(f"ell must be a nonnegative integer, got {ell}")
+    return int(ell)
+
+
+def _check_sigma_ell(ell: int, sigma_ell: float) -> int:
+    """m_check of a finite sigma_ell with |sigma_ell| <= ell."""
+    if abs(sigma_ell) > ell:
+        raise DomainError(
+            f"|sigma_ell| = {abs(sigma_ell)} exceeds ell = {ell} (|sigma| > 1)")
+    return ground_m(sigma_ell)  # rejects NaN, which _is_half_integer cannot take
+
+
+def _degenerate(sigma_ell: float) -> str:
+    return f"sigma_ell = {sigma_ell} makes the single-state ground level degenerate"
+
+
 def _row(kind: FluxCase, geo: GeometryKind, ell: int, sigma_ell: float, epsilon: float,
          theta: float, stacklevel: int) -> _Row:
     """Run every check of a superposition at (sigma_ell, epsilon), in order,
     and return the invariants of its row.
 
-    Later points of the row need only _check_epsilon, which _closed_form
+    Later points of the row need only _check_epsilon, which _closed_forms
     runs.  The case (ii) sigma = 0 warning points stacklevel frames up.
     """
     if kind is FluxCase.NEITHER:
         raise CaseError("superpositions exist only for case (i) or case (ii)")
     _check_theta(theta)
-    if ell != int(ell) or ell < 0:
-        raise DomainError(f"ell must be a nonnegative integer, got {ell}")
-    ell = int(ell)
+    ell = _check_ell(ell)
     _check_epsilon(epsilon)
-    if abs(sigma_ell) > ell:
-        raise DomainError(
-            f"|sigma_ell| = {abs(sigma_ell)} exceeds ell = {ell} (|sigma| > 1)")
+    mc = _check_sigma_ell(ell, sigma_ell)
     if _is_half_integer(sigma_ell):
-        raise DegeneracyError(
-            f"sigma_ell = {sigma_ell} makes the single-state ground level degenerate")
+        raise DegeneracyError(_degenerate(sigma_ell))
     sigma = 0.0
     if kind is FluxCase.CASE_II:
         if ell == 0:
@@ -358,36 +448,50 @@ def _row(kind: FluxCase, geo: GeometryKind, ell: int, sigma_ell: float, epsilon:
             warnings.warn("case (ii) with sigma = 0: the small-eps expansion is "
                           "singular, exact forms remain valid", ExpansionWarning,
                           stacklevel=stacklevel)
-    mc = ground_m(sigma_ell)
     center, d, q = _block_parameters(geo, ell, sigma_ell, mc)
     gap = (ring_gap(ell, sigma_ell) if geo is GeometryKind.RING
            else harmonic_gap(ell, sigma_ell))
-    return _Row(kind is FluxCase.CASE_I, ell, float(sigma_ell), mc, center, d, q, sigma, gap)
+    # _Row(...) without its __new__ frame
+    return tuple.__new__(_Row, (kind is FluxCase.CASE_I, ell, float(sigma_ell), mc,
+                                center, d, q, sigma, gap))
 
 
-def _closed_form(row: _Row, epsilon: float) -> tuple[float, float, float, float]:
-    """(delta_e, mixing ratio, xi[1], zeta[1]) of the row's block at epsilon.
+def _closed_forms(row: _Row, epsilons: Iterable[float]) -> list[float]:
+    """delta_e, mixing ratio, xi[1] and zeta[1] of the row's block at each
+    epsilon: four floats per epsilon, in order, in one flat list.
 
-    The scalar kernel behind every single point, sweep and boundary
-    search: plain math on floats, so a sweep row reproduces the single
-    point bit for bit.  xi[1] and zeta[1] are the lower components of
-    the bare E_plus and E_minus eigenvectors.
+    The kernel behind every single point, sweep row and boundary step:
+    plain math on floats, one loop per call, so a sweep row reproduces
+    the single point bit for bit.  Each epsilon is checked in turn.
+    xi[1] and zeta[1] are the lower components of the bare E_plus and
+    E_minus eigenvectors.
     """
-    if not 0.0 <= epsilon < 1.0:
-        _check_epsilon(epsilon)
+    out: list[float] = []
     if row.case_i:
-        s = math.sqrt(1.0 - epsilon * epsilon)
-        one_minus_s = epsilon * epsilon / (1.0 + s)
-        return (row.d * one_minus_s / s, (epsilon / (1.0 + s)) ** 2,
-                one_minus_s, 1.0 + s)
+        d = row.d
+        sqrt = math.sqrt
+        for eps in epsilons:
+            if not 0.0 <= eps < 1.0:
+                _check_epsilon(eps)
+            s = sqrt(1.0 - eps * eps)
+            one_plus_s = 1.0 + s
+            one_minus_s = eps * eps / one_plus_s
+            out += (d * one_minus_s / s, (eps / one_plus_s) ** 2, one_minus_s, one_plus_s)
+        return out
     sigma = row.sigma
-    radius = math.hypot(sigma, epsilon)
-    if radius + sigma > 0.0:
-        r_minus_sigma = epsilon * epsilon / (radius + sigma)
-        mixing = (epsilon / (radius + sigma)) ** 2
-    else:
-        r_minus_sigma = mixing = 0.0
-    return -abs(row.q) * r_minus_sigma, mixing, -r_minus_sigma, sigma + radius
+    coupling = -abs(row.q)
+    hypot = math.hypot
+    for eps in epsilons:
+        if not 0.0 <= eps < 1.0:
+            _check_epsilon(eps)
+        r_plus_sigma = hypot(sigma, eps) + sigma
+        if r_plus_sigma > 0.0:
+            r_minus_sigma = eps * eps / r_plus_sigma
+            mixing = (eps / r_plus_sigma) ** 2
+        else:
+            r_minus_sigma = mixing = 0.0
+        out += (coupling * r_minus_sigma, mixing, -r_minus_sigma, r_plus_sigma)
+    return out
 
 
 def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
@@ -395,7 +499,7 @@ def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
     row = _row(kind, geo, ell, sigma_ell, epsilon, theta, stacklevel=4)
-    delta_e, mixing, xi_low, zeta_low = _closed_form(row, epsilon)
+    delta_e, mixing, xi_low, zeta_low = _closed_forms(row, (epsilon,))
     center, d = row.center, row.d
     e_zero = center + d  # sgn(sigma_ell * m_check) <= 0 keeps d <= 0 here
     phase = complex(math.cos(theta), math.sin(theta))
@@ -416,8 +520,8 @@ def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
         scale = 1.0 / math.sqrt(norm2)
         # complex-by-real division as numpy rounds it: times the reciprocal,
         # with the divisor's zero imaginary part kept in both sums
-        return tuple(complex((z.real + z.imag * 0.0) * scale,
-                             (z.imag - z.real * 0.0) * scale) for z in v)
+        return (complex((v0.real + v0.imag * 0.0) * scale, (v0.imag - v0.real * 0.0) * scale),
+                complex((v1.real + v1.imag * 0.0) * scale, (v1.imag - v1.real * 0.0) * scale))
 
     return SuperpositionResult(
         case=kind, geometry=geo, ell=row.ell, sigma_ell=row.sigma_ell,
@@ -466,27 +570,33 @@ def small_eps_delta_e(case, geometry, ell: int, sigma_ell: float,
     trap, case (i):  -|sigma_ell * m_check| eps^2 / (2 mu)
     trap, case (ii):  (ell * m_check / (2 sigma mu)) eps^2
 
-    Trusted for eps <= 0.3; larger values warn and are still evaluated.
-    The case (ii) forms are singular at sigma = 0, where only the exact
+    ell, epsilon and sigma_ell face the checks of superpose_*, in the
+    same order, except that a degenerate ground level (half-integer
+    sigma_ell) warns and is evaluated at the lower m_check.  Trusted for
+    eps <= 0.3; larger values warn and are still evaluated.  The case
+    (ii) forms are singular at sigma = 0, where only the exact
     expressions in superpose_* apply.
     """
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
     if kind is FluxCase.NEITHER:
         raise CaseError("expansion exists only for case (i) or case (ii)")
-    if epsilon < 0.0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon}")
-    if epsilon > 0.3:
-        warnings.warn(f"small-eps expansion evaluated at eps = {epsilon} > 0.3",
-                      ExpansionWarning, stacklevel=2)
-    mc = ground_m(sigma_ell)
-    eps2 = epsilon * epsilon
+    ell = _check_ell(ell)
+    _check_epsilon(epsilon)
+    mc = _check_sigma_ell(ell, sigma_ell)
     if kind is FluxCase.CASE_II:
         if ell == 0:
             raise DomainError("case (ii) needs ell >= 1 to define the mean spin")
         sigma = sigma_ell / ell
         if sigma <= 0.0:
             raise DomainError("case (ii) expansion is singular at sigma <= 0")
+    if _is_half_integer(sigma_ell):
+        warnings.warn(_degenerate(sigma_ell) + "; the expansion takes the lower m",
+                      ExpansionWarning, stacklevel=2)
+    if epsilon > 0.3:
+        warnings.warn(f"small-eps expansion evaluated at eps = {epsilon} > 0.3",
+                      ExpansionWarning, stacklevel=2)
+    eps2 = epsilon * epsilon
     # d = 2 sigma_ell m, q = 2 ell m on a ring; sigma_ell m / mu, ell m / mu in
     # a trap.  Halving d first is exact, so a subnormal shift is rounded once
     _, d, q = _block_parameters(geo, ell, sigma_ell, mc)
@@ -539,16 +649,31 @@ def feasibility_sweep(case, geometry, ell: int,
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
     points: list[FeasibilityPoint] = []
+    new_point = tuple.__new__  # FeasibilityPoint(...) without its __new__ frame
+    # epsilon_param(da, s / ell) is damps[column] * root, each factor computed once
+    damps: list[float] = []
     for s in sig_grid:
-        sigma = s / ell
-        row = None
-        for da in da_grid:
-            eps = epsilon_param(da, sigma, convention)
-            if row is None:
-                row = _row(kind, geo, ell, s, eps, theta, stacklevel=3)
-            delta_e, mixing, _, _ = _closed_form(row, eps)
-            points.append(FeasibilityPoint(s, da, eps, delta_e, row.gap, mixing,
-                                           abs(delta_e) < row.gap))
+        root = _spin_root(s / ell)
+        if damps:
+            row = _row(kind, geo, ell, s, damps[0] * root, theta, stacklevel=3)
+        else:
+            # the first row checks each delta_alpha in its point's turn, so the
+            # errors come in the order of a point-by-point sweep
+            row = None
+            for da in da_grid:
+                damp = _damping(da, convention)
+                if row is None:
+                    row = _row(kind, geo, ell, s, damp * root, theta, stacklevel=3)
+                elif not 0.0 <= damp * root < 1.0:
+                    _check_epsilon(damp * root)
+                damps.append(damp)
+        gap = row.gap
+        epsilons = [damp * root for damp in damps]
+        forms = _closed_forms(row, epsilons)
+        delta_e, mixing = forms[0::4], forms[1::4]
+        points += map(new_point, repeat(FeasibilityPoint),
+                      zip(repeat(s), da_grid, epsilons, delta_e, repeat(gap), mixing,
+                          [abs(shift) < gap for shift in delta_e]))
     return points
 
 
@@ -566,17 +691,17 @@ def feasibility_boundary(case, geometry, ell: int, sigma_ell: float,
     _check_sweep_sigma_ell(ell, sigma_ell)
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
-    sigma = sigma_ell / ell
+    root = _spin_root(sigma_ell / ell)
 
     row = None
 
     def excess(da: float) -> float:
         nonlocal row
-        eps = epsilon_param(da, sigma, convention)
+        eps = _damping(da, convention) * root  # epsilon_param(da, sigma_ell / ell)
         if row is None:
             # the warning skips _row, this closure and feasibility_boundary
             row = _row(kind, geo, ell, sigma_ell, eps, theta, stacklevel=4)
-        return abs(_closed_form(row, eps)[0]) - row.gap
+        return abs(_closed_forms(row, (eps,))[0]) - row.gap
 
     lo = 0.0
     try:

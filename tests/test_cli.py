@@ -360,6 +360,14 @@ ERROR_SURFACE = [
       "--sigma-ell", "0", "--delta-alpha", "0.5:1:2"], 0,
      "fluxring: warning: case (ii) with sigma = 0: the small-eps expansion is singular, "
      "exact forms remain valid\n"),
+    # a sweep fails where its first failing point fails, row by row: the first
+    # row's own checks come before the second column's delta_alpha ...
+    (["superpose", "--geometry", "ring", "--case", "ii", "--ell", "4", "--sigma-ell=-1",
+      "--delta-alpha=1,-1"], 2,
+     "validation error: case (ii) requires sigma > 0, got -0.25\n"),
+    # ... and epsilon = 1 in the second column before the third column's
+    (["superpose", "--geometry", "ring", "--case", "i", "--ell", "4", "--sigma-ell", "0",
+      "--delta-alpha", "1,0,-1"], 2, "validation error: epsilon = 1.0 >= 1\n"),
 ]
 
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from fluxring import (
+    CaseClassification,
     CaseError,
     ConfigError,
     DegenerateFieldError,
@@ -89,6 +90,20 @@ class TestCaseClassification:
         assert case_of(verdict) is FluxCase.CASE_I
         with pytest.raises(CaseError):
             case_of("iii")
+
+    @pytest.mark.parametrize("value, expected", [
+        ("i", FluxCase.CASE_I), ("ii", FluxCase.CASE_II), ("neither", FluxCase.NEITHER),
+        ("I", FluxCase.CASE_I), ("Ii", FluxCase.CASE_II), ("NEITHER", FluxCase.NEITHER),
+        (FluxCase.CASE_II, FluxCase.CASE_II),
+        (CaseClassification(FluxCase.NEITHER, 0.5), FluxCase.NEITHER),
+    ])
+    def test_case_of_takes_values_in_any_case_members_and_verdicts(self, value, expected):
+        assert case_of(value) is expected
+
+    @pytest.mark.parametrize("value", ["", " i", "iii", "CASE_I", 1, None, 1.5, ["i"]])
+    def test_case_of_rejects_everything_else(self, value):
+        with pytest.raises(CaseError, match="unknown flux case"):
+            case_of(value)
 
 
 class TestFluxTube:

@@ -49,6 +49,22 @@ class TestOracleReport:
         with pytest.raises(ValidationError):
             OracleReport.from_arrays([1.0], [1.0, 2.0], {})
 
+    @pytest.mark.parametrize("computed, reference", [
+        ([math.nan, 2.0], [1.0, 2.5]), ([1.0, math.nan], [1.0, 2.5]),
+        ([1.0, 2.0], [math.nan, 2.5]), ([math.inf, 2.0], [1.0, 2.5]),
+        ([], []), ([[1.0, 3.0], [-math.inf, 4.0]], [[1.0, 2.0], [1.0, 4.0]]),
+    ])
+    def test_deviations_follow_numpy_max(self, computed, reference):
+        """A NaN deviation anywhere makes the maximum NaN; no deviations give 0."""
+        rep = OracleReport.from_arrays(computed, reference)
+        c, r = np.asarray(computed, dtype=float), np.asarray(reference, dtype=float)
+        with np.errstate(invalid="ignore"):
+            abs_dev = np.abs(c - r)
+            want = (abs_dev.max(initial=0.0),
+                    (abs_dev / np.maximum(np.abs(r), 1.0)).max(initial=0.0))
+        assert np.array_equal((rep.max_abs_dev, rep.max_rel_dev), want, equal_nan=True)
+        assert all(type(v) is float for v in (rep.max_abs_dev, rep.max_rel_dev))
+
 
 class TestHermitianEigs:
     def test_diagonal_matrix(self):
@@ -294,6 +310,21 @@ class TestStackedPencils:
             gen_eig_2x2(build_block("i", "ring", 4, 1.0, 0.1))
         with pytest.raises(VerificationError, match="pencil residual"):
             superposition_block_scan("i", "ring", 4, 1.0, 0.1)
+
+    def test_residual_check_survives_batching_on_complex_pencils(self, monkeypatch):
+        """The theta = 1.3 pencils are complex; their residual check holds too."""
+        eigh = np.linalg.eigh
+
+        def perturbed(b):
+            vals, vecs = eigh(b)
+            return vals, vecs + 1e-6
+
+        assert build_block("i", "ring", 4, 1.0, 0.1, 1.3).h.dtype == np.complex128
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(VerificationError, match="pencil residual"):
+            gen_eig_2x2(build_block("i", "ring", 4, 1.0, 0.1, 1.3))
+        with pytest.raises(VerificationError, match="pencil residual"):
+            superposition_block_scan("i", "ring", 4, 1.0, 0.1, 1.3)
 
 
 class TestQuadrature:

@@ -68,6 +68,19 @@ class TestGeometrySpec:
         with pytest.raises(ConfigError):
             as_geometry_kind("torus")
 
+    @pytest.mark.parametrize("value, expected", [
+        ("ring", GeometryKind.RING), ("harmonic", GeometryKind.HARMONIC),
+        ("Ring", GeometryKind.RING), ("HARMONIC", GeometryKind.HARMONIC),
+        (GeometryKind.HARMONIC, GeometryKind.HARMONIC),
+    ])
+    def test_as_geometry_kind_takes_values_in_any_case_and_members(self, value, expected):
+        assert as_geometry_kind(value) is expected
+
+    @pytest.mark.parametrize("value", ["", "ring ", "RING_", "torus", 0, None, ["ring"]])
+    def test_as_geometry_kind_rejects_everything_else(self, value):
+        with pytest.raises(ConfigError, match="unknown geometry"):
+            as_geometry_kind(value)
+
 
 class TestEnergyUnit:
     def test_dimensionless_units_are_one_with_labels(self):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import scipy.special
@@ -221,3 +222,15 @@ def test_list_grid_is_numpy_linspace_bit_for_bit(lo, hi, count):
     got = _linspace(lo, hi, count)
     assert all(type(v) is float for v in got)
     assert np.array(got).tobytes() == expected.tobytes()
+
+
+@given(floats(allow_nan=False, allow_infinity=False))
+@example(0.49999999999999994)
+@example(-0.49999999999999994)
+@example(2.0**52 + 1.0)
+@example(2.5)
+@example(-2.5)
+def test_ground_m_is_the_exact_nearest_integer(sigma_ell):
+    """-floor(sigma_ell + 1/2) evaluated exactly: the nearest integer, and
+    the upper one at a tie (the lower m of the degenerate pair)."""
+    assert ground_m(sigma_ell) == -math.floor(Fraction(sigma_ell) + Fraction(1, 2))

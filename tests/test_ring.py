@@ -64,6 +64,17 @@ class TestGroundM:
         with pytest.raises(DomainError):
             ground_m(math.nan)
 
+    @pytest.mark.parametrize("sigma_ell, expected", [
+        (0.49999999999999994, 0), (-0.49999999999999994, 0),
+        (0.5000000000000001, -1), (-0.5000000000000001, 1),
+        (2.0**52 + 1.0, -(2**52 + 1)), (-(2.0**52 + 1.0), 2**52 + 1),
+        (2.0**52 - 0.5, -(2**52)), (-(2.0**52 - 0.5), 2**52 - 1),
+        (1e300, -int(1e300)),
+    ])
+    def test_no_rounding_in_the_nearest_integer(self, sigma_ell, expected):
+        """sigma_ell + 1/2 rounds at these values and picked the wrong m."""
+        assert ground_m(sigma_ell) == expected
+
 
 class TestRingGap:
     def test_maximum_at_integers(self):

@@ -1,6 +1,7 @@
 """Coupled two-mode ground states: pencils, closed forms, feasibility."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -201,6 +202,80 @@ class TestBuildBlock:
         values, vectors = gen_eig_2x2(stack)
         assert values.shape == (len(ms), 2) and vectors.shape == (len(ms), 2, 2)
 
+    @pytest.mark.parametrize("theta", [0.0, 1.3])
+    def test_stack_names_the_first_m_without_a_radial_exponent(self, theta):
+        """|sigma_ell| > ell leaves mu* undefined for m = -5 ... 5; the stack
+        raises the single block's error for the first of them."""
+        with pytest.raises(DomainError) as single:
+            build_block("i", "harmonic", 2, 3.0, 0.1, theta, m=-5)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(single.value))}$"):
+            build_block("i", "harmonic", 2, 3.0, 0.1, theta, m=range(-7, 8))
+
+    def test_empty_stack(self):
+        stack = build_block("i", "harmonic", 4, 1.0, 0.1, m=[])
+        values, vectors = gen_eig_2x2(stack)
+        assert stack.h.shape == (0, 2, 2)
+        assert values.shape == (0, 2) and vectors.shape == (0, 2, 2)
+
+
+def _random_scan_stacks(count, seed):
+    """Seeded theta = 0 block stacks over both cases and geometries."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        case, geometry = (("i", "ring"), ("ii", "ring"), ("i", "harmonic"),
+                          ("ii", "harmonic"))[k % 4]
+        ell = int(rng.integers(1, 13))
+        while True:
+            sigma_ell = float(rng.uniform(0.0 if case == "ii" else -ell, ell))
+            if abs(2.0 * sigma_ell - round(2.0 * sigma_ell)) > 1e-3 and abs(sigma_ell) < ell:
+                break
+        m_max = abs(ground_m(sigma_ell)) + int(rng.integers(5, 12))
+        yield build_block(case, geometry, ell, sigma_ell, float(rng.uniform(0.0, 0.95)),
+                          m=range(-m_max, m_max + 1))
+
+
+class TestRealPencils:
+    """At theta = 0 the pencil is real: float64 blocks, overlap and vectors."""
+
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
+    def test_dtype_follows_the_phase(self, case, geometry):
+        for m in (None, range(-6, 7)):
+            real = build_block(case, geometry, 6, 2.0, 0.2, 0.0, m=m)
+            assert real.h.dtype == real.a.dtype == np.float64
+            assert gen_eig_2x2(real)[1].dtype == np.float64
+            for theta in (1.3, math.pi):
+                pencil = build_block(case, geometry, 6, 2.0, 0.2, theta, m=m)
+                assert pencil.h.dtype == pencil.a.dtype == np.complex128
+                assert gen_eig_2x2(pencil)[1].dtype == np.complex128
+
+    def test_one_complex_input_makes_the_pencil_complex(self):
+        h = np.array([[15.0, 1.7], [1.7, 19.0]])
+        a = np.array([[1.0, 0.1], [0.1, 1.0]])
+        assert GenEig2(h, a).h.dtype == np.float64
+        assert GenEig2(h.astype(complex), a).a.dtype == np.complex128
+        assert GenEig2(h, a.astype(complex)).h.dtype == np.complex128
+        assert GenEig2([[15, 1], [1, 19]], [[1, 0], [0, 1]]).h.dtype == np.float64
+
+    def test_real_route_values_equal_the_complex_route(self):
+        """2000 stacks: the float64 solve gives the complex128 solve's bits."""
+        for problem in _random_scan_stacks(2000, seed=21):
+            real_values, real_vectors = gen_eig_2x2(problem)
+            values, vectors = gen_eig_2x2(GenEig2(problem.h.astype(complex),
+                                                  problem.a.astype(complex)))
+            np.testing.assert_array_equal(real_values, values)
+            assert real_vectors.dtype == np.float64 and vectors.dtype == np.complex128
+
+    def test_real_hermitian_test_compares_h01_with_h10(self):
+        h = np.array([[1.0, 2.0], [2.0 + 1e-9, 1.0]])
+        with pytest.raises(DomainError, match="h is not Hermitian"):
+            GenEig2(h, np.eye(2))
+        with pytest.raises(DomainError, match="h is not Hermitian"):
+            GenEig2(h.astype(complex), np.eye(2))
+        h[1, 0] = 2.0 + 1e-14
+        GenEig2(h, np.eye(2))
+        GenEig2(h.astype(complex), np.eye(2))
+
 
 class TestClosedForms:
     def test_ring_case_i_reference_point(self):
@@ -308,6 +383,15 @@ class TestValidation:
         with pytest.raises(CaseError):
             superpose_ring("neither", 4, 1.0, 0.1)
 
+    @pytest.mark.parametrize("solve", [superpose_ring, superpose_harmonic])
+    def test_nan_sigma_ell_is_a_domain_error(self, solve):
+        with pytest.raises(DomainError, match="sigma_ell must be finite, got nan"):
+            solve("i", 4, math.nan, 0.1)
+
+    def test_m_check_is_the_nearest_integer(self):
+        """sigma_ell + 1/2 rounds up to 1 here; the ground state is still m = 0."""
+        assert superpose_ring("i", 4, 0.49999999999999994, 0.1).m_check == 0
+
     def test_case_ii_needs_positive_spin(self):
         with pytest.raises(DomainError):
             superpose_ring("ii", 0, 0.0, 0.1)
@@ -387,6 +471,29 @@ class TestSmallEps:
         with pytest.raises(DomainError):
             small_eps_delta_e("ii", "ring", 4, -1.0, 0.1)
 
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
+    @pytest.mark.parametrize("ell, sigma_ell, eps", [
+        (4, 1.0, math.nan), (4, 1.0, math.inf), (4, 1.0, -0.1), (4, 1.0, 1.0),
+        (4, 7.0, 0.1), (4, -7.0, 0.1), (4, math.inf, 0.1), (4, math.nan, 0.1),
+        (4.5, 1.0, 0.1), (-4, 1.0, 0.1), (4, 7.0, math.nan),
+    ])
+    def test_shares_the_checks_of_superpose(self, case, geometry, ell, sigma_ell, eps):
+        """The expansion raises what the exact form raises, in the same order."""
+        solve = superpose_ring if geometry == "ring" else superpose_harmonic
+        with pytest.raises(Exception) as exact:
+            solve(case, ell, sigma_ell, eps)
+        with pytest.raises(type(exact.value), match=f"^{re.escape(str(exact.value))}$"):
+            small_eps_delta_e(case, geometry, ell, sigma_ell, eps)
+
+    def test_degenerate_level_warns_and_takes_the_lower_m(self):
+        with pytest.raises(DegeneracyError):
+            superpose_ring("i", 4, 1.5, 0.1)
+        with pytest.warns(ExpansionWarning, match="sigma_ell = 1.5 makes the single-state "
+                                                  "ground level degenerate"):
+            shift = small_eps_delta_e("i", "ring", 4, 1.5, 0.1)
+        assert shift == -abs(1.5 * ground_m(1.5)) * 0.1**2
+
 
 class TestFeasibility:
     def test_sweep_emits_every_grid_point(self):
@@ -408,6 +515,26 @@ class TestFeasibility:
         for p in points:
             result = superpose_harmonic("ii", 16, p.sigma_ell, p.epsilon)
             assert p.mixing_ratio == result.mixing_ratio
+
+    @pytest.mark.parametrize("case, sigma_ells, delta_alphas", [
+        ("ii", [-1.0], [1.0, -1.0]),         # the first row's own checks come first
+        ("i", [0.0], [1.0, 0.0, -1.0]),      # epsilon = 1 in column 1 before column 2
+        ("i", [0.0, 1.0], [-1.0, 1.0]),      # a negative first column before the row
+        ("ii", [1.0, -1.0], [1.0, 0.5, -1.0]),
+        ("i", [1.0, 0.0], [0.0, 1.0]),       # the second row's epsilon = 1
+        ("i", [2.0], [1.0, math.nan, -1.0]),
+    ])
+    @pytest.mark.parametrize("convention", ["paper", "standard", "fancy"])
+    def test_sweep_raises_what_its_first_failing_point_raises(self, case, sigma_ells,
+                                                              delta_alphas, convention):
+        """Point by point, in row order, the first point that fails decides."""
+        with pytest.raises(Exception) as first:
+            for s in sigma_ells:
+                for da in delta_alphas:
+                    superpose_ring(case, 4, s, epsilon_param(da, s / 4, convention))
+        with pytest.raises(type(first.value), match=f"^{re.escape(str(first.value))}$"):
+            feasibility_sweep(case, "ring", 4, sigma_ells, delta_alphas,
+                              convention=convention)
 
     def test_sweep_validation(self):
         with pytest.raises(UsageError):
