@@ -302,6 +302,14 @@ GOLDEN_OUTPUTS = [
     (["superpose", "--geometry", "ring", "--case", "ii", "--ell", "16",
       "--sigma-ell", "1:12:12", "--delta-alpha", "0.5:4:351"],
      "3eb3517abf07baa2b0c81e5cbe1a1d1a711d931e435474ba6753e04013b077ab"),
+    (["spectrum", "--geometry", "ring", "--ell", "4", "--format", "json"],
+     "a6c6a0470c363c5414ccb0f57f76dd89baee7c0712f9479d0d14f2118cc2810c"),
+    (["spectrum", "--geometry", "harmonic", "--ell", "4", "--format", "json"],
+     "626e51676db0e239dcdaaa56ec14727e8a73bfdd8d838d17cb91a8ef5ad61658"),
+    (["gap", "--geometry", "ring", "--ell", "4", "--format", "json"],
+     "5165efc568fb19ff9a0958e6f27bc61b80ec7a25a49cfe48aff69604d1c892a8"),
+    (["gap", "--geometry", "harmonic", "--ell", "6", "--format", "json"],
+     "1c898647b53410a410e1ab444329c1f1d10548597bcd7cda2e55609541dfe751"),
 ]
 
 
