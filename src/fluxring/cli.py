@@ -1,33 +1,38 @@
 """Sweep-oriented command line: spectrum | gap | superpose | verify.
 
 All energies are emitted dimensionless with the unit named in a
-`# unit:` comment line (CSV) or a "unit" key (JSON).  Floats print as
-%.12e and bools as 1/0, so identical requests produce byte-identical
-files.  Exit codes: 0 success, 1 usage, 2 validation, 3 verification
-failure.  Library warnings print on stderr as one line each,
-`fluxring: warning: <message>`, and leave the exit code alone.
+`# unit:` comment line (CSV) or a "unit" key (JSON).  A table's row type
+declares its column types, and each table format builds one %-template
+per row type from them: CSV cells are %.12e floats, decimal ints and 1/0
+bools; JSON is json.dumps(..., indent=2) of {"unit", "rows"}, floats as
+their repr and bools as true/false.  Identical requests produce
+byte-identical files.  Exit codes: 0 success, 1 usage, 2 validation,
+3 verification failure.  Library warnings print on stderr as one line
+each, `fluxring: warning: <message>`, and leave the exit code alone.
+
+Each subcommand imports only what it runs.  spectrum and gap load the
+ring and trap spectra alone (no numpy, darkstate, superposition or
+dataclasses); superpose adds darkstate and superposition; verify adds
+the oracle, numpy and scipy.linalg; json loads where JSON is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 import warnings
-from typing import Sequence
+from itertools import product
+from operator import itemgetter
+from typing import NamedTuple, Sequence, get_type_hints
 
-from .darkstate import FluxCase, case_of, classify_flux_case, epsilon_param
 from .errors import (CaseError, ConvergenceError, DomainError, UsageError,
                      ValidationError, VerificationError)
-from .harmonic import harmonic_gap, harmonic_spectrum_sweep
-from .params import FieldConfig, GeometryKind, GeometrySpec, as_geometry_kind, energy_unit
-from .ring import _check_table_rows, ring_gap, ring_spectrum_sweep
-
-# The superposition and oracle layers are imported inside the commands that
-# use them.  Only the oracle loads numpy at import, so spectrum, gap and
-# superpose requests never load numpy.
+from .harmonic import _UNIT_LABEL as _HARMONIC_LABEL
+from .harmonic import HarmonicSweepRow, harmonic_gap, harmonic_spectrum_sweep
+from .ring import _UNIT_LABEL as _RING_LABEL
+from .ring import RingSweepRow, _check_table_rows, ring_gap, ring_spectrum_sweep
 
 __all__ = ["main"]
 
@@ -77,14 +82,6 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
-def _fmt_csv(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, str)):
-        return str(value)
-    return "%.12e" % value
-
-
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -93,57 +90,122 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _emit_table(unit: str, header: Sequence[str], rows: Sequence[tuple],
-                fmt: str, out: str | None) -> None:
-    if fmt == "csv":
-        lines = [f"# unit: {unit}", ",".join(header)]
-        lines.extend(",".join(_fmt_csv(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "unit": unit,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    _write(text, out)
+class _GapRow(NamedTuple):
+    """One row of a gap table; the annotations are its column types."""
+
+    sigma_ell: float
+    gap: float
 
 
-def _unit_label(geometry: GeometryKind) -> str:
-    spec = (GeometrySpec.ring() if geometry is GeometryKind.RING
-            else GeometrySpec.harmonic())
-    return energy_unit(spec).label
+# The %-conversion of a cell by its column type.  A JSON float is its repr,
+# as json.dumps writes a finite float; a JSON bool is spelled in the template.
+_CSV_CELLS = {float: "%.12e", int: "%d", bool: "%d", str: "%s"}
+_JSON_CELLS = {float: "%r", int: "%d"}
 
 
-def _sigma_grid(args, ell: int, geometry: GeometryKind) -> list[float]:
+class _Bare(str):
+    """Text that %r writes unquoted: json.dumps's spelling of a non-finite float."""
+
+    __repr__ = str.__str__
+
+
+_JSON_NON_FINITE = {"inf": _Bare("Infinity"), "-inf": _Bare("-Infinity"), "nan": _Bare("NaN")}
+
+
+def _column_types(schema: type) -> list[type]:
+    hints = get_type_hints(schema)
+    return [hints[name] for name in schema._fields]
+
+
+def _csv_table(unit: str, schema: type, rows: Sequence[tuple], fixed: dict) -> str:
+    literals = [(_CSV_CELLS[type(value)] % value).replace("%", "%%")
+                for value in fixed.values()]
+    template = ",".join(literals + [_CSV_CELLS[t] for t in _column_types(schema)]) + "\n"
+    return (f"# unit: {unit}\n" + ",".join([*fixed, *schema._fields]) + "\n"
+            + "".join(map(template.__mod__, rows)))
+
+
+def _json_table(unit: str, schema: type, rows: Sequence[tuple], fixed: dict) -> str:
+    import json
+
+    types = _column_types(schema)
+    lead = "".join(f"\n      {json.dumps(key)}: {json.dumps(value)},"
+                   for key, value in fixed.items()).replace("%", "%%")
+    keys = [f"\n      {json.dumps(name)}: ".replace("%", "%%") for name in schema._fields]
+    flags = [k for k, t in enumerate(types) if t is bool]
+    # one template per spelling of the bool cells, keyed by their values as
+    # itemgetter(*flags) returns them; %.0s takes a bool and prints nothing
+    templates = {}
+    for values in product((False, True), repeat=len(flags)):
+        spelled = iter(values)
+        cells = ["%.0s" + ("true" if next(spelled) else "false") if t is bool
+                 else _JSON_CELLS[t] for t in types]
+        key = values[0] if len(flags) == 1 else values
+        templates[key] = "\n    {" + lead + ",".join(map(str.__add__, keys, cells)) + "\n    }"
+
+    def body(rows: Sequence[tuple]) -> str:
+        if not flags:
+            return ",".join(map(templates[()].__mod__, rows))
+        pick = itemgetter(*flags)
+        return ",".join([templates[pick(row)] % row for row in rows])
+
+    text = body(rows)
+    if "inf" in text or "nan" in text:  # a non-finite float (or a key that spells one)
+        text = body([tuple(_JSON_NON_FINITE.get(repr(v), v) if type(v) is float else v
+                           for v in row) for row in rows])
+    return ('{\n  "unit": ' + json.dumps(unit) + ',\n  "rows": ['
+            + (text + "\n  ]" if rows else "]") + "\n}\n")
+
+
+def _emit_table(unit: str, schema: type, rows: Sequence[tuple], fmt: str,
+                out: str | None, fixed: dict | None = None) -> None:
+    """Write rows of the row type `schema` as a CSV or JSON table.
+
+    The cells of a row are formatted by one %-template built from the
+    column types of `schema`.  fixed maps leading columns that hold the
+    same value in every row to that value: it is baked into the
+    template, and the rows leave it out.
+    """
+    table = _csv_table if fmt == "csv" else _json_table
+    _write(table(unit, schema, rows, fixed or {}), out)
+
+
+# --geometry is ring or harmonic (argparse choices): the commands dispatch on
+# the string, so spectrum and gap never load params
+_UNIT_LABELS = {"ring": _RING_LABEL, "harmonic": _HARMONIC_LABEL}
+
+
+def _sigma_grid(args) -> list[float]:
     if args.sigma_ell is not None:
         return _parse_grid(args.sigma_ell)
-    if geometry is GeometryKind.RING:
+    if args.geometry == "ring":
         return _linspace(-6.0, 6.0, 601)
+    ell = args.ell
     if ell <= 0:  # a negative ell is left for the trap spectrum to reject
         return [0.0]
     return _linspace(-float(ell), float(ell), 8 * ell + 1)
 
 
 def cmd_spectrum(args) -> int:
-    geometry = as_geometry_kind(args.geometry)
-    grid = _sigma_grid(args, args.ell, geometry)
-    sweep = (ring_spectrum_sweep if geometry is GeometryKind.RING
-             else harmonic_spectrum_sweep)
+    grid = _sigma_grid(args)
+    if args.geometry == "ring":
+        sweep, schema = ring_spectrum_sweep, RingSweepRow
+    else:
+        sweep, schema = harmonic_spectrum_sweep, HarmonicSweepRow
     rows = sweep(args.ell, grid, m_window=args.m_window)
-    _emit_table(_unit_label(geometry), rows[0]._fields, rows, args.format, args.out)
+    _emit_table(_UNIT_LABELS[args.geometry], schema, rows, args.format, args.out)
     return 0
 
 
 def cmd_gap(args) -> int:
-    geometry = as_geometry_kind(args.geometry)
-    grid = _sigma_grid(args, args.ell, geometry)
-    gap_of = ring_gap if geometry is GeometryKind.RING else harmonic_gap
+    grid = _sigma_grid(args)
+    gap_of = ring_gap if args.geometry == "ring" else harmonic_gap
     rows = [(s, gap_of(args.ell, s)) for s in grid]
-    _emit_table(_unit_label(geometry), ["sigma_ell", "gap"], rows, args.format, args.out)
+    _emit_table(_UNIT_LABELS[args.geometry], _GapRow, rows, args.format, args.out)
     return 0
 
 
-def _superpose_point(args, geometry: GeometryKind) -> int:
+def _superpose_point(args) -> int:
     """Amplitude mode: classify the fields, then solve the single point."""
     missing = [flag for flag, value in (("--alpha-plus", args.alpha_plus),
                                         ("--alpha-minus", args.alpha_minus),
@@ -153,6 +215,9 @@ def _superpose_point(args, geometry: GeometryKind) -> int:
         raise UsageError(f"amplitude mode needs {', '.join(missing)}")
     if args.beta_mag2 < 0.0:
         raise DomainError(f"--beta-mag2 must be >= 0, got {args.beta_mag2}")
+    from .darkstate import FluxCase, case_of, classify_flux_case, epsilon_param
+    from .params import FieldConfig
+
     config = FieldConfig(args.alpha_plus, args.alpha_minus,
                          beta=math.sqrt(args.beta_mag2),
                          theta=args.theta, ell=args.ell)
@@ -167,36 +232,39 @@ def _superpose_point(args, geometry: GeometryKind) -> int:
     sigma = spins.sigma_plus
     delta_alpha = abs(args.alpha_plus - args.alpha_minus)
     eps = epsilon_param(delta_alpha, sigma, args.overlap_convention)
+    import json
+
     from .superposition import superpose_harmonic, superpose_ring
 
-    solve = superpose_ring if geometry is GeometryKind.RING else superpose_harmonic
+    solve = superpose_ring if args.geometry == "ring" else superpose_harmonic
     result = solve(verdict.case, args.ell, sigma * args.ell, eps, args.theta)
     _write(json.dumps(result.to_dict(), indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_superpose(args) -> int:
-    geometry = as_geometry_kind(args.geometry)
     if (args.alpha_plus is not None or args.alpha_minus is not None
             or args.beta_mag2 is not None):
-        return _superpose_point(args, geometry)
+        return _superpose_point(args)
     # sweep mode: integer sigma_ell list x delta_alpha grid
     if args.case == "auto":
         raise UsageError("--case auto needs field amplitudes; sweeps take --case i|ii")
     if args.sigma_ell is None or args.delta_alpha is None:
         raise UsageError("sweep mode needs --sigma-ell and --delta-alpha")
-    from .superposition import feasibility_sweep
+    from .superposition import FeasibilityPoint, feasibility_sweep
 
-    points = feasibility_sweep(args.case, geometry, args.ell, _parse_grid(args.sigma_ell),
-                               _parse_grid(args.delta_alpha), args.theta,
-                               args.overlap_convention)
-    fixed = (case_of(args.case).value, geometry.value, args.ell)
-    _emit_table(_unit_label(geometry), ("case", "geometry", "ell") + points[0]._fields,
-                [fixed + point for point in points], args.format, args.out)
+    points = feasibility_sweep(args.case, args.geometry, args.ell,
+                               _parse_grid(args.sigma_ell), _parse_grid(args.delta_alpha),
+                               args.theta, args.overlap_convention)
+    _emit_table(_UNIT_LABELS[args.geometry], FeasibilityPoint, points, args.format,
+                args.out, fixed={"case": args.case, "geometry": args.geometry,
+                                 "ell": args.ell})
     return 0
 
 
 def cmd_verify(args) -> int:
+    import json
+
     from .oracle import run_verification
 
     report = run_verification(ring_grid=args.ring_grid, radial_grid=args.radial_grid,

@@ -18,7 +18,6 @@ the density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
@@ -26,6 +25,9 @@ from .ring import _square_sum, _sweep_window, ground_m
 
 if TYPE_CHECKING:  # the array functions import numpy, so spectra and gaps load without it
     import numpy as np
+
+# Energy unit of every trap table; params.energy_unit names it too.
+_UNIT_LABEL = "hbar*Omega"
 
 __all__ = [
     "mu",
@@ -94,7 +96,11 @@ def harmonic_gap(ell: int, sigma_ell: float) -> float:
 
 
 class HarmonicSweepRow(NamedTuple):
-    """One row of the trap spectrum table; the field names are its columns."""
+    """One row of the trap spectrum table.
+
+    The field names are its columns and the annotations their types,
+    which the CLI's table templates format by.
+    """
 
     sigma_ell: float
     n: int
@@ -115,15 +121,19 @@ def harmonic_spectrum_sweep(ell: int, sigma_ell_values: Sequence[float] | Iterab
     must at least contain the ground state plus one neighbor.
     """
     grid, m_window = _sweep_window(ell, sigma_ell_values, m_window, levels=3)
+    ms = range(-m_window, m_window + 1)
     rows: list[HarmonicSweepRow] = []
+    new_row = tuple.__new__  # HarmonicSweepRow(...) without its __new__ frame
     for s in grid:
         gap = harmonic_gap(ell, s)
         e_min = harmonic_energy(ell, s, *ground_quantum_numbers(s))
+        mus = [mu(ell, s, m) for m in ms]  # mu_m is the same at every n
         for n in range(3):
-            for m in range(-m_window, m_window + 1):
-                energy = harmonic_energy(ell, s, n, m)
-                rows.append(HarmonicSweepRow(s, n, m, mu(ell, s, m), energy,
-                                             energy == e_min, gap))
+            level = 2.0 * n  # harmonic_energy's 2 n + mu + 1, summed in its order
+            for m, mu_m in zip(ms, mus):
+                energy = level + mu_m + 1.0
+                rows.append(new_row(HarmonicSweepRow,
+                                    (s, n, m, mu_m, energy, energy == e_min, gap)))
     return rows
 
 
@@ -163,40 +173,64 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-@dataclass(frozen=True)
-class RadialFunction:
-    """Evaluator for the normalized radial profile f_{n,m}(r).
+def __getattr__(name: str):
+    # PEP 562: RadialFunction is built the first time anything asks for it
+    if name == "RadialFunction":
+        return _radial_function_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-    Calling it with r (scalar or array, in units of r0) assembles the
-    prefactor in the log domain, so large mu never overflows.
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "RadialFunction"})
+
+
+def _radial_function_class() -> type:
+    """RadialFunction, a frozen dataclass, defined on first use.
+
+    dataclasses loads inspect, about 7 ms a process; spectrum and gap
+    requests import this module but never build a radial function.
     """
+    global RadialFunction
+    if "RadialFunction" in globals():
+        return RadialFunction
+    from dataclasses import dataclass, field
 
-    ell: int
-    sigma_ell: float
-    n: int
-    m: int
-    mu: float
-    log_norm: float = field(repr=False)
+    @dataclass(frozen=True)
+    class RadialFunction:
+        """Evaluator for the normalized radial profile f_{n,m}(r).
 
-    def __call__(self, r):
-        import numpy as np
+        Calling it with r (scalar or array, in units of r0) assembles the
+        prefactor in the log domain, so large mu never overflows.
+        """
 
-        rs = np.asarray(r, dtype=float)
-        if np.any(rs < 0.0):
-            raise DomainError("r must be >= 0")
-        x = 0.5 * rs * rs
-        logx = np.log(np.where(x > 0.0, x, 1.0))
-        axis = -np.inf if self.mu > 0.0 else 0.0  # limit of mu log x at the axis
-        logpre = (self.log_norm - 0.5 * x
-                  + np.where(x > 0.0, 0.5 * self.mu * logx, axis))
-        value = np.exp(logpre) * laguerre_gen(self.n, self.mu, x)
-        return float(value) if np.isscalar(r) else value
+        ell: int
+        sigma_ell: float
+        n: int
+        m: int
+        mu: float
+        log_norm: float = field(repr=False)
 
-    def peak_radius(self) -> float:
-        """Density maximum sqrt(2 mu) of the n = 0 profile."""
-        if self.n != 0:
-            raise DomainError("peak_radius is defined for n = 0 profiles")
-        return math.sqrt(2.0 * self.mu)
+        def __call__(self, r):
+            import numpy as np
+
+            rs = np.asarray(r, dtype=float)
+            if np.any(rs < 0.0):
+                raise DomainError("r must be >= 0")
+            x = 0.5 * rs * rs
+            logx = np.log(np.where(x > 0.0, x, 1.0))
+            axis = -np.inf if self.mu > 0.0 else 0.0  # limit of mu log x at the axis
+            logpre = (self.log_norm - 0.5 * x
+                      + np.where(x > 0.0, 0.5 * self.mu * logx, axis))
+            value = np.exp(logpre) * laguerre_gen(self.n, self.mu, x)
+            return float(value) if np.isscalar(r) else value
+
+        def peak_radius(self) -> float:
+            """Density maximum sqrt(2 mu) of the n = 0 profile."""
+            if self.n != 0:
+                raise DomainError("peak_radius is defined for n = 0 profiles")
+            return math.sqrt(2.0 * self.mu)
+
+    return RadialFunction
 
 
 def radial_wavefunction(ell: int, sigma_ell: float, n: int, m: int) -> RadialFunction:
@@ -214,7 +248,7 @@ def radial_wavefunction(ell: int, sigma_ell: float, n: int, m: int) -> RadialFun
     if not math.isfinite(log_norm) or abs(log_norm) > 700.0:
         raise DomainError(
             f"normalization prefactor out of representable range for mu={mu_nm}")
-    return RadialFunction(ell, sigma_ell, n, m, mu_nm, log_norm)
+    return _radial_function_class()(ell, sigma_ell, n, m, mu_nm, log_norm)
 
 
 def radial_profile(f: RadialFunction, r_max: float, n_points: int = 512) -> np.ndarray:

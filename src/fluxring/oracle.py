@@ -54,24 +54,27 @@ class OracleReport:
 
     @classmethod
     def from_arrays(cls, computed, reference, metadata: dict | None = None) -> "OracleReport":
+        """Compare computed with reference cell by cell.
+
+        A cell deviates by |computed - reference| absolutely and by that
+        over max(|reference|, 1) relatively; the report keeps the largest
+        of each, 0.0 for no cells.  A cell where either side is infinite
+        or NaN has no meaningful deviation: then both maxima are NaN, and
+        NaN fails every tolerance.  No numpy warning is raised.  A report
+        holds one to a few cells, so the deviations are plain floats.
+        """
         computed = np.asarray(computed, dtype=float)
         reference = np.asarray(reference, dtype=float)
         if computed.shape != reference.shape:
             raise ValidationError("computed and reference lists differ in length")
-        abs_dev = np.abs(computed - reference)
-        rel_dev = abs_dev / np.maximum(np.abs(reference), 1.0)
-        return cls(computed, reference, _peak(abs_dev), _peak(rel_dev), dict(metadata or {}))
-
-
-def _peak(deviations: np.ndarray) -> float:
-    """Largest of some nonnegative deviations, 0.0 for none and NaN when any is NaN.
-
-    deviations.max(initial=0.0) as a float, without its numpy call: a
-    report holds one to a few deviations.
-    """
-    values = deviations.ravel().tolist()
-    total = sum(values)  # NaN exactly when some value is: none is negative
-    return total if total != total else max(values, default=0.0)
+        got = computed.ravel().tolist()
+        want = reference.ravel().tolist()
+        if not (all(map(math.isfinite, got)) and all(map(math.isfinite, want))):
+            return cls(computed, reference, math.nan, math.nan, dict(metadata or {}))
+        abs_dev = [abs(c - r) for c, r in zip(got, want)]  # may overflow to inf, silently
+        rel_dev = [d / max(abs(r), 1.0) for d, r in zip(abs_dev, want)]
+        return cls(computed, reference, max(abs_dev, default=0.0), max(rel_dev, default=0.0),
+                   dict(metadata or {}))
 
 
 # ---------------------------------------------------------------------------

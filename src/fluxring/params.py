@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .harmonic import _UNIT_LABEL as _HARMONIC_LABEL
+from .ring import _UNIT_LABEL as _RING_LABEL
 
 __all__ = [
     "HBAR",
@@ -172,10 +174,6 @@ class EnergyUnit:
         if value <= 0.0:
             raise ConfigError(f"energy unit must be > 0, got {value}")
         object.__setattr__(self, "value", value)
-
-
-_RING_LABEL = "hbar^2/2I"
-_HARMONIC_LABEL = "hbar*Omega"
 
 
 def energy_unit(geometry: GeometrySpec) -> EnergyUnit:

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 
+# Energy unit of every ring table; params.energy_unit names it too.
+_UNIT_LABEL = "hbar^2/2I"
+
 # Largest table a sweep builds.  The biggest real one (trap spectrum at
 # ell = 12) has about 8.4k rows; a request past this limit is refused
 # before anything is allocated.
@@ -44,8 +47,13 @@ def _square_sum(ell: int, sigma_ell: float, m: int) -> float:
     try:
         return float(ell * ell + m * m)
     except OverflowError:
-        raise DomainError(f"ell^2 + m^2 exceeds the float range at ell={ell}, "
-                          f"sigma_ell={sigma_ell}") from None
+        raise _square_sum_error(ell, sigma_ell) from None
+
+
+def _square_sum_error(ell: int, sigma_ell: float) -> DomainError:
+    """The error of an ell^2 + m^2 with no float, for callers that convert it inline."""
+    return DomainError(f"ell^2 + m^2 exceeds the float range at ell={ell}, "
+                       f"sigma_ell={sigma_ell}")
 
 
 def ring_energy(ell: int, sigma_ell: float, m: int) -> float:
@@ -93,7 +101,11 @@ def ring_gap(ell: int, sigma_ell: float) -> float:
 
 
 class RingSweepRow(NamedTuple):
-    """One row of the ring spectrum table; the field names are its columns."""
+    """One row of the ring spectrum table.
+
+    The field names are its columns and the annotations their types,
+    which the CLI's table templates format by.
+    """
 
     sigma_ell: float
     m: int
@@ -144,13 +156,15 @@ def ring_spectrum_sweep(ell: int, sigma_ell_values: Sequence[float] | Iterable[f
     least contain the ground state plus one neighbor.
     """
     grid, m_window = _sweep_window(ell, sigma_ell_values, m_window, levels=1)
+    ms = range(-m_window, m_window + 1)
     rows: list[RingSweepRow] = []
+    new_row = tuple.__new__  # RingSweepRow(...) without its __new__ frame
     for s in grid:
         gap = ring_gap(ell, s)
-        energies = {m: ring_energy(ell, s, m) for m in range(-m_window, m_window + 1)}
-        e_min = energies[ground_m(s)]
-        for m in range(-m_window, m_window + 1):
-            rows.append(RingSweepRow(s, m, energies[m], energies[m] == e_min, gap))
+        energies = [ring_energy(ell, s, m) for m in ms]
+        e_min = energies[ground_m(s) + m_window]
+        rows += [new_row(RingSweepRow, (s, m, energy, energy == e_min, gap))
+                 for m, energy in zip(ms, energies)]
     return rows
 
 

@@ -19,8 +19,9 @@ cancellation-free identities 1 - s = eps^2 / (1 + s) and
 R - sigma = eps^2 / (R + sigma).
 
 Single points, sweep rows and boundary searches share one engine: the
-checks, the block parameters and the gap depend on sigma_ell alone and
-are computed once per row (_row); one kernel loop (_closed_forms) then
+checks and the block parameters depend on sigma_ell alone and are
+computed once per row (_row), and so is the single-state gap where a
+verdict reads it (_gap); one kernel loop (_closed_forms) then
 evaluates a row's epsilons, a whole sweep row per call.  A pencil, one
 2x2 block or a (k, 2, 2) stack sharing one overlap, is built by
 build_block, checked (finite, Hermitian, |eps| < 1) by GenEig2 and
@@ -48,7 +49,7 @@ from .errors import (CaseError, DegeneracyError, DomainError, ExpansionWarning,
                      SingularOverlapError, UsageError, VerificationError)
 from .harmonic import harmonic_gap
 from .params import GeometryKind, as_geometry_kind
-from .ring import _check_table_rows, ground_m, ring_gap
+from .ring import _check_table_rows, _square_sum_error, ground_m, ring_gap
 
 if TYPE_CHECKING:  # the pencil code imports numpy, so points and sweeps load without it
     import numpy as np
@@ -262,12 +263,16 @@ def _block_parameters(geometry: GeometryKind, ell: int, sigma_ell: float,
     H = [[c + d, .], [., c - d]] with off-diagonal q_eff e^{i theta},
     where q_eff = eps * c in case (i) and q_eff = -q * eps in case (ii).
     """
+    try:
+        squares = float(ell * ell + m * m)
+    except OverflowError:
+        raise _square_sum_error(ell, sigma_ell) from None
     if geometry is GeometryKind.RING:
-        center = float(ell * ell + m * m)
+        center = squares
         d = 2.0 * sigma_ell * m
         q = 2.0 * ell * m
     else:
-        radicand = ell * ell + m * m - 2.0 * abs(sigma_ell * m)
+        radicand = squares - 2.0 * abs(sigma_ell * m)
         if radicand < 0.0:
             raise DomainError(
                 f"radial exponent undefined for ell={ell}, sigma_ell={sigma_ell}, m={m}")
@@ -348,7 +353,10 @@ def _block_stack(geo: GeometryKind, ell: int, sigma_ell: float, epsilon: float,
 
     # ell^2 + m^2 and ell m are exact integers, each rounded once
     ell_squared = ell * ell
-    squares = np.array([ell_squared + mm * mm for mm in ms], dtype=float)
+    try:
+        squares = np.array([ell_squared + mm * mm for mm in ms], dtype=float)
+    except OverflowError:
+        raise _square_sum_error(ell, sigma_ell) from None
     mf = np.fromiter(ms, float, len(ms))
     if geo is GeometryKind.RING:
         center = squares
@@ -379,7 +387,7 @@ def _block_stack(geo: GeometryKind, ell: int, sigma_ell: float, epsilon: float,
 
 
 class _Row(NamedTuple):
-    """Everything a superposition depends on except epsilon.
+    """Everything a superposition depends on except epsilon and the gap.
 
     One value serves a whole sweep row or boundary search at fixed
     sigma_ell; sigma is 0 in case (i), where no closed form reads it.
@@ -393,7 +401,6 @@ class _Row(NamedTuple):
     d: float
     q: float
     sigma: float
-    gap: float
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -449,11 +456,19 @@ def _row(kind: FluxCase, geo: GeometryKind, ell: int, sigma_ell: float, epsilon:
                           "singular, exact forms remain valid", ExpansionWarning,
                           stacklevel=stacklevel)
     center, d, q = _block_parameters(geo, ell, sigma_ell, mc)
-    gap = (ring_gap(ell, sigma_ell) if geo is GeometryKind.RING
-           else harmonic_gap(ell, sigma_ell))
     # _Row(...) without its __new__ frame
     return tuple.__new__(_Row, (kind is FluxCase.CASE_I, ell, float(sigma_ell), mc,
-                                center, d, q, sigma, gap))
+                                center, d, q, sigma))
+
+
+def _gap(geo: GeometryKind, ell: int, sigma_ell: float) -> float:
+    """The single-state gap a verdict compares |delta_e| with.
+
+    Callers take it right after _row, so its errors (an energy beyond
+    the float range) come before any later check; the block scan, which
+    judges nothing, never computes it.
+    """
+    return ring_gap(ell, sigma_ell) if geo is GeometryKind.RING else harmonic_gap(ell, sigma_ell)
 
 
 def _closed_forms(row: _Row, epsilons: Iterable[float]) -> list[float]:
@@ -499,6 +514,7 @@ def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
     row = _row(kind, geo, ell, sigma_ell, epsilon, theta, stacklevel=4)
+    gap = _gap(geo, row.ell, sigma_ell)
     delta_e, mixing, xi_low, zeta_low = _closed_forms(row, (epsilon,))
     center, d = row.center, row.d
     e_zero = center + d  # sgn(sigma_ell * m_check) <= 0 keeps d <= 0 here
@@ -527,8 +543,8 @@ def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
         case=kind, geometry=geo, ell=row.ell, sigma_ell=row.sigma_ell,
         epsilon=float(epsilon), theta=float(theta), m_check=row.m_check,
         e_zero=e_zero, e_plus=e_zero + delta_e, e_minus=(center - d) - delta_e,
-        delta_e=delta_e, gap=row.gap, mixing_ratio=mixing, feasible=shift < row.gap,
-        boundary=shift == row.gap, xi=xi, zeta=zeta,
+        delta_e=delta_e, gap=gap, mixing_ratio=mixing, feasible=shift < gap,
+        boundary=shift == gap, xi=xi, zeta=zeta,
         xi_unit=unit(xi, (1.0 + 0.0j, 0.0j)), zeta_unit=unit(zeta, (0.0j, 1.0 + 0.0j)))
 
 
@@ -656,6 +672,7 @@ def feasibility_sweep(case, geometry, ell: int,
         root = _spin_root(s / ell)
         if damps:
             row = _row(kind, geo, ell, s, damps[0] * root, theta, stacklevel=3)
+            gap = _gap(geo, row.ell, s)
         else:
             # the first row checks each delta_alpha in its point's turn, so the
             # errors come in the order of a point-by-point sweep
@@ -664,10 +681,10 @@ def feasibility_sweep(case, geometry, ell: int,
                 damp = _damping(da, convention)
                 if row is None:
                     row = _row(kind, geo, ell, s, damp * root, theta, stacklevel=3)
+                    gap = _gap(geo, row.ell, s)
                 elif not 0.0 <= damp * root < 1.0:
                     _check_epsilon(damp * root)
                 damps.append(damp)
-        gap = row.gap
         epsilons = [damp * root for damp in damps]
         forms = _closed_forms(row, epsilons)
         delta_e, mixing = forms[0::4], forms[1::4]
@@ -694,14 +711,16 @@ def feasibility_boundary(case, geometry, ell: int, sigma_ell: float,
     root = _spin_root(sigma_ell / ell)
 
     row = None
+    gap = math.nan
 
     def excess(da: float) -> float:
-        nonlocal row
+        nonlocal row, gap
         eps = _damping(da, convention) * root  # epsilon_param(da, sigma_ell / ell)
         if row is None:
             # the warning skips _row, this closure and feasibility_boundary
             row = _row(kind, geo, ell, sigma_ell, eps, theta, stacklevel=4)
-        return abs(_closed_forms(row, (eps,))[0]) - row.gap
+            gap = _gap(geo, row.ell, sigma_ell)
+        return abs(_closed_forms(row, (eps,))[0]) - gap
 
     lo = 0.0
     try:

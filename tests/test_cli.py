@@ -3,11 +3,14 @@
 import json
 import math
 import time
+from typing import NamedTuple
 
 import pytest
 
-from fluxring import UsageError, feasibility_sweep, ground_m, harmonic_spectrum_sweep
-from fluxring.cli import main
+from fluxring import (FeasibilityPoint, HarmonicSweepRow, RingSweepRow, UsageError,
+                      feasibility_sweep, ground_m, harmonic_gap, harmonic_spectrum_sweep,
+                      ring_gap, ring_spectrum_sweep)
+from fluxring.cli import _column_types, _csv_table, _GapRow, _json_table, main
 
 RING_WINDOW_ONE = """\
 # unit: hbar^2/2I
@@ -368,6 +371,11 @@ ERROR_SURFACE = [
     # ... and epsilon = 1 in the second column before the third column's
     (["superpose", "--geometry", "ring", "--case", "i", "--ell", "4", "--sigma-ell", "0",
       "--delta-alpha", "1,0,-1"], 2, "validation error: epsilon = 1.0 >= 1\n"),
+    # ell^2 has no float: the superposition layer reports it as the spectra do
+    (["superpose", "--geometry", "ring", "--case", "i", "--ell", "1" + "0" * 200,
+      "--sigma-ell", "0", "--delta-alpha", "1"], 2,
+     f"validation error: ell^2 + m^2 exceeds the float range at ell={10**200}, "
+     "sigma_ell=0.0\n"),
 ]
 
 
@@ -438,3 +446,87 @@ class TestHarnessBehavior:
         assert main(argv + ["--out", str(first)]) == 0
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestTableTemplates:
+    """One %-template per row type writes what json.dumps and the CSV cell rules write."""
+
+    class Edge(NamedTuple):
+        x: float
+        k: int
+        flag: bool
+        y: float
+
+    class TwoFlags(NamedTuple):
+        a: bool
+        x: float
+        b: bool
+
+    class NoFlags(NamedTuple):
+        x: float
+        k: int
+
+    EDGE_ROWS = [
+        Edge(-0.0, 2**53 + 1, True, 5e-324),
+        Edge(2.2250738585072014e-308 / 3.0, -(2**64), False, 1e308),
+        Edge(math.inf, 0, True, -math.inf),
+        Edge(math.nan, -1, False, 0.1),
+        Edge(-1.7976931348623157e308, 10**30, True, 1.0 / 3.0),
+    ]
+    FIXED = {"case": "i%d", "geometry": "ring", "ell": 2**60}
+
+    @staticmethod
+    def reference_json(schema, rows, fixed):
+        return json.dumps({"unit": "hbar^2/2I", "rows": [
+            dict(fixed, **dict(zip(schema._fields, row))) for row in rows]}, indent=2) + "\n"
+
+    @staticmethod
+    def reference_csv(schema, rows, fixed):
+        def cell(value):
+            if isinstance(value, bool):
+                return "1" if value else "0"
+            return str(value) if isinstance(value, (int, str)) else "%.12e" % value
+
+        lines = ["# unit: hbar^2/2I", ",".join([*fixed, *schema._fields])]
+        lines += [",".join(map(cell, [*fixed.values(), *row])) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("fixed", [{}, FIXED], ids=["plain", "fixed"])
+    @pytest.mark.parametrize("schema, rows", [
+        (Edge, EDGE_ROWS),
+        (Edge, EDGE_ROWS[:2]),  # all finite but the subnormal: no fallback
+        (TwoFlags, [(True, 1.5, False), (False, -0.0, True), (True, math.nan, True),
+                    (False, 2.0, False)]),
+        (NoFlags, [(0.5, 3), (-math.inf, -(2**70))]),
+        (Edge, []),
+    ], ids=["edges", "finite", "two-flags", "no-flags", "empty"])
+    def test_same_text_as_json_dumps_and_the_cell_rules(self, schema, rows, fixed):
+        assert _json_table("hbar^2/2I", schema, rows, fixed) == self.reference_json(
+            schema, rows, fixed)
+        assert _csv_table("hbar^2/2I", schema, rows, fixed) == self.reference_csv(
+            schema, rows, fixed)
+
+    @pytest.mark.parametrize("schema, types", [
+        (RingSweepRow, (float, int, float, bool, float)),
+        (HarmonicSweepRow, (float, int, int, float, float, bool, float)),
+        (FeasibilityPoint, (float, float, float, float, float, float, bool)),
+        (_GapRow, (float, float)),
+    ])
+    def test_column_types_are_pinned(self, schema, types):
+        """%.12e prints an int unlike str(), so the declared types are pinned."""
+        assert tuple(_column_types(schema)) == types
+
+    def test_rows_hold_their_declared_types(self):
+        grid = [-2.5, -1.0, 0.0, 0.3, 2]
+        tables = [
+            (RingSweepRow, ring_spectrum_sweep(4, grid)),
+            (HarmonicSweepRow, harmonic_spectrum_sweep(4, grid)),
+            (FeasibilityPoint, feasibility_sweep("i", "ring", 16, [1, -3], [0, 0.5, 4])),
+            (FeasibilityPoint, feasibility_sweep("ii", "harmonic", 16, [1, 5], [0.5, 4],
+                                                 convention="standard")),
+            (_GapRow, [(float(s), gap(4, float(s))) for s in grid
+                       for gap in (ring_gap, harmonic_gap)]),
+        ]
+        for schema, rows in tables:
+            types = tuple(_column_types(schema))
+            assert all(tuple(map(type, row)) == types for row in rows), schema.__name__

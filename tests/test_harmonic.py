@@ -229,6 +229,34 @@ class TestRadialWavefunction:
             radial_wavefunction(400, 0.0, 0, 0)
 
 
+class TestRadialFunctionType:
+    """RadialFunction is defined on first use, and is the same frozen dataclass."""
+
+    def test_is_a_frozen_dataclass_of_this_module(self):
+        import dataclasses
+
+        import fluxring
+        import fluxring.harmonic as harmonic
+
+        f = radial_wavefunction(4, 1.0, 0, -1)
+        cls = harmonic.RadialFunction
+        assert type(f) is cls is fluxring.RadialFunction
+        assert (cls.__module__, cls.__qualname__) == ("fluxring.harmonic", "RadialFunction")
+        assert "RadialFunction" in dir(harmonic)
+        assert dataclasses.is_dataclass(cls)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.mu = 2.0
+        assert f == radial_wavefunction(4, 1.0, 0, -1) and hash(f) == hash(
+            radial_wavefunction(4, 1.0, 0, -1))
+        assert repr(f) == f"RadialFunction(ell=4, sigma_ell=1.0, n=0, m=-1, mu={f.mu!r})"
+
+    def test_pickles_by_name(self):
+        import pickle
+
+        f = radial_wavefunction(4, 1.0, 2, -1)
+        assert pickle.loads(pickle.dumps(f)) == f
+
+
 class TestRadialProfile:
     def test_shape_and_endpoints(self):
         f = radial_wavefunction(4, 1.0, 0, -1)

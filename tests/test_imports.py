@@ -50,8 +50,29 @@ def test_bare_import_loads_neither_numpy_nor_scipy():
 @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
 @pytest.mark.parametrize("command", ["gap", "spectrum"])
 def test_gap_and_spectrum_never_load_numpy(command, geometry, fmt):
-    assert fresh(cli_run([command, "--geometry", geometry, "--ell", "3",
-                          "--format", fmt])) == []
+    """Nor darkstate, superposition, params or dataclasses; json only for JSON."""
+    argv = [command, "--geometry", geometry, "--ell", "3", "--format", fmt]
+    loaded = fresh("import contextlib, io, sys\n"
+                   "from fluxring.cli import main\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    code = main({argv!r})\n"
+                   "assert code == 0, code\n"
+                   "loaded = sorted(sys.modules)\n"
+                   "import json\n"
+                   "print(json.dumps(loaded))\n")
+    assert "fluxring.harmonic" in loaded
+    banned = {"numpy", "scipy", "fluxring.darkstate", "fluxring.superposition",
+              "fluxring.params", "dataclasses", *(["json"] if fmt == "csv" else [])}
+    assert banned.isdisjoint(loaded)
+
+
+def test_radial_function_loads_dataclasses_on_first_use():
+    assert fresh("import json, sys\n"
+                 "import fluxring.harmonic as harmonic\n"
+                 "first = 'dataclasses' in sys.modules\n"
+                 "f = harmonic.radial_wavefunction(4, 1.0, 0, -1)\n"
+                 "print(json.dumps([first, 'dataclasses' in sys.modules,\n"
+                 "                  type(f) is harmonic.RadialFunction]))") == [False, True, True]
 
 
 @pytest.mark.parametrize("tail", [

@@ -388,6 +388,20 @@ class TestValidation:
         with pytest.raises(DomainError, match="sigma_ell must be finite, got nan"):
             solve("i", 4, math.nan, 0.1)
 
+    @pytest.mark.parametrize("route", [
+        lambda: superpose_ring("i", 10**200, 0.0, 0.1),
+        lambda: superpose_harmonic("ii", 10**200, 1.0, 0.1),
+        lambda: build_block("i", "ring", 10**200, 0.0, 0.1),
+        lambda: build_block("ii", "harmonic", 10**200, 0.0, 0.1, m=range(-2, 3)),
+        lambda: superposition_block_scan("i", "ring", 10**200, 0.0, 0.1),
+        lambda: feasibility_sweep("i", "harmonic", 10**200, [0.0], [1.0]),
+    ], ids=["ring", "harmonic", "block", "stack", "scan", "sweep"])
+    def test_ell_squared_beyond_the_float_range_is_a_domain_error(self, route):
+        """ell^2 + m^2 has no float: the spectra's DomainError, not an OverflowError."""
+        with pytest.raises(DomainError, match=r"^ell\^2 \+ m\^2 exceeds the float range "
+                                              rf"at ell={10**200}, sigma_ell="):
+            route()
+
     def test_m_check_is_the_nearest_integer(self):
         """sigma_ell + 1/2 rounds up to 1 here; the ground state is still m = 0."""
         assert superpose_ring("i", 4, 0.49999999999999994, 0.1).m_check == 0
@@ -435,7 +449,12 @@ class TestSmallEps:
     @pytest.mark.parametrize("case", ["i", "ii"])
     def test_ring_values_keep_the_explicit_forms(self, case):
         """The ring law read from the block parameters d = 2 sigma_ell m and
-        q = 2 ell m equals the explicit ring forms bit for bit."""
+        q = 2 ell m equals the explicit ring forms bit for bit.
+
+        The grid holds half-integer sigma_ell (+-0.5 at ell = 1, +-3.5 at
+        ell = 7), where the ground level is degenerate: there the value is
+        still pinned, and the warning is asserted.
+        """
         for ell in (1, 2, 4, 7, 12, 40):
             for sigma_ell in np.linspace(-ell, ell, 37):
                 sigma_ell = float(sigma_ell)
@@ -447,7 +466,12 @@ class TestSmallEps:
                         want = ell * m_check * eps**2 / (sigma_ell / ell)
                     else:
                         continue
-                    assert small_eps_delta_e(case, "ring", ell, sigma_ell, eps) == want
+                    if 2.0 * sigma_ell % 2.0 == 1.0:
+                        with pytest.warns(ExpansionWarning, match="degenerate"):
+                            got = small_eps_delta_e(case, "ring", ell, sigma_ell, eps)
+                    else:
+                        got = small_eps_delta_e(case, "ring", ell, sigma_ell, eps)
+                    assert got == want
 
     @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
     def test_case_i_subnormal_shift_is_rounded_once(self, geometry):
