@@ -237,7 +237,12 @@ def _superpose_point(args) -> int:
     from .superposition import superpose_harmonic, superpose_ring
 
     solve = superpose_ring if args.geometry == "ring" else superpose_harmonic
-    result = solve(verdict.case, args.ell, sigma * args.ell, eps, args.theta)
+    try:
+        sigma_ell = sigma * args.ell
+    except OverflowError:  # an ell with no float has no float ell^2 either
+        raise DomainError(f"ell^2 + m^2 exceeds the float range at ell={args.ell}, "
+                          f"sigma={sigma}") from None
+    result = solve(verdict.case, args.ell, sigma_ell, eps, args.theta)
     _write(json.dumps(result.to_dict(), indent=2) + "\n", args.out)
     return 0
 

@@ -25,7 +25,7 @@ from .errors import (ConvergenceError, DomainError, DomainSizeError, UsageError,
                      ValidationError, VerificationError, WindowError)
 from .harmonic import RadialFunction
 from .params import as_geometry_kind
-from .ring import ground_m
+from .ring import _check_table_rows
 from .superposition import _closed_forms, _row, build_block, gen_eig_2x2
 
 __all__ = [
@@ -264,7 +264,9 @@ def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
     bits as gen_eig_2x2(build_block(..., m=m)) block by block.  The global
     minimum must land at |m| = |m_check| and match the closed-form e_plus
     to 1e-12 relative; a minimum pressed against the window edge raises
-    WindowError instead of being trusted.
+    WindowError instead of being trusted.  A window of more blocks than
+    the table cap (ring._MAX_TABLE_ROWS) raises UsageError before any
+    block is built.
     """
     geo = as_geometry_kind(geometry)
     kind = case_of(case)
@@ -277,6 +279,8 @@ def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
         m_max = abs(mc) + 8
     if m_max < abs(mc) + 5:
         raise UsageError(f"m_max must be >= |m_check| + 5 = {abs(mc) + 5}")
+    # counted as 2 m_max + 1: len(range(...)) itself overflows past 2^63
+    _check_table_rows(2 * m_max + 1, "the block-scan window of 2 m_max + 1 blocks")
     ms = range(-m_max, m_max + 1)
     vals, _ = gen_eig_2x2(build_block(kind, geo, ell, sigma_ell, epsilon, theta, m=ms))
     lower = vals[:, 0]
@@ -373,9 +377,13 @@ def quadrature_norm(f: RadialFunction, r_max: float | None = None) -> float:
 # verification suite
 # ---------------------------------------------------------------------------
 
-def _random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (g + g.conj().T)
+_RANDOM_PENCILS = 50  # random 2x2 pencils in the gen_eig_residuals check
+
+
+def _random_hermitian(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """A random complex Hermitian matrix, or a stack of them: shape (..., n, n)."""
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
 
 
 def run_verification(ring_grid: int = 1024, radial_grid: int = 4000,
@@ -390,6 +398,14 @@ def run_verification(ring_grid: int = 1024, radial_grid: int = 4000,
     (about 7e-15 from N = 65536 on) takes over from the h^4 error.  A
     second-order ring stencil fails the ring check at every N >= 256.
     tolerance_scale must be finite and >= 0; 0 fails every inexact check.
+
+    The pencil check draws 50 random Hermitian 2x2 pencils, each with its
+    own random overlap, and solves them in one stacked gen_eig_2x2 call;
+    its deviation is the worst residual |H v - E A v| over every column
+    of every pencil, relative to max(1, largest |H| entry), computed
+    entry by entry so that it has the bits of each pencil's own
+    matrix-vector products.  The eigensolver self-test's residual covers
+    all 40 columns in one expression.
     """
     if not (math.isfinite(tolerance_scale) and tolerance_scale >= 0.0):
         raise DomainError(f"tolerance_scale must be finite and >= 0, got {tolerance_scale}")
@@ -404,14 +420,13 @@ def run_verification(ring_grid: int = 1024, radial_grid: int = 4000,
     rng = np.random.default_rng(20240817)
 
     # eigensolver self-tests
-    h40 = _random_hermitian(40, rng)
+    h40 = _random_hermitian(rng, 40, 40)
     values, vectors = hermitian_eigs(h40, compute_vectors=True)
     trace = float(np.trace(h40).real)
     record("eigensolver_trace_identity",
            abs(values.sum() - trace) / max(1.0, abs(trace)), 1e-10)
     hnorm = math.sqrt(float((np.abs(h40) ** 2).sum()))
-    worst = max(float(np.abs(h40 @ vectors[:, k] - values[k] * vectors[:, k]).max())
-                for k in range(40))
+    worst = float(np.abs(h40 @ vectors - vectors * values).max())  # every column at once
     record("eigensolver_residuals", worst / hnorm, 1e-10)
 
     # eigensolver versus the exact circulant symbol on a small ring grid
@@ -443,20 +458,22 @@ def run_verification(ring_grid: int = 1024, radial_grid: int = 4000,
         _, _, report = superposition_block_scan(case, geometry, 4, 1.0, 0.1)
         record(f"block_scan_case_{case}_{geometry}", report.max_rel_dev, 1e-12)
 
-    # the pencil solve keeps its residual promise on random blocks
-    worst_pencil = 0.0
-    for _ in range(50):
-        eps = float(rng.uniform(0.0, 0.95))
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        hmat = _random_hermitian(2, rng)
-        amat = np.array([[1.0, eps * np.exp(1j * theta)],
-                         [eps * np.exp(-1j * theta), 1.0]])
-        vals, vecs = gen_eig_2x2((hmat, amat))
-        scale = max(float(np.abs(hmat).max()), 1.0)
-        for k in range(2):
-            res = float(np.abs(hmat @ vecs[:, k] - vals[k] * (amat @ vecs[:, k])).max())
-            worst_pencil = max(worst_pencil, res / scale)
-    record("gen_eig_residuals", worst_pencil, 1e-12)
+    # the pencil solve keeps its residual promise on random blocks: one stacked
+    # call, each pencil against its own overlap
+    eps = rng.uniform(0.0, 0.95, _RANDOM_PENCILS)
+    theta = rng.uniform(0.0, 2.0 * math.pi, _RANDOM_PENCILS)
+    hmat = _random_hermitian(rng, _RANDOM_PENCILS, 2, 2)
+    amat = np.ones((_RANDOM_PENCILS, 2, 2), dtype=complex)
+    amat[:, 0, 1] = eps * np.exp(1j * theta)
+    amat[:, 1, 0] = amat[:, 0, 1].conj()
+    vals, vecs = gen_eig_2x2((hmat, amat))
+    # H v - E A v entry by entry, column by column: the bits of each pencil's
+    # own matrix-vector products
+    hv = hmat[..., 0, None] * vecs[:, None, 0] + hmat[..., 1, None] * vecs[:, None, 1]
+    av = amat[..., 0, None] * vecs[:, None, 0] + amat[..., 1, None] * vecs[:, None, 1]
+    res = np.abs(hv - vals[:, None, :] * av).max(axis=(1, 2))
+    scale = np.maximum(np.abs(hmat).max(axis=(1, 2)), 1.0)
+    record("gen_eig_residuals", float((res / scale).max()), 1e-12)
 
     return {
         "parameters": {"ring_grid": ring_grid, "radial_grid": radial_grid,

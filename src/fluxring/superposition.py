@@ -23,12 +23,13 @@ checks and the block parameters depend on sigma_ell alone and are
 computed once per row (_row), and so is the single-state gap where a
 verdict reads it (_gap); one kernel loop (_closed_forms) then
 evaluates a row's epsilons, a whole sweep row per call.  A pencil, one
-2x2 block or a (k, 2, 2) stack sharing one overlap, is built by
-build_block, checked (finite, Hermitian, |eps| < 1) by GenEig2 and
-solved by gen_eig_2x2; the oracle's block scan is the stacked case of
-the same calls.  The pencil is real when its phase e^{i theta} is
-(theta = 0): H, A and the eigenvectors are then float64, and complex128
-for any other theta.  One dtype test in each function picks the route.
+2x2 block or a (k, 2, 2) stack against one shared overlap or one overlap
+per block, is built by build_block, checked (finite, Hermitian,
+|eps| < 1) by GenEig2 and solved by gen_eig_2x2; the oracle's block
+scan and its random-pencil check are stacked cases of the same calls.
+The pencil is real when its phase e^{i theta} is (theta = 0): H, A and
+the eigenvectors are then float64, and complex128 for any other theta.
+One dtype test in each function picks the route.
 
 Points, sweeps and boundaries are plain math, eigenvectors included
 (tuples of complex), so they run without numpy; only the pencil code
@@ -71,20 +72,39 @@ _RESIDUAL_TOL = 1e-12
 _HERMITICITY_TOL = 1e-13
 
 
+_H_SHAPES = "one 2x2 block or a (k, 2, 2) stack of blocks"
+_A_SHAPES = "one 2x2 overlap shared by the blocks or a (k, 2, 2) stack of them, one per block"
+
+
+def _shape_error(name: str, value, shapes: str) -> DomainError:
+    """The error of an h or a that is not one 2x2 block or a (k, 2, 2) stack."""
+    import numpy as np
+
+    try:
+        got = f"shape {np.shape(value)}"
+    except ValueError:  # a ragged nesting has no array shape
+        got = "a ragged nesting"
+    return DomainError(f"{name} must be {shapes}, got {got}")
+
+
 @dataclass(frozen=True)
 class GenEig2:
     """A 2x2 generalized eigenproblem H v = E A v, or a stack of them.
 
     h is one 2x2 block or a (k, 2, 2) stack of blocks; every block must
-    be Hermitian.  a is the one overlap they share, the unit-diagonal
-    [[1, eps e^{i theta}], [conj, 1]] with eps < 1.  Every entry of h
-    and a must be finite, and so must its magnitude.  The checks run on
-    construction, before any arithmetic that could warn, and raise
-    DomainError (SingularOverlapError for eps >= 1).
+    be Hermitian.  a is one overlap A shared by the blocks, or a (k, 2, 2)
+    stack of them, one per block of a stacked h.  Every overlap is the
+    unit-diagonal [[1, eps e^{i theta}], [conj, 1]] with eps < 1.  Every
+    entry of h and a must be finite, and so must its magnitude.  The
+    checks run on construction, before any arithmetic that could warn,
+    and raise DomainError (SingularOverlapError for eps >= 1); so does
+    any other shape, or an a that does not hold one overlap per block.
 
     The pencil keeps a real dtype: h and a become float64 unless either
     is complex, and then both become complex128.  A real h is Hermitian
-    when each block's h01 matches its h10.
+    when each block's h01 matches its h10.  A shared overlap is the
+    per-block case with one overlap: the loop that checks each overlap
+    also builds its A^(-1/2), which gen_eig_2x2 reuses.
     """
 
     h: np.ndarray
@@ -95,42 +115,78 @@ class GenEig2:
 
         import numpy as np
 
-        h = np.asarray(self.h)
-        a = np.asarray(self.a)
+        try:
+            h = np.asarray(self.h)
+        except ValueError:  # a ragged nesting has no array shape
+            raise _shape_error("h", self.h, _H_SHAPES) from None
+        try:
+            a = np.asarray(self.a)
+        except ValueError:
+            raise _shape_error("a", self.a, _A_SHAPES) from None
+        stacked = h.ndim == 3 and h.shape[1:] == (2, 2)
+        if not (stacked or h.shape == (2, 2)):
+            raise _shape_error("h", h, _H_SHAPES)
+        if a.shape != (2, 2):
+            if not (a.ndim == 3 and a.shape[1:] == (2, 2)):
+                raise _shape_error("a", a, _A_SHAPES)
+            if not (stacked and len(a) == len(h)):
+                blocks = f"the {len(h)} blocks of h" if stacked else "the single block h"
+                raise DomainError(f"a holds {len(a)} overlaps for {blocks}; give one overlap "
+                                  "shared by the blocks or one per block")
         dtype = complex if "c" in (h.dtype.kind, a.dtype.kind) else float
-        h = np.asarray(h, dtype=dtype)
-        if h.ndim != 3 or h.shape[1:] != (2, 2):
-            h = h.reshape(2, 2)
-        a = np.asarray(a, dtype=dtype).reshape(2, 2)
+        try:
+            h = np.asarray(h, dtype=dtype)
+            a = np.asarray(a, dtype=dtype)
+        except (TypeError, ValueError, OverflowError):  # entries that are not numbers
+            raise DomainError("h and a must hold numbers") from None
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "a", a)
-        # every comparison below is written so that NaN fails it
+        # every comparison below is written so that NaN fails it; the maxima
+        # call np.maximum.reduce, which ndarray.max wraps in a Python frame
+        largest = np.maximum.reduce
         flat = h.reshape(-1, 4)  # one row per block
-        scale = np.abs(flat).max(axis=1, initial=1.0)
-        if not scale.max(initial=1.0) < math.inf:
+        scale = largest(np.abs(flat), axis=1, initial=1.0)
+        if not largest(scale, initial=1.0) < math.inf:
             raise DomainError("h must be finite")
-        a00, a01, a10, a11 = a.ravel().tolist()
-        if not all(map(cmath.isfinite, (a00, a01, a10, a11))):
-            raise DomainError("a must be finite")
         limit = _HERMITICITY_TOL * scale
         if dtype is complex:  # |h - h^H| entry by entry
             skew = np.abs(h - h.conj().swapaxes(-1, -2)).reshape(-1, 4)
             limit = limit[:, None]
         else:  # h01 against h10
             skew = np.abs(flat[:, 1] - flat[:, 2])
-        if not (skew - limit).max(initial=0.0) <= 0.0:
+        if not largest(skew - limit, axis=None, initial=0.0) <= 0.0:
             raise DomainError("h is not Hermitian")
-        try:
-            if not (abs(a00 - 1.0) <= _HERMITICITY_TOL and abs(a11 - 1.0) <= _HERMITICITY_TOL):
-                raise DomainError("a must have unit diagonal")
-            if not abs(a10 - a01.conjugate()) <= _HERMITICITY_TOL:
-                raise DomainError("a is not Hermitian")
-            magnitude = abs(a01)
-        except OverflowError:  # the abs of a complex with finite parts can overflow
-            raise DomainError("a has an entry beyond the float range") from None
-        if not magnitude < 1.0:
-            raise SingularOverlapError(
-                f"overlap magnitude {magnitude} >= 1 leaves the metric indefinite")
+        # one pass over the overlaps: check each, then build its A^(-1/2)
+        a_inv_half = []
+        for a00, a01, a10, a11 in a.reshape(-1, 4).tolist():
+            if not all(map(cmath.isfinite, (a00, a01, a10, a11))):
+                raise DomainError("a must be finite")
+            try:
+                if not (abs(a00 - 1.0) <= _HERMITICITY_TOL
+                        and abs(a11 - 1.0) <= _HERMITICITY_TOL):
+                    raise DomainError("a must have unit diagonal")
+                if not abs(a10 - a01.conjugate()) <= _HERMITICITY_TOL:
+                    raise DomainError("a is not Hermitian")
+                eps = abs(a01)
+            except OverflowError:  # the abs of a complex with finite parts can overflow
+                raise DomainError("a has an entry beyond the float range") from None
+            if not eps < 1.0:
+                raise SingularOverlapError(
+                    f"overlap magnitude {eps} >= 1 leaves the metric indefinite")
+            if dtype is float:
+                phase = a01 / eps if eps > 0.0 else 1.0
+            else:
+                # componentwise division: complex a01 / eps overflows internally
+                # when eps is subnormal, the real quotients never do
+                phase = complex(a01.real / eps, a01.imag / eps) if eps > 0.0 else 1.0 + 0.0j
+            # A = I + eps K has eigenvectors (1, +-e^{-i theta})/sqrt(2), values 1 +- eps
+            ip = 1.0 / math.sqrt(1.0 + eps)
+            im = 1.0 / math.sqrt(1.0 - eps)
+            p_half = 0.5 * (ip + im)
+            q_half = 0.5 * (ip - im) * phase
+            a_inv_half += (p_half, q_half, q_half.conjugate(), p_half)
+        object.__setattr__(self, "_a_inv_half",
+                           np.array(a_inv_half, dtype=dtype).reshape(a.shape))
         object.__setattr__(self, "_scale", scale)  # the residual check reuses it
 
 
@@ -140,10 +196,12 @@ def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues ascending, eigenvectors as columns, normalized
     in the A metric), shaped (2,) and (2, 2) for one block and (k, 2) and
     (k, 2, 2) for a (k, 2, 2) stack; a bare (h, a) tuple is checked as a
-    GenEig2 first.  The overlap's eigenbasis is analytic, so A^(-1/2) is
-    closed form; all blocks go to LAPACK in one np.linalg.eigh call, and
-    each block's residual must stay within 1e-12 of its largest entry
-    (VerificationError).  A block gives the same bits alone or stacked.
+    GenEig2 first.  Each overlap's eigenbasis is analytic, so A^(-1/2) is
+    closed form, built by GenEig2 once per overlap: one shared by every
+    block, or one per block.  All blocks go to LAPACK in one
+    np.linalg.eigh call, and each block's residual must stay within
+    1e-12 of its largest entry (VerificationError).  A block gives the
+    same bits alone or stacked, against a shared overlap or its own.
     A real pencil stays real, A^(-1/2) included, and returns float64
     eigenvectors; a complex one returns complex128 eigenvectors.
 
@@ -159,30 +217,18 @@ def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(problem, GenEig2):
         problem = GenEig2(*problem)
     h, a = problem.h, problem.a
-    c = a.item(1)
-    eps = abs(c)
-    real = h.dtype.kind == "f"
-    if real:
-        phase = c / eps if eps > 0.0 else 1.0
-    else:
-        # componentwise division: complex c / eps overflows internally when
-        # eps is subnormal, the real quotients never do
-        phase = complex(c.real / eps, c.imag / eps) if eps > 0.0 else 1.0 + 0.0j
-    # A = I + eps K has eigenvectors (1, +-e^{-i theta})/sqrt(2), values 1 +- eps
-    ip = 1.0 / math.sqrt(1.0 + eps)
-    im = 1.0 / math.sqrt(1.0 - eps)
-    p_half = 0.5 * (ip + im)
-    q_half = 0.5 * (ip - im) * phase
-    a_inv_half = np.array([[p_half, q_half], [q_half.conjugate(), p_half]])
+    a_inv_half = problem._a_inv_half
     b = a_inv_half @ h @ a_inv_half
     # scrub rounding skew before the Hermitian solve
-    b = 0.5 * (b + (b if real else b.conj()).swapaxes(-1, -2))
+    b = 0.5 * (b + (b if h.dtype.kind == "f" else b.conj()).swapaxes(-1, -2))
     vals, w = np.linalg.eigh(b)
     vecs = a_inv_half @ w
     scale = problem._scale
     residual = np.abs(h @ vecs - (a @ vecs) * vals[..., None, :])
     # one comparison for every entry of every block; a NaN residual fails it
-    if not (residual - (_RESIDUAL_TOL * scale)[:, None, None]).max(initial=0.0) <= 0.0:
+    # (np.maximum.reduce: ndarray.max wraps it in a Python frame)
+    if not np.maximum.reduce(residual - (_RESIDUAL_TOL * scale)[:, None, None], axis=None,
+                             initial=0.0) <= 0.0:
         worst = residual.reshape(-1, 4).max(axis=1)
         first = np.argmin(worst <= _RESIDUAL_TOL * scale)  # the first failing block
         raise VerificationError(f"pencil residual {worst[first]} exceeds "
@@ -416,6 +462,15 @@ def _check_ell(ell: int) -> int:
     return int(ell)
 
 
+def _spin(ell: int, sigma_ell: float) -> float:
+    """The mean spin sigma = sigma_ell / ell.  An ell with no float has no
+    float ell^2 either, so it raises the DomainError of ell^2 + m^2."""
+    try:
+        return sigma_ell / ell
+    except OverflowError:
+        raise _square_sum_error(ell, sigma_ell) from None
+
+
 def _check_sigma_ell(ell: int, sigma_ell: float) -> int:
     """m_check of a finite sigma_ell with |sigma_ell| <= ell."""
     if abs(sigma_ell) > ell:
@@ -448,7 +503,7 @@ def _row(kind: FluxCase, geo: GeometryKind, ell: int, sigma_ell: float, epsilon:
     if kind is FluxCase.CASE_II:
         if ell == 0:
             raise DomainError("case (ii) needs ell >= 1 to define the mean spin")
-        sigma = sigma_ell / ell
+        sigma = _spin(ell, sigma_ell)
         if sigma < 0.0:
             raise DomainError(f"case (ii) requires sigma > 0, got {sigma}")
         if sigma == 0.0:
@@ -603,7 +658,7 @@ def small_eps_delta_e(case, geometry, ell: int, sigma_ell: float,
     if kind is FluxCase.CASE_II:
         if ell == 0:
             raise DomainError("case (ii) needs ell >= 1 to define the mean spin")
-        sigma = sigma_ell / ell
+        sigma = _spin(ell, sigma_ell)
         if sigma <= 0.0:
             raise DomainError("case (ii) expansion is singular at sigma <= 0")
     if _is_half_integer(sigma_ell):
@@ -669,7 +724,7 @@ def feasibility_sweep(case, geometry, ell: int,
     # epsilon_param(da, s / ell) is damps[column] * root, each factor computed once
     damps: list[float] = []
     for s in sig_grid:
-        root = _spin_root(s / ell)
+        root = _spin_root(_spin(ell, s))
         if damps:
             row = _row(kind, geo, ell, s, damps[0] * root, theta, stacklevel=3)
             gap = _gap(geo, row.ell, s)
@@ -708,7 +763,7 @@ def feasibility_boundary(case, geometry, ell: int, sigma_ell: float,
     _check_sweep_sigma_ell(ell, sigma_ell)
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
-    root = _spin_root(sigma_ell / ell)
+    root = _spin_root(_spin(ell, sigma_ell))
 
     row = None
     gap = math.nan

@@ -376,6 +376,15 @@ ERROR_SURFACE = [
       "--sigma-ell", "0", "--delta-alpha", "1"], 2,
      f"validation error: ell^2 + m^2 exceeds the float range at ell={10**200}, "
      "sigma_ell=0.0\n"),
+    # ell itself has no float: a sweep's sigma_ell / ell and a point's sigma * ell
+    (["superpose", "--geometry", "ring", "--case", "i", "--ell", "1" + "0" * 400,
+      "--sigma-ell", "1", "--delta-alpha", "0.5:1:3"], 2,
+     f"validation error: ell^2 + m^2 exceeds the float range at ell={10**400}, "
+     "sigma_ell=1.0\n"),
+    (["superpose", "--geometry", "ring", "--ell", "1" + "0" * 400, "--alpha-plus", "2",
+      "--alpha-minus", "0.5", "--beta-mag2", "1", "--delta-alpha", "1.5"], 2,
+     f"validation error: ell^2 + m^2 exceeds the float range at ell={10**400}, "
+     "sigma=0.6\n"),
 ]
 
 

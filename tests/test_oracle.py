@@ -14,6 +14,7 @@ from fluxring import (
     ValidationError,
     VerificationError,
     WindowError,
+    GenEig2,
     build_block,
     gen_eig_2x2,
     harmonic_energy,
@@ -272,10 +273,37 @@ class TestBlockScan:
         with pytest.raises(WindowError):
             superposition_block_scan("i", "ring", 4, 3.6, 0.97, m_max=9)
 
+    @pytest.mark.parametrize("ell, sigma_ell", [
+        (10**19, 5e18),  # len(range(...)) would overflow here
+        (10**7, 5e6),    # this window took seconds to build and reject
+    ])
+    def test_window_beyond_the_table_cap_is_rejected_before_any_block(
+            self, monkeypatch, ell, sigma_ell):
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(oracle, "build_block", no_blocks)
+        with pytest.raises(UsageError, match=r"^the block-scan window of 2 m_max \+ 1 blocks "
+                                             r"exceeds the 1000000-row table limit$"):
+            superposition_block_scan("i", "ring", ell, sigma_ell, 0.1)
+
+    def test_explicit_window_beyond_the_table_cap_is_rejected(self):
+        with pytest.raises(UsageError, match="window of 2 m_max"):
+            superposition_block_scan("i", "ring", 4, 1.0, 0.1, m_max=500_000)
+        # a window under the cap is still scanned
+        superposition_block_scan("i", "ring", 4, 1.0, 0.1, m_max=9)
+
     def test_ansatz_breakdown_detected(self):
         """When a neighboring block dips lower the scan refuses to certify."""
         with pytest.raises(VerificationError):
             superposition_block_scan("i", "ring", 4, 2.4, 0.5)
+
+
+def _per_block_stack(theta):
+    """Three case (i) ring blocks, each against its own overlap (eps 0.1, 0.2, 0.3)."""
+    blocks = [build_block("i", "ring", 4, 1.0, eps, theta, m=m)
+              for eps, m in ((0.1, -1), (0.2, 0), (0.3, 1))]
+    return GenEig2(np.stack([b.h for b in blocks]), np.stack([b.a for b in blocks]))
 
 
 class TestStackedPencils:
@@ -312,11 +340,31 @@ class TestStackedPencils:
             vals, vecs = eigh(b)
             return vals, vecs + 1e-6
 
+        per_block = _per_block_stack(0.0)
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(VerificationError, match="pencil residual"):
             gen_eig_2x2(build_block("i", "ring", 4, 1.0, 0.1))
         with pytest.raises(VerificationError, match="pencil residual"):
             superposition_block_scan("i", "ring", 4, 1.0, 0.1)
+        with pytest.raises(VerificationError, match="pencil residual"):
+            gen_eig_2x2(per_block)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.3])
+    def test_residual_check_reaches_every_block_of_a_per_block_stack(self, monkeypatch,
+                                                                      theta):
+        """Only the last block is perturbed; its own overlap's check catches it."""
+        eigh = np.linalg.eigh
+
+        def last_perturbed(b):
+            vals, vecs = eigh(b)
+            vecs = vecs.copy()
+            vecs[-1] += 1e-6
+            return vals, vecs
+
+        per_block = _per_block_stack(theta)
+        monkeypatch.setattr(np.linalg, "eigh", last_perturbed)
+        with pytest.raises(VerificationError, match="pencil residual"):
+            gen_eig_2x2(per_block)
 
     def test_residual_check_survives_batching_on_complex_pencils(self, monkeypatch):
         """The theta = 1.3 pencils are complex; their residual check holds too."""
@@ -327,11 +375,15 @@ class TestStackedPencils:
             return vals, vecs + 1e-6
 
         assert build_block("i", "ring", 4, 1.0, 0.1, 1.3).h.dtype == np.complex128
+        per_block = _per_block_stack(1.3)
+        assert per_block.a.shape == (3, 2, 2) and per_block.a.dtype == np.complex128
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(VerificationError, match="pencil residual"):
             gen_eig_2x2(build_block("i", "ring", 4, 1.0, 0.1, 1.3))
         with pytest.raises(VerificationError, match="pencil residual"):
             superposition_block_scan("i", "ring", 4, 1.0, 0.1, 1.3)
+        with pytest.raises(VerificationError, match="pencil residual"):
+            gen_eig_2x2(per_block)
 
 
 class TestQuadrature:
@@ -442,6 +494,55 @@ class TestRunVerification:
         summary = run_verification(ring_grid=ring_grid, radial_grid=2000)
         ring = next(c for c in summary["checks"] if c["name"] == "ring_fd_vs_analytic")
         assert ring["passed"] is False
+
+    def test_random_pencils_are_one_stacked_solve(self, monkeypatch):
+        """The 50 random pencils go to gen_eig_2x2 in one call, each with its
+        own overlap, and the recorded residual is the worst one computed
+        pencil by pencil from single solves."""
+        calls = []
+        solve = oracle.gen_eig_2x2
+
+        def recorded(problem):
+            calls.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(oracle, "gen_eig_2x2", recorded)
+        summary = run_verification(ring_grid=256, radial_grid=2000)
+        assert len(calls) == 5  # four block scans and the random pencils
+        h, a = calls[-1]
+        assert h.shape == a.shape == (50, 2, 2)
+        assert len({tuple(overlap.ravel()) for overlap in a}) == 50
+        worst = 0.0
+        for k in range(50):
+            values, vectors = gen_eig_2x2((h[k], a[k]))
+            scale = max(float(np.abs(h[k]).max()), 1.0)
+            for j in range(2):
+                residual = h[k] @ vectors[:, j] - values[j] * (a[k] @ vectors[:, j])
+                worst = max(worst, float(np.abs(residual).max()) / scale)
+        check = next(c for c in summary["checks"] if c["name"] == "gen_eig_residuals")
+        assert check["deviation"] == worst
+        assert 0.0 < worst <= 1e-12
+
+    def test_eigensolver_residual_is_the_worst_column(self, monkeypatch):
+        """The one-expression residual equals the worst column-by-column one."""
+        seen = []
+        eigs = oracle.hermitian_eigs
+
+        def recorded(h, compute_vectors=False):
+            out = eigs(h, compute_vectors)
+            if compute_vectors:
+                seen.append((h, out))
+            return out
+
+        monkeypatch.setattr(oracle, "hermitian_eigs", recorded)
+        summary = run_verification(ring_grid=256, radial_grid=2000)
+        (h40, (values, vectors)), = seen
+        hnorm = math.sqrt(float((np.abs(h40) ** 2).sum()))
+        worst = max(float(np.abs(h40 @ vectors[:, k] - values[k] * vectors[:, k]).max())
+                    for k in range(40)) / hnorm
+        check = next(c for c in summary["checks"] if c["name"] == "eigensolver_residuals")
+        assert check["deviation"] == pytest.approx(worst, rel=0.05)
+        assert check["deviation"] <= 1e-10
 
     def test_parameters_echoed(self):
         summary = run_verification(ring_grid=256, radial_grid=2000)

@@ -101,6 +101,82 @@ class TestGenEig2x2:
             np.testing.assert_array_equal(values[k], one_values)
             np.testing.assert_array_equal(vectors[k], one_vectors)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_per_block_overlaps_solve_each_block_as_alone(self, dtype):
+        rng = np.random.default_rng(17)
+        k = 40
+        g = rng.standard_normal((k, 2, 2)).astype(dtype)
+        if dtype is np.complex128:
+            g += 1j * rng.standard_normal((k, 2, 2))
+            a01 = rng.uniform(0.0, 0.95, k) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
+        else:
+            a01 = rng.uniform(-0.95, 0.95, k)
+        h = 0.5 * (g + g.conj().swapaxes(-1, -2))
+        a = np.ones((k, 2, 2), dtype=dtype)
+        a[:, 0, 1] = a01
+        a[:, 1, 0] = a01.conj()
+        values, vectors = gen_eig_2x2(GenEig2(h, a))
+        assert values.shape == (k, 2) and vectors.shape == (k, 2, 2)
+        assert vectors.dtype == dtype
+        for j in range(k):
+            one_values, one_vectors = gen_eig_2x2((h[j], a[j]))
+            np.testing.assert_array_equal(values[j], one_values)
+            np.testing.assert_array_equal(vectors[j], one_vectors)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.3])
+    def test_a_shared_overlap_is_the_one_overlap_case(self, theta):
+        """The shared overlap repeated per block gives the same bits."""
+        block = build_block("i", "harmonic", 6, 2.0, 0.2, theta, m=range(-10, 11))
+        repeated = np.broadcast_to(block.a, block.h.shape)
+        shared = gen_eig_2x2(block)
+        per_block = gen_eig_2x2((block.h, repeated))
+        for got, want in zip(per_block, shared):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ([[1.0, np.nan], [np.nan, 1.0]], DomainError, "a must be finite"),
+        ([[1.5, 0.1], [0.1, 1.0]], DomainError, "a must have unit diagonal"),
+        ([[1.0, 0.1], [0.2, 1.0]], DomainError, "a is not Hermitian"),
+        ([[1.0, 1.0], [1.0, 1.0]], SingularOverlapError, "overlap magnitude 1.0 >= 1"),
+        ([[1.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 1.0]], DomainError,
+         "beyond the float range"),
+    ])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_one_bad_overlap_in_a_stack_raises_as_alone(self, bad, error, message, where):
+        h = np.stack([np.diag([1.0, 2.0])] * 7)
+        a = np.stack([np.array([[1.0, 0.3], [0.3, 1.0]])] * 7).astype(np.asarray(bad).dtype)
+        with pytest.raises(error) as alone:
+            GenEig2(h[where], bad)
+        a[where] = bad
+        with pytest.raises(error, match=re.escape(message)) as stacked:
+            GenEig2(h, a)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("h, a, message", [
+        (np.eye(2), np.eye(3), "a must be one 2x2 overlap shared by the blocks or a "
+                               "(k, 2, 2) stack of them, one per block, got shape (3, 3)"),
+        (np.eye(3), np.eye(2), "h must be one 2x2 block or a (k, 2, 2) stack of blocks, "
+                               "got shape (3, 3)"),
+        ([[1.0, 0.0], [0.0]], np.eye(2), "h must be one 2x2 block or a (k, 2, 2) stack of "
+                                         "blocks, got a ragged nesting"),
+        (np.eye(2), [[1.0, 0.0], [0.0]], "a must be one 2x2 overlap shared by the blocks "
+                                         "or a (k, 2, 2) stack of them, one per block, got "
+                                         "a ragged nesting"),
+        (np.ones(4), np.eye(2), "h must be one 2x2 block or a (k, 2, 2) stack of blocks, "
+                                "got shape (4,)"),
+        (np.zeros((2, 2, 2, 2)), np.eye(2), "got shape (2, 2, 2, 2)"),
+        (np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 2),
+         "a holds 2 overlaps for the 3 blocks of h; give one overlap shared by the blocks "
+         "or one per block"),
+        (np.eye(2), np.stack([np.eye(2)] * 2), "a holds 2 overlaps for the single block h"),
+        ([["x", "y"], ["y", "x"]], np.eye(2), "h and a must hold numbers"),
+    ])
+    def test_shape_errors_are_typed(self, h, a, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            GenEig2(h, a)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            gen_eig_2x2((h, a))
+
     def test_reference_block(self):
         """Ring case (i) block at ell=4, sigma_ell=1, eps=0.1."""
         problem = build_block("i", "ring", 4, 1.0, 0.1)
@@ -401,6 +477,21 @@ class TestValidation:
         with pytest.raises(DomainError, match=r"^ell\^2 \+ m\^2 exceeds the float range "
                                               rf"at ell={10**200}, sigma_ell="):
             route()
+
+    @pytest.mark.parametrize("route", [
+        lambda ell: superpose_ring("ii", ell, 1.0, 0.1),
+        lambda ell: superpose_harmonic("ii", ell, 1.0, 0.1),
+        lambda ell: small_eps_delta_e("ii", "ring", ell, 1.0, 0.1),
+        lambda ell: feasibility_sweep("i", "ring", ell, [1.0], [0.5, 1.0]),
+        lambda ell: feasibility_sweep("ii", "harmonic", ell, [1.0], [1.0]),
+        lambda ell: feasibility_boundary("i", "ring", ell, 1.0),
+    ], ids=["ring", "harmonic", "small-eps", "sweep-i", "sweep-ii", "boundary"])
+    def test_ell_beyond_the_float_range_is_a_domain_error(self, route):
+        """sigma_ell / ell has no float either: the same DomainError."""
+        ell = 10**400
+        with pytest.raises(DomainError, match=r"^ell\^2 \+ m\^2 exceeds the float range "
+                                              rf"at ell={ell}, sigma_ell=1.0$"):
+            route(ell)
 
     def test_m_check_is_the_nearest_integer(self):
         """sigma_ell + 1/2 rounds up to 1 here; the ground state is still m = 0."""
