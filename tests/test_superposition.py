@@ -42,7 +42,7 @@ HARM_I_E_ZERO = 4.872983346207417
 HARM_II_DELTA_E = -0.019889825114361677
 HARM_II_E_PLUS = 4.853093521093055
 BOUNDARY_L16_S8 = 1.3933532666514159       # smallest feasible delta_alpha
-EPS_STAR_L16_S8 = 0.12427301970450696      # sqrt(257)/129, epsilon at that boundary
+EPS_STAR_L16_S8 = 0.12427301970450695      # sqrt(257)/129, epsilon at that boundary
 
 
 def _random_pencils(count, seed=11):
@@ -660,15 +660,37 @@ class TestFeasibility:
             feasibility_sweep("i", "ring", 16, [16.0], [1.0])
 
     def test_boundary_reference_point(self):
-        da = feasibility_boundary("i", "ring", 16, 8.0)
-        assert da == pytest.approx(BOUNDARY_L16_S8, rel=1e-12)
+        assert feasibility_boundary("i", "ring", 16, 8.0) == BOUNDARY_L16_S8
 
     def test_boundary_epsilon_closed_form(self):
         """At the boundary |delta_e| = gap pins eps = sqrt(257)/129 exactly."""
         from fluxring import epsilon_param
         da = feasibility_boundary("i", "ring", 16, 8.0)
-        eps = epsilon_param(da, 0.5)
-        assert eps == pytest.approx(EPS_STAR_L16_S8, rel=1e-12)
+        assert epsilon_param(da, 0.5) == EPS_STAR_L16_S8
+
+    @pytest.mark.parametrize("case, geometry, ell, sigma_ell, theta, convention, expected", [
+        ('i', 'ring', 16, -11.0, 0.0, 'paper', 1.44257951768741),
+        ('i', 'ring', 10**6, -999999.0, 1.3, 'paper', 2.6933859024064546),
+        ('i', 'ring', 10**6, -999999.0, 0.0, 'standard', 3.8090228718877053),
+        ('i', 'ring', 16, -11.0, 1.3, 'standard', 2.0401155187151736),
+        ('i', 'harmonic', 10**6, -999999.0, 0.0, 'paper', 2.693385913970501),
+        ('i', 'harmonic', 16, -11.0, 1.3, 'paper', 1.442897549606944),
+        ('i', 'harmonic', 16, -11.0, 0.0, 'standard', 2.040565283769046),
+        ('i', 'harmonic', 10**6, -999999.0, 1.3, 'standard', 3.8090228882417367),
+        ('ii', 'ring', 10**6, 123457.0, 0.0, 'paper', 3.715889001134315),
+        ('ii', 'ring', 16, 5.0, 1.3, 'paper', 1.6481000242201058),
+        ('ii', 'ring', 16, 5.0, 0.0, 'standard', 2.3307654063995003),
+        ('ii', 'ring', 10**6, 123457.0, 1.3, 'standard', 5.255060621677162),
+        ('ii', 'harmonic', 16, 5.0, 0.0, 'paper', 1.6482655384292149),
+        ('ii', 'harmonic', 10**6, 123457.0, 1.3, 'paper', 3.715890204657204),
+        ('ii', 'harmonic', 10**6, 123457.0, 0.0, 'standard', 5.255062323715554),
+        ('ii', 'harmonic', 16, 5.0, 1.3, 'standard', 2.3309994788387876),
+    ])
+    def test_boundary_table(self, case, geometry, ell, sigma_ell, theta, convention, expected):
+        """Boundary floats pinned bit for bit: the CLI never calls the boundary,
+        so the golden corpus cannot guard it."""
+        assert feasibility_boundary(case, geometry, ell, sigma_ell, theta,
+                                    convention) == expected
 
     def test_boundary_zero_when_already_feasible(self):
         assert feasibility_boundary("i", "ring", 16, 0.0) == 0.0
