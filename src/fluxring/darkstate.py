@@ -219,16 +219,30 @@ def _spin_root(sigma: float) -> float:
     return math.sqrt(1.0 - sigma * sigma)
 
 
+def _damping_scale(convention: str) -> float:
+    """k in the coherent-state damping exp(-delta_alpha^2 / k): 1 under the
+    paper's convention, 2 under the 'standard' one."""
+    if convention == "paper":
+        return 1.0
+    if convention == "standard":
+        return 2.0
+    raise UsageError(f"unknown overlap convention {convention!r}")
+
+
 def _damping(delta_alpha: float, convention: str) -> float:
     """Coherent-state damping exp(-delta_alpha^2), or exp(-delta_alpha^2 / 2)
     under the 'standard' convention; delta_alpha >= 0 is checked first."""
     if delta_alpha < 0.0:
         raise DomainError(f"delta_alpha must be >= 0, got {delta_alpha}")
-    if convention == "paper":
-        return math.exp(-delta_alpha * delta_alpha)
-    if convention == "standard":
-        return math.exp(-0.5 * delta_alpha * delta_alpha)
-    raise UsageError(f"unknown overlap convention {convention!r}")
+    return math.exp(-delta_alpha * delta_alpha / _damping_scale(convention))
+
+
+def _delta_alpha_at(epsilon: float, root: float, scale: float) -> float:
+    """The inverse of delta_alpha -> exp(-delta_alpha^2 / scale) * root:
+    sqrt(scale ln(root / epsilon)), 0.0 for epsilon >= root, inf for epsilon 0."""
+    if not epsilon > 0.0:
+        return math.inf
+    return math.sqrt(scale * math.log(root / epsilon)) if epsilon < root else 0.0
 
 
 def epsilon_param(delta_alpha: float, sigma: float, convention: str = "paper") -> float:

@@ -42,9 +42,12 @@ __all__ = [
 _RESIDUAL_TOL = 1e-10   # eigenvector residual, relative to ||H||_F
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleReport:
-    """Computed-versus-reference record with worst-case deviations."""
+    """Computed-versus-reference record with worst-case deviations.
+
+    Its metadata dict makes it a record compared by identity, not a value.
+    """
 
     computed: np.ndarray
     reference: np.ndarray

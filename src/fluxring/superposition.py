@@ -20,13 +20,25 @@ R - sigma = eps^2 / (R + sigma).
 
 Single points, sweep rows and boundary searches share one engine: the
 checks and the block parameters depend on sigma_ell alone and are
-computed once per row (_row), and so is the single-state gap where a
+computed once per row (_row), and so is the single-state gap g where a
 verdict reads it (_gap); one kernel loop (_closed_forms) then
-evaluates a row's epsilons, a whole sweep row per call.  A pencil, one
-2x2 block or a (k, 2, 2) stack against one shared overlap or one overlap
-per block, is built by build_block, checked (finite, Hermitian,
-|eps| < 1) by GenEig2 and solved by gen_eig_2x2; the oracle's block
-scan and its random-pencil check are stacked cases of the same calls.
+evaluates a row's epsilons, a whole sweep row per call.
+
+The feasibility boundary is not searched for: |delta_e| = g inverts
+exactly, at eps*^2 = u (2 - u) with u = g / (|d| + g) (that is,
+g (2|d| + g) / (|d| + g)^2) in case (i) and at eps*^2 = t (2 sigma + t)
+with t = g / |q| in case (ii).  As eps = exp(-delta_alpha^2 / k)
+sqrt(1 - sigma^2), with k = 1 under the paper convention and 2 under the
+standard one, delta_alpha* = sqrt(k ln(sqrt(1 - sigma^2) / eps*)), or 0
+when eps* >= sqrt(1 - sigma^2).  The kernel then steps float by float
+(math.nextafter) to the first float whose shift fits under g, a few
+calls in all; hi only caps the result.  At sigma_ell = 0, m_check = 0
+makes d = q = 0, and one explicit branch returns 0.0.
+
+A pencil, one 2x2 block or a (k, 2, 2) stack against one shared overlap
+or one overlap per block, is built by build_block, checked (finite,
+Hermitian, |eps| < 1) by GenEig2 and solved by gen_eig_2x2; the oracle's
+block scan and its random-pencil check are stacked cases of the same calls.
 The pencil is real when its phase e^{i theta} is (theta = 0): H, A and
 the eigenvectors are then float64, and complex128 for any other theta.
 One dtype test in each function picks the route.
@@ -45,12 +57,13 @@ from collections.abc import Iterable, Sequence
 from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
-from .darkstate import FluxCase, _damping, _spin_root, case_of
+from .darkstate import (FluxCase, _damping, _damping_scale, _delta_alpha_at, _spin_root,
+                        case_of)
 from .errors import (CaseError, DegeneracyError, DomainError, ExpansionWarning,
                      SingularOverlapError, UsageError, VerificationError)
 from .harmonic import harmonic_gap
 from .params import GeometryKind, as_geometry_kind
-from .ring import _check_table_rows, _square_sum_error, ground_m, ring_gap
+from .ring import _check_table_rows, _square_sum, _square_sum_error, ground_m, ring_gap
 
 if TYPE_CHECKING:  # the pencil code imports numpy, so points and sweeps load without it
     import numpy as np
@@ -105,6 +118,10 @@ class GenEig2:
     when each block's h01 matches its h10.  A shared overlap is the
     per-block case with one overlap: the loop that checks each overlap
     also builds its A^(-1/2), which gen_eig_2x2 reuses.
+
+    A GenEig2 is a value: h and a are read-only copies of the input, and
+    two problems are equal (with equal hashes) when their dtypes, shapes
+    and entries are.
     """
 
     h: np.ndarray
@@ -134,11 +151,13 @@ class GenEig2:
                 raise DomainError(f"a holds {len(a)} overlaps for {blocks}; give one overlap "
                                   "shared by the blocks or one per block")
         dtype = complex if "c" in (h.dtype.kind, a.dtype.kind) else float
-        try:
-            h = np.asarray(h, dtype=dtype)
-            a = np.asarray(a, dtype=dtype)
+        try:  # own read-only copies: a caller's later edit cannot skip the checks
+            h = np.array(h, dtype=dtype)
+            a = np.array(a, dtype=dtype)
         except (TypeError, ValueError, OverflowError):  # entries that are not numbers
             raise DomainError("h and a must hold numbers") from None
+        h.setflags(write=False)
+        a.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "a", a)
         # every comparison below is written so that NaN fails it; the maxima
@@ -188,6 +207,15 @@ class GenEig2:
         object.__setattr__(self, "_a_inv_half",
                            np.array(a_inv_half, dtype=dtype).reshape(a.shape))
         object.__setattr__(self, "_scale", scale)  # the residual check reuses it
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GenEig2):
+            return NotImplemented
+        return all(x.dtype == y.dtype and x.shape == y.shape and bool((x == y).all())
+                   for x, y in ((self.h, other.h), (self.a, other.a)))
+
+    def __hash__(self) -> int:  # float hashing makes 0.0 and -0.0 agree, as == does
+        return hash(tuple((x.dtype.str, x.shape, *x.ravel().tolist()) for x in (self.h, self.a)))
 
 
 def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -309,10 +337,7 @@ def _block_parameters(geometry: GeometryKind, ell: int, sigma_ell: float,
     H = [[c + d, .], [., c - d]] with off-diagonal q_eff e^{i theta},
     where q_eff = eps * c in case (i) and q_eff = -q * eps in case (ii).
     """
-    try:
-        squares = float(ell * ell + m * m)
-    except OverflowError:
-        raise _square_sum_error(ell, sigma_ell) from None
+    squares = _square_sum(ell, sigma_ell, m)
     if geometry is GeometryKind.RING:
         center = squares
         d = 2.0 * sigma_ell * m
@@ -752,47 +777,40 @@ def feasibility_sweep(case, geometry, ell: int,
 def feasibility_boundary(case, geometry, ell: int, sigma_ell: float,
                          theta: float = 0.0, convention: str = "paper",
                          hi: float = 20.0) -> float:
-    """Smallest delta_alpha with |delta_e| <= gap, found by bisection.
+    """Smallest delta_alpha with |delta_e| <= gap, solved in closed form.
 
-    Returns 0.0 when even delta_alpha = 0 is feasible.  |delta_e| is
-    monotone decreasing in delta_alpha, so the root is unique.  At
-    sigma_ell = 0 the delta_alpha = 0 point itself is singular (the two
-    coherent states coincide), so the edge is decided by its one-sided
-    limit instead.
+    |delta_e| = gap inverts exactly (module docstring); the kernel steps
+    float by float from there to the first float whose shift fits.  A
+    result above hi, or none (a gap <= 0), raises DomainError.  At
+    sigma_ell = 0, m_check = 0 makes d = q = 0: nothing shifts, and the
+    result is 0.0 although delta_alpha = 0 itself is singular there.
     """
     _check_sweep_sigma_ell(ell, sigma_ell)
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
     root = _spin_root(_spin(ell, sigma_ell))
-
-    row = None
-    gap = math.nan
-
-    def excess(da: float) -> float:
-        nonlocal row, gap
-        eps = _damping(da, convention) * root  # epsilon_param(da, sigma_ell / ell)
-        if row is None:
-            # the warning skips _row, this closure and feasibility_boundary
-            row = _row(kind, geo, ell, sigma_ell, eps, theta, stacklevel=4)
-            gap = _gap(geo, row.ell, sigma_ell)
-        return abs(_closed_forms(row, (eps,))[0]) - gap
-
-    lo = 0.0
-    try:
-        if excess(lo) <= 0.0:
-            return 0.0
-    except SingularOverlapError:
-        lo = 1e-6  # small enough that exp(-da^2) still rounds below 1
-        if excess(lo) <= 0.0:
-            return 0.0
-    if excess(hi) > 0.0:
-        raise DomainError(f"no feasible delta_alpha below {hi}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if excess(mid) > 0.0:
-            lo = mid
+    scale = _damping_scale(convention)
+    # any epsilon below 1 runs the same checks; the warning skips _row and this frame
+    row = _row(kind, geo, ell, sigma_ell, 0.0, theta, stacklevel=3)
+    gap = _gap(geo, row.ell, sigma_ell)
+    if sigma_ell == 0.0:
+        return 0.0
+    g = max(gap, 0.0)  # no shift fits under a gap <= 0, as rounding makes it from ell ~ 7e7
+    u = g / (abs(row.d) + g) if row.case_i else g / abs(row.q)
+    eps2 = u * (2.0 - u) if row.case_i else u * (2.0 * row.sigma + u)
+    da = _delta_alpha_at(math.sqrt(eps2), root, scale)
+    while da < math.inf:  # one kernel call judges da and the float below it
+        below = math.nextafter(da, 0.0)
+        shifts = _closed_forms(row, (_damping(below, convention) * root,
+                                     _damping(da, convention) * root))
+        if abs(shifts[4]) > gap:
+            da = math.nextafter(da, math.inf)
+        elif da > 0.0 and abs(shifts[0]) <= gap:
+            da = below
         else:
-            hi = mid
-    return hi
+            break
+    if not da <= hi or da == math.inf:  # a NaN hi fails da <= hi too
+        raise DomainError(f"delta_alpha must be >= 0, got {hi}" if hi < 0.0 else
+                          f"no feasible delta_alpha below {hi}" if hi == hi else
+                          f"hi must be a number, got {hi}")
+    return da

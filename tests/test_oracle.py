@@ -46,6 +46,12 @@ class TestOracleReport:
         assert rep.max_rel_dev == pytest.approx(0.2, rel=1e-15)
         assert rep.metadata["tag"] == 1
 
+    def test_reports_compare_by_identity(self):
+        """A record, not a value: == never compares the arrays or the metadata."""
+        report = ring_fd_spectrum(4, 1.2, n_grid=64)
+        assert report == report
+        assert report != ring_fd_spectrum(4, 1.2, n_grid=64)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             OracleReport.from_arrays([1.0], [1.0, 2.0], {})

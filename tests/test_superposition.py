@@ -58,6 +58,31 @@ def _random_pencils(count, seed=11):
 
 
 class TestGenEig2x2:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["block", "stack"])
+    def test_value_semantics(self, dtype, stacked):
+        """== and hash go by dtype, shape and entries; h and a are read-only copies."""
+        h = np.array([[15.0, 1.7], [1.7, 19.0]], dtype=dtype)
+        a = np.array([[1.0, 0.1], [0.1, 1.0]], dtype=dtype)
+        if stacked:
+            h = np.stack([h, 2.0 * h, -h])
+        problem = GenEig2(h, a)
+        twin = GenEig2(h.copy(), a.copy())
+        assert problem == twin and hash(problem) == hash(twin)
+        assert problem.h is not h and problem.a is not a
+        for array in (problem.h, problem.a):
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0, 1] = 5.0
+        h[..., 0, 0] += 1.0  # the caller's later edit leaves the problem alone
+        assert problem == twin and problem != GenEig2(h, a)
+        signed = GenEig2(twin.h, np.array([[1.0, -0.0], [-0.0, 1.0]], dtype=dtype))
+        unsigned = GenEig2(twin.h, np.eye(2, dtype=dtype))
+        assert signed == unsigned and hash(signed) == hash(unsigned)  # -0.0 == 0.0
+        other = np.complex128 if dtype == np.float64 else np.float64
+        assert problem != GenEig2(twin.h.real.astype(other), twin.a.real.astype(other))
+        assert problem != GenEig2(twin.h[:2] if stacked else twin.h[None], twin.a)
+        assert problem != (twin.h, twin.a)
+
     def test_rejects_ill_formed_problems(self):
         with pytest.raises(DomainError):
             GenEig2(np.array([[1.0, 2.0], [3.0, 1.0]]), np.eye(2))
@@ -729,17 +754,37 @@ class TestFeasibility:
         assert nonzero > 0
 
     @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
-    def test_zero_spin_case_ii_retry_returns_a_value(self, geometry):
-        """delta_alpha = 0 is singular at sigma_ell = 0; the search retries above it."""
+    def test_zero_spin_case_ii_boundary_is_zero(self, geometry):
+        """delta_alpha = 0 is singular at sigma_ell = 0, but m_check = 0 shifts nothing."""
         for ell in (1, 2, 5, 12):
             with pytest.warns(ExpansionWarning):
-                b = feasibility_boundary("ii", geometry, ell, 0.0)
-            assert math.isfinite(b) and b >= 0.0
+                assert feasibility_boundary("ii", geometry, ell, 0.0) == 0.0
+
+    @pytest.mark.parametrize("hi, outcome", [
+        (math.inf, BOUNDARY_L16_S8),
+        (1e300, BOUNDARY_L16_S8),
+        (20.0, BOUNDARY_L16_S8),
+        (BOUNDARY_L16_S8, BOUNDARY_L16_S8),
+        (math.nextafter(BOUNDARY_L16_S8, 0.0),
+         f"no feasible delta_alpha below {math.nextafter(BOUNDARY_L16_S8, 0.0)}"),
+        (1.0, "no feasible delta_alpha below 1.0"),
+        (-1.0, "delta_alpha must be >= 0, got -1.0"),
+        (math.nan, "hi must be a number, got nan"),
+    ], ids=["inf", "1e300", "default", "at-boundary", "below-boundary", "low", "negative",
+            "nan"])
+    def test_boundary_hi_caps_the_result(self, hi, outcome):
+        """hi caps the result, at any size; it is never a step budget."""
+        if isinstance(outcome, str):
+            with pytest.raises(DomainError, match=f"^{re.escape(outcome)}$"):
+                feasibility_boundary("i", "ring", 16, 8.0, hi=hi)
+        else:
+            assert feasibility_boundary("i", "ring", 16, 8.0, hi=hi) == outcome
 
     @pytest.mark.parametrize("geometry, gap_name", [("ring", "ring_gap"),
                                                     ("harmonic", "harmonic_gap")])
     def test_gap_is_computed_once_per_row(self, monkeypatch, geometry, gap_name):
-        """Sweeps and boundary searches evaluate the gap once per sigma_ell.
+        """Sweeps and boundary searches evaluate the gap once per sigma_ell,
+        and a boundary search makes at most 8 calls of the closed-form kernel.
 
         The gap depends on sigma_ell alone; counting calls guards that
         without a wall-clock bound.
@@ -756,9 +801,17 @@ class TestFeasibility:
         points = feasibility_sweep("i", geometry, 16, sigmas, np.linspace(0.5, 4.0, 351))
         assert len(points) == 12 * 351
         assert calls == sigmas
-        calls.clear()
-        feasibility_boundary("i", geometry, 16, 8.0)
-        assert calls == [8.0]
+        kernel_calls = []
+        kernel = superposition._closed_forms
+        monkeypatch.setattr(superposition, "_closed_forms",
+                            lambda row, eps: kernel_calls.append(1) or kernel(row, eps))
+        for case in ("i", "ii"):
+            for sigma_ell in sigmas:
+                calls.clear()
+                kernel_calls.clear()
+                feasibility_boundary(case, geometry, 16, sigma_ell)
+                assert calls == [sigma_ell]
+                assert 1 <= len(kernel_calls) <= 8, (case, sigma_ell, len(kernel_calls))
 
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
     def test_non_finite_theta_is_rejected_on_every_route(self, theta):
