@@ -30,10 +30,14 @@ g (2|d| + g) / (|d| + g)^2) in case (i) and at eps*^2 = t (2 sigma + t)
 with t = g / |q| in case (ii).  As eps = exp(-delta_alpha^2 / k)
 sqrt(1 - sigma^2), with k = 1 under the paper convention and 2 under the
 standard one, delta_alpha* = sqrt(k ln(sqrt(1 - sigma^2) / eps*)), or 0
-when eps* >= sqrt(1 - sigma^2).  The kernel then steps float by float
-(math.nextafter) to the first float whose shift fits under g, a few
-calls in all; hi only caps the result.  At sigma_ell = 0, m_check = 0
-makes d = q = 0, and one explicit branch returns 0.0.
+when eps* >= sqrt(1 - sigma^2).  Two floats beyond the inverses at
+eps* (1 -+ 2^-50) bracket the first float whose kernel shift fits under
+g, and bisecting the float bits (integers in the floats' order) finds
+it: 4 to 7 kernel calls where g > 0.  A bracket that misses costs at
+most 64 calls, never the result: a gap that rounds to 0, from ell ~ 7e7,
+leaves eps* = 0, and only a shift that underflows to 0 fits.  hi only
+caps the result.  At sigma_ell = 0, m_check = 0 makes d = q = 0, and
+one explicit branch returns 0.0.
 
 A pencil, one 2x2 block or a (k, 2, 2) stack against one shared overlap
 or one overlap per block, is built by build_block, checked (finite,
@@ -51,6 +55,7 @@ Points, sweeps and boundaries are plain math, eigenvectors included
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
@@ -774,17 +779,21 @@ def feasibility_sweep(case, geometry, ell: int,
     return points
 
 
+def _bits(x: float) -> int:
+    """The IEEE bits of a float >= 0: integers in the same order as the floats."""
+    return int.from_bytes(struct.pack("<d", x), "little")
+
+
+def _float(n: int) -> float:
+    return struct.unpack("<d", n.to_bytes(8, "little"))[0]
+
+
 def feasibility_boundary(case, geometry, ell: int, sigma_ell: float,
                          theta: float = 0.0, convention: str = "paper",
                          hi: float = 20.0) -> float:
-    """Smallest delta_alpha with |delta_e| <= gap, solved in closed form.
-
-    |delta_e| = gap inverts exactly (module docstring); the kernel steps
-    float by float from there to the first float whose shift fits.  A
-    result above hi, or none (a gap <= 0), raises DomainError.  At
-    sigma_ell = 0, m_check = 0 makes d = q = 0: nothing shifts, and the
-    result is 0.0 although delta_alpha = 0 itself is singular there.
-    """
+    """Smallest delta_alpha with |delta_e| <= gap, by bisecting the float bits
+    from the closed-form bracket (module docstring): at most 64 kernel calls.
+    sigma_ell = 0 gives 0.0; a result above hi, or none, raises DomainError."""
     _check_sweep_sigma_ell(ell, sigma_ell)
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
@@ -793,22 +802,22 @@ def feasibility_boundary(case, geometry, ell: int, sigma_ell: float,
     # any epsilon below 1 runs the same checks; the warning skips _row and this frame
     row = _row(kind, geo, ell, sigma_ell, 0.0, theta, stacklevel=3)
     gap = _gap(geo, row.ell, sigma_ell)
-    if sigma_ell == 0.0:
+    if row.m_check == 0:  # d = q = 0: nothing shifts
         return 0.0
-    g = max(gap, 0.0)  # no shift fits under a gap <= 0, as rounding makes it from ell ~ 7e7
+    g = max(gap, 0.0)  # eps* = 0 under a gap <= 0, as rounding makes it from ell ~ 7e7
     u = g / (abs(row.d) + g) if row.case_i else g / abs(row.q)
-    eps2 = u * (2.0 - u) if row.case_i else u * (2.0 * row.sigma + u)
-    da = _delta_alpha_at(math.sqrt(eps2), root, scale)
-    while da < math.inf:  # one kernel call judges da and the float below it
-        below = math.nextafter(da, 0.0)
-        shifts = _closed_forms(row, (_damping(below, convention) * root,
-                                     _damping(da, convention) * root))
-        if abs(shifts[4]) > gap:
-            da = math.nextafter(da, math.inf)
-        elif da > 0.0 and abs(shifts[0]) <= gap:
-            da = below
-        else:
-            break
+    eps = math.sqrt(u * (2.0 - u) if row.case_i else u * (2.0 * row.sigma + u))
+    # lo's float does not fit (-1: not even 0.0 is known to), up's does; the first two
+    # probes, two floats beyond the inverses at eps* (1 -+ 2^-50), narrow that to a few
+    probes = [_bits(_delta_alpha_at(eps * (1.0 + 2.0**-50), root, scale)) - 2,
+              _bits(_delta_alpha_at(eps * (1.0 - 2.0**-50), root, scale)) + 2]
+    lo, up = -1, _bits(math.inf)
+    while up - lo > 1:
+        mid = probes.pop() if probes else (lo + up) // 2
+        if lo < mid < up:  # a probe outside the bracket is skipped
+            fits = abs(_closed_forms(row, (_damping(_float(mid), convention) * root,))[0]) <= gap
+            lo, up = (lo, mid) if fits else (mid, up)
+    da = _float(up)
     if not da <= hi or da == math.inf:  # a NaN hi fails da <= hi too
         raise DomainError(f"delta_alpha must be >= 0, got {hi}" if hi < 0.0 else
                           f"no feasible delta_alpha below {hi}" if hi == hi else

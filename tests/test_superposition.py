@@ -710,6 +710,11 @@ class TestFeasibility:
         ('ii', 'harmonic', 10**6, 123457.0, 1.3, 'paper', 3.715890204657204),
         ('ii', 'harmonic', 10**6, 123457.0, 0.0, 'standard', 5.255062323715554),
         ('ii', 'harmonic', 16, 5.0, 1.3, 'standard', 2.3309994788387876),
+        # the gap rounds to 0 from ell ~ 7e7: eps* = 0, and only a shift that
+        # underflows to 0 fits
+        ('i', 'ring', 10**8, 2.0, 0.0, 'paper', 19.28775008669069),
+        ('ii', 'harmonic', 10**9, 1.0, 0.0, 'paper', 19.30198460135565),
+        ('i', 'harmonic', 10**12, 1.0, 0.0, 'paper', 18.931574826271735),
     ])
     def test_boundary_table(self, case, geometry, ell, sigma_ell, theta, convention, expected):
         """Boundary floats pinned bit for bit: the CLI never calls the boundary,
@@ -723,6 +728,11 @@ class TestFeasibility:
     def test_boundary_validation(self):
         with pytest.raises(UsageError):
             feasibility_boundary("i", "ring", 16, 8.5)
+        for geometry in ("ring", "harmonic"):  # m_check = 0, but not an integer
+            with pytest.raises(UsageError, match="^sigma_ell grid must be integers, got 0.25$"):
+                feasibility_boundary("ii", geometry, 16, 0.25)
+        with pytest.raises(DomainError, match="^no feasible delta_alpha below 20.0$"):
+            feasibility_boundary("i", "ring", 10**12, 999999999999.0)  # a gap < 0
         with pytest.raises(UsageError):
             feasibility_boundary("i", "ring", 16, 16.0)
 
@@ -784,7 +794,8 @@ class TestFeasibility:
                                                     ("harmonic", "harmonic_gap")])
     def test_gap_is_computed_once_per_row(self, monkeypatch, geometry, gap_name):
         """Sweeps and boundary searches evaluate the gap once per sigma_ell,
-        and a boundary search makes at most 8 calls of the closed-form kernel.
+        and a boundary search makes at most 8 calls of the closed-form kernel
+        (64 where the gap rounds to 0 and the closed form gives no bracket).
 
         The gap depends on sigma_ell alone; counting calls guards that
         without a wall-clock bound.
@@ -812,6 +823,10 @@ class TestFeasibility:
                 feasibility_boundary(case, geometry, 16, sigma_ell)
                 assert calls == [sigma_ell]
                 assert 1 <= len(kernel_calls) <= 8, (case, sigma_ell, len(kernel_calls))
+        # a gap rounded to 0 leaves no closed-form bracket: the widest bisection
+        kernel_calls.clear()
+        feasibility_boundary("i", geometry, 10**8, 2.0)
+        assert len(kernel_calls) <= 64
 
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
     def test_non_finite_theta_is_rejected_on_every_route(self, theta):
