@@ -47,14 +47,13 @@ _EXPORTS = {
         "RadialFunction", "radial_wavefunction", "radial_profile"),
     # superpositions
     "superposition": (
-        "GenEig2", "gen_eig_2x2", "SuperpositionResult", "build_block",
-        "superpose_ring", "superpose_harmonic", "small_eps_delta_e",
+        "SuperpositionResult", "superpose_ring", "superpose_harmonic", "small_eps_delta_e",
         "FeasibilityPoint", "feasibility_sweep", "feasibility_boundary"),
-    # numerical oracle
+    # numerical oracle, the explicit 2x2 pencil included
     "oracle": (
-        "OracleReport", "hermitian_eigs", "ring_fd_spectrum", "radial_fd_spectrum",
-        "superposition_block_scan", "quadrature_norm", "quadrature_overlap",
-        "run_verification"),
+        "GenEig2", "gen_eig_2x2", "build_block", "OracleReport", "hermitian_eigs",
+        "ring_fd_spectrum", "radial_fd_spectrum", "superposition_block_scan",
+        "quadrature_norm", "quadrature_overlap", "run_verification"),
 }
 
 # exported name -> full name of its submodule

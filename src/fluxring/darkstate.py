@@ -118,13 +118,15 @@ def mean_spin(alpha: float, beta_mag2: float) -> float:
     alpha : real amplitude of the wound leg.
     beta_mag2 : squared magnitude of the other leg.
 
-    The result lies in [-1, 1].  Vanishing total weight leaves the dark
-    state undefined and raises DegenerateFieldError.
+    The result lies in [-1, 1].  Vanishing total weight raises
+    DegenerateFieldError; a NaN or overflowing weight, DomainError.
     """
-    if beta_mag2 < 0.0:
+    if not beta_mag2 >= 0.0:  # NaN fails both checks
         raise DomainError(f"beta_mag2 must be >= 0, got {beta_mag2}")
     a2 = alpha * alpha
     norm = a2 + beta_mag2
+    if not norm < math.inf:
+        raise DomainError(f"alpha^2 + beta_mag2 must be finite, got {norm} at alpha = {alpha}")
     if norm == 0.0:
         raise DegenerateFieldError("field amplitudes carry no weight")
     sigma = (a2 - beta_mag2) / norm
@@ -214,7 +216,7 @@ def dark_overlaps(case, sigma: float) -> DarkOverlaps:
 
 def _spin_root(sigma: float) -> float:
     """sqrt(1 - sigma^2), the overlap factor of two dark states of spin +-sigma."""
-    if abs(sigma) > 1.0:
+    if not abs(sigma) <= 1.0:  # NaN fails it
         raise DomainError(f"sigma must lie in [-1, 1], got {sigma}")
     return math.sqrt(1.0 - sigma * sigma)
 
@@ -231,8 +233,8 @@ def _damping_scale(convention: str) -> float:
 
 def _damping(delta_alpha: float, convention: str) -> float:
     """Coherent-state damping exp(-delta_alpha^2), or exp(-delta_alpha^2 / 2)
-    under the 'standard' convention; delta_alpha >= 0 is checked first."""
-    if delta_alpha < 0.0:
+    under the 'standard' convention; delta_alpha >= 0 (not NaN) is checked first."""
+    if not delta_alpha >= 0.0:
         raise DomainError(f"delta_alpha must be >= 0, got {delta_alpha}")
     return math.exp(-delta_alpha * delta_alpha / _damping_scale(convention))
 
@@ -258,8 +260,8 @@ def epsilon_param(delta_alpha: float, sigma: float, convention: str = "paper") -
     >>> round(epsilon_param(1.0, 0.6), 7)
     0.2943036
     """
-    # a negative delta_alpha is reported before sigma, the convention after it
-    root = 1.0 if delta_alpha < 0.0 else _spin_root(sigma)
+    # a negative or NaN delta_alpha is reported before sigma, the convention after it
+    root = _spin_root(sigma) if delta_alpha >= 0.0 else 1.0
     return _damping(delta_alpha, convention) * root
 
 

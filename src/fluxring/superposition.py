@@ -39,17 +39,8 @@ leaves eps* = 0, and only a shift that underflows to 0 fits.  hi only
 caps the result.  At sigma_ell = 0, m_check = 0 makes d = q = 0, and
 one explicit branch returns 0.0.
 
-A pencil, one 2x2 block or a (k, 2, 2) stack against one shared overlap
-or one overlap per block, is built by build_block, checked (finite,
-Hermitian, |eps| < 1) by GenEig2 and solved by gen_eig_2x2; the oracle's
-block scan and its random-pencil check are stacked cases of the same calls.
-The pencil is real when its phase e^{i theta} is (theta = 0): H, A and
-the eigenvectors are then float64, and complex128 for any other theta.
-One dtype test in each function picks the route.
-
-Points, sweeps and boundaries are plain math, eigenvectors included
-(tuples of complex), so they run without numpy; only the pencil code
-(GenEig2, gen_eig_2x2, build_block) imports it.
+Everything here is plain math, eigenvectors included (tuples of complex),
+without numpy; the explicit pencil and its LAPACK solve live in the oracle.
 """
 
 from __future__ import annotations
@@ -60,24 +51,18 @@ import warnings
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 from itertools import repeat
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .darkstate import (FluxCase, _damping, _damping_scale, _delta_alpha_at, _spin_root,
                         case_of)
 from .errors import (CaseError, DegeneracyError, DomainError, ExpansionWarning,
-                     SingularOverlapError, UsageError, VerificationError)
+                     SingularOverlapError, UsageError)
 from .harmonic import harmonic_gap
 from .params import GeometryKind, as_geometry_kind
 from .ring import _check_table_rows, _square_sum, _square_sum_error, ground_m, ring_gap
 
-if TYPE_CHECKING:  # the pencil code imports numpy, so points and sweeps load without it
-    import numpy as np
-
 __all__ = [
-    "GenEig2",
-    "gen_eig_2x2",
     "SuperpositionResult",
-    "build_block",
     "superpose_ring",
     "superpose_harmonic",
     "small_eps_delta_e",
@@ -85,188 +70,6 @@ __all__ = [
     "feasibility_sweep",
     "feasibility_boundary",
 ]
-
-_RESIDUAL_TOL = 1e-12
-_HERMITICITY_TOL = 1e-13
-
-
-_H_SHAPES = "one 2x2 block or a (k, 2, 2) stack of blocks"
-_A_SHAPES = "one 2x2 overlap shared by the blocks or a (k, 2, 2) stack of them, one per block"
-
-
-def _shape_error(name: str, value, shapes: str) -> DomainError:
-    """The error of an h or a that is not one 2x2 block or a (k, 2, 2) stack."""
-    import numpy as np
-
-    try:
-        got = f"shape {np.shape(value)}"
-    except ValueError:  # a ragged nesting has no array shape
-        got = "a ragged nesting"
-    return DomainError(f"{name} must be {shapes}, got {got}")
-
-
-@dataclass(frozen=True)
-class GenEig2:
-    """A 2x2 generalized eigenproblem H v = E A v, or a stack of them.
-
-    h is one 2x2 block or a (k, 2, 2) stack of blocks; every block must
-    be Hermitian.  a is one overlap A shared by the blocks, or a (k, 2, 2)
-    stack of them, one per block of a stacked h.  Every overlap is the
-    unit-diagonal [[1, eps e^{i theta}], [conj, 1]] with eps < 1.  Every
-    entry of h and a must be finite, and so must its magnitude.  The
-    checks run on construction, before any arithmetic that could warn,
-    and raise DomainError (SingularOverlapError for eps >= 1); so does
-    any other shape, or an a that does not hold one overlap per block.
-
-    The pencil keeps a real dtype: h and a become float64 unless either
-    is complex, and then both become complex128.  A real h is Hermitian
-    when each block's h01 matches its h10.  A shared overlap is the
-    per-block case with one overlap: the loop that checks each overlap
-    also builds its A^(-1/2), which gen_eig_2x2 reuses.
-
-    A GenEig2 is a value: h and a are read-only copies of the input, and
-    two problems are equal (with equal hashes) when their dtypes, shapes
-    and entries are.
-    """
-
-    h: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        import cmath
-
-        import numpy as np
-
-        try:
-            h = np.asarray(self.h)
-        except ValueError:  # a ragged nesting has no array shape
-            raise _shape_error("h", self.h, _H_SHAPES) from None
-        try:
-            a = np.asarray(self.a)
-        except ValueError:
-            raise _shape_error("a", self.a, _A_SHAPES) from None
-        stacked = h.ndim == 3 and h.shape[1:] == (2, 2)
-        if not (stacked or h.shape == (2, 2)):
-            raise _shape_error("h", h, _H_SHAPES)
-        if a.shape != (2, 2):
-            if not (a.ndim == 3 and a.shape[1:] == (2, 2)):
-                raise _shape_error("a", a, _A_SHAPES)
-            if not (stacked and len(a) == len(h)):
-                blocks = f"the {len(h)} blocks of h" if stacked else "the single block h"
-                raise DomainError(f"a holds {len(a)} overlaps for {blocks}; give one overlap "
-                                  "shared by the blocks or one per block")
-        dtype = complex if "c" in (h.dtype.kind, a.dtype.kind) else float
-        try:  # own read-only copies: a caller's later edit cannot skip the checks
-            h = np.array(h, dtype=dtype)
-            a = np.array(a, dtype=dtype)
-        except (TypeError, ValueError, OverflowError):  # entries that are not numbers
-            raise DomainError("h and a must hold numbers") from None
-        h.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "a", a)
-        # every comparison below is written so that NaN fails it; the maxima
-        # call np.maximum.reduce, which ndarray.max wraps in a Python frame
-        largest = np.maximum.reduce
-        flat = h.reshape(-1, 4)  # one row per block
-        scale = largest(np.abs(flat), axis=1, initial=1.0)
-        if not largest(scale, initial=1.0) < math.inf:
-            raise DomainError("h must be finite")
-        limit = _HERMITICITY_TOL * scale
-        if dtype is complex:  # |h - h^H| entry by entry
-            skew = np.abs(h - h.conj().swapaxes(-1, -2)).reshape(-1, 4)
-            limit = limit[:, None]
-        else:  # h01 against h10
-            skew = np.abs(flat[:, 1] - flat[:, 2])
-        if not largest(skew - limit, axis=None, initial=0.0) <= 0.0:
-            raise DomainError("h is not Hermitian")
-        # one pass over the overlaps: check each, then build its A^(-1/2)
-        a_inv_half = []
-        for a00, a01, a10, a11 in a.reshape(-1, 4).tolist():
-            if not all(map(cmath.isfinite, (a00, a01, a10, a11))):
-                raise DomainError("a must be finite")
-            try:
-                if not (abs(a00 - 1.0) <= _HERMITICITY_TOL
-                        and abs(a11 - 1.0) <= _HERMITICITY_TOL):
-                    raise DomainError("a must have unit diagonal")
-                if not abs(a10 - a01.conjugate()) <= _HERMITICITY_TOL:
-                    raise DomainError("a is not Hermitian")
-                eps = abs(a01)
-            except OverflowError:  # the abs of a complex with finite parts can overflow
-                raise DomainError("a has an entry beyond the float range") from None
-            if not eps < 1.0:
-                raise SingularOverlapError(
-                    f"overlap magnitude {eps} >= 1 leaves the metric indefinite")
-            if dtype is float:
-                phase = a01 / eps if eps > 0.0 else 1.0
-            else:
-                # componentwise division: complex a01 / eps overflows internally
-                # when eps is subnormal, the real quotients never do
-                phase = complex(a01.real / eps, a01.imag / eps) if eps > 0.0 else 1.0 + 0.0j
-            # A = I + eps K has eigenvectors (1, +-e^{-i theta})/sqrt(2), values 1 +- eps
-            ip = 1.0 / math.sqrt(1.0 + eps)
-            im = 1.0 / math.sqrt(1.0 - eps)
-            p_half = 0.5 * (ip + im)
-            q_half = 0.5 * (ip - im) * phase
-            a_inv_half += (p_half, q_half, q_half.conjugate(), p_half)
-        object.__setattr__(self, "_a_inv_half",
-                           np.array(a_inv_half, dtype=dtype).reshape(a.shape))
-        object.__setattr__(self, "_scale", scale)  # the residual check reuses it
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GenEig2):
-            return NotImplemented
-        return all(x.dtype == y.dtype and x.shape == y.shape and bool((x == y).all())
-                   for x, y in ((self.h, other.h), (self.a, other.a)))
-
-    def __hash__(self) -> int:  # float hashing makes 0.0 and -0.0 agree, as == does
-        return hash(tuple((x.dtype.str, x.shape, *x.ravel().tolist()) for x in (self.h, self.a)))
-
-
-def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the 2x2 pencil H v = E A v by congruence with A^(-1/2).
-
-    Returns (eigenvalues ascending, eigenvectors as columns, normalized
-    in the A metric), shaped (2,) and (2, 2) for one block and (k, 2) and
-    (k, 2, 2) for a (k, 2, 2) stack; a bare (h, a) tuple is checked as a
-    GenEig2 first.  Each overlap's eigenbasis is analytic, so A^(-1/2) is
-    closed form, built by GenEig2 once per overlap: one shared by every
-    block, or one per block.  All blocks go to LAPACK in one
-    np.linalg.eigh call, and each block's residual must stay within
-    1e-12 of its largest entry (VerificationError).  A block gives the
-    same bits alone or stacked, against a shared overlap or its own.
-    A real pencil stays real, A^(-1/2) included, and returns float64
-    eigenvectors; a complex one returns complex128 eigenvectors.
-
-    Examples
-    --------
-    >>> vals, _ = gen_eig_2x2(GenEig2([[15, 1.7], [1.7, 19]],
-    ...                               [[1, 0.1], [0.1, 1]]))
-    >>> round(float(vals[0]), 7)
-    14.9899244
-    """
-    import numpy as np
-
-    if not isinstance(problem, GenEig2):
-        problem = GenEig2(*problem)
-    h, a = problem.h, problem.a
-    a_inv_half = problem._a_inv_half
-    b = a_inv_half @ h @ a_inv_half
-    # scrub rounding skew before the Hermitian solve
-    b = 0.5 * (b + (b if h.dtype.kind == "f" else b.conj()).swapaxes(-1, -2))
-    vals, w = np.linalg.eigh(b)
-    vecs = a_inv_half @ w
-    scale = problem._scale
-    residual = np.abs(h @ vecs - (a @ vecs) * vals[..., None, :])
-    # one comparison for every entry of every block; a NaN residual fails it
-    # (np.maximum.reduce: ndarray.max wraps it in a Python frame)
-    if not np.maximum.reduce(residual - (_RESIDUAL_TOL * scale)[:, None, None], axis=None,
-                             initial=0.0) <= 0.0:
-        worst = residual.reshape(-1, 4).max(axis=1)
-        first = np.argmin(worst <= _RESIDUAL_TOL * scale)  # the first failing block
-        raise VerificationError(f"pencil residual {worst[first]} exceeds "
-                                f"{_RESIDUAL_TOL * scale[first]}")
-    return vals, vecs
 
 
 @dataclass(frozen=True)
@@ -368,100 +171,6 @@ def _check_theta(theta: float) -> None:
         raise DomainError(f"theta must be finite, got {theta}")
 
 
-def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
-                theta: float = 0.0, m: int | Iterable[int] | None = None) -> GenEig2:
-    """Explicit (H, A) pencil of the two-sector block at angular momentum m.
-
-    m defaults to the ground-state value.  A sequence of integers for m
-    (a range, say) gives a (len(m), 2, 2) stack of H, one block per m in
-    order, against the one overlap A they share; the stack is computed
-    over all m at once, with the operations of the single block, so
-    each of its blocks has the bits of that block built alone.  This is
-    the matrix the closed forms in superpose_ring / superpose_harmonic
-    diagonalize; feeding it to gen_eig_2x2 provides the independent
-    numerical route, and superposition_block_scan solves its stacked
-    form.  epsilon and theta face the checks of superpose_*:
-    0 <= epsilon < 1 and a finite theta.  H and A are float64 when the
-    phase e^{i theta} is real (sin theta == 0.0, so theta = 0) and
-    complex128 otherwise.
-
-    Examples
-    --------
-    >>> block = build_block("i", "ring", 4, 1.0, 0.1)
-    >>> block.h
-    array([[15. ,  1.7],
-           [ 1.7, 19. ]])
-    >>> gen_eig_2x2(block)[1].dtype  # theta = 0: float64 eigenvectors
-    dtype('float64')
-    >>> gen_eig_2x2(build_block("i", "ring", 4, 1.0, 0.1, theta=1.3))[1].dtype
-    dtype('complex128')
-    """
-    import numpy as np
-
-    kind = case_of(case)
-    geo = as_geometry_kind(geometry)
-    _check_theta(theta)
-    _check_epsilon(epsilon)
-    sin = math.sin(theta)
-    phase = math.cos(theta) if sin == 0.0 else complex(math.cos(theta), sin)
-    if isinstance(m, Iterable):
-        h = _block_stack(geo, ell, sigma_ell, epsilon, phase, kind is FluxCase.CASE_I,
-                         list(m))
-    else:
-        center, d, q = _block_parameters(geo, ell, sigma_ell,
-                                         ground_m(sigma_ell) if m is None else m)
-        off = epsilon * center * phase if kind is FluxCase.CASE_I else -q * epsilon * phase
-        h = np.array([[center + d, off], [off.conjugate(), center - d]])
-    if kind is FluxCase.CASE_I:
-        a01 = epsilon * phase
-    elif kind is FluxCase.CASE_II:
-        a01 = type(phase)(0.0)  # 0.0 or 0j, as real as the phase
-    else:
-        raise CaseError("blocks exist only for case (i) or case (ii)")
-    return GenEig2(h, np.array([[1.0, a01], [a01.conjugate(), 1.0]]))
-
-
-def _block_stack(geo: GeometryKind, ell: int, sigma_ell: float, epsilon: float,
-                 phase: float | complex, case_i: bool, ms: list[int]) -> np.ndarray:
-    """The (len(ms), 2, 2) H stack: _block_parameters and the off-diagonal
-    over all m at once, each operation in the order of the single block."""
-    import numpy as np
-
-    # ell^2 + m^2 and ell m are exact integers, each rounded once
-    ell_squared = ell * ell
-    try:
-        squares = np.array([ell_squared + mm * mm for mm in ms], dtype=float)
-    except OverflowError:
-        raise _square_sum_error(ell, sigma_ell) from None
-    mf = np.fromiter(ms, float, len(ms))
-    if geo is GeometryKind.RING:
-        center = squares
-        d = 2.0 * sigma_ell * mf
-        if not case_i:
-            q = 2.0 * ell * mf
-    else:
-        spin_m = sigma_ell * mf
-        abs_spin_m = np.abs(spin_m)
-        radicand = squares - 2.0 * abs_spin_m
-        if radicand.min(initial=1.0) <= 0.0:  # the single block names the first bad m
-            for mm in ms:
-                _block_parameters(geo, ell, sigma_ell, mm)
-        mu_star = np.sqrt(radicand)
-        center = (mu_star + 1.0) + abs_spin_m / mu_star
-        d = spin_m / mu_star
-        if not case_i:
-            q = np.array([ell * mm for mm in ms], dtype=float) / mu_star
-    off = epsilon * center if case_i else -q * epsilon
-    if phase != 1.0:  # off * 1.0 would be off again
-        off = off * phase
-    rows = np.empty((4, len(ms)), dtype=off.dtype)  # h00, h01, h10, h11 over m
-    rows[0] = center + d
-    rows[1] = off
-    rows[2] = off.conj() if off.dtype.kind == "c" else off
-    rows[3] = center - d
-    return rows.T.reshape(-1, 2, 2)
-
-
 class _Row(NamedTuple):
     """Everything a superposition depends on except epsilon and the gap.
 
@@ -486,10 +195,21 @@ def _check_epsilon(epsilon: float) -> None:
         raise SingularOverlapError(f"epsilon = {epsilon} >= 1")
 
 
+def _integer(value, name: str, error: type = DomainError) -> int:
+    """value as an int when it equals one; error for 2.5, NaN, inf, "3" or [3]."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
 def _check_ell(ell: int) -> int:
-    if ell != int(ell) or ell < 0:
+    ell = _integer(ell, "ell")
+    if ell < 0:
         raise DomainError(f"ell must be a nonnegative integer, got {ell}")
-    return int(ell)
+    return ell
 
 
 def _spin(ell: int, sigma_ell: float) -> float:

@@ -49,6 +49,23 @@ class TestMeanSpin:
         with pytest.raises(DomainError):
             mean_spin(1.0, -0.5)
 
+    @pytest.mark.parametrize("alpha, beta_mag2, message", [
+        (math.nan, 1.0, "alpha\\^2 \\+ beta_mag2 must be finite, got nan"),
+        (1.0, math.nan, "beta_mag2 must be >= 0, got nan"),
+        (1e200, 1.0, "alpha\\^2 \\+ beta_mag2 must be finite, got inf"),  # alpha^2 overflows
+        (-1e200, 0.0, "alpha\\^2 \\+ beta_mag2 must be finite, got inf"),
+        (math.inf, 1.0, "alpha\\^2 \\+ beta_mag2 must be finite, got inf"),
+        (1.0, math.inf, "alpha\\^2 \\+ beta_mag2 must be finite, got inf"),
+    ], ids=["nan-alpha", "nan-beta", "overflowing-alpha", "overflowing-negative-alpha",
+            "inf-alpha", "inf-beta"])
+    def test_nan_and_overflowing_amplitudes_are_domain_errors(self, alpha, beta_mag2, message):
+        """No NaN comes out: each of these returned NaN before."""
+        with pytest.raises(DomainError, match=message):
+            mean_spin(alpha, beta_mag2)
+
+    def test_largest_finite_weight_still_evaluates(self):
+        assert mean_spin(1e154, 1e300) == pytest.approx(1.0 - 2e-8, rel=1e-15)
+
 
 class TestCaseClassification:
     def test_case_i_amplitudes(self):
@@ -159,6 +176,11 @@ class TestDarkOverlaps:
         with pytest.raises(CaseError):
             dark_overlaps(FluxCase.NEITHER, 0.5)
 
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    def test_nan_spin_is_a_domain_error(self, case):
+        with pytest.raises(DomainError, match="sigma must lie in \\[-1, 1\\], got nan"):
+            dark_overlaps(case, math.nan)
+
 
 class TestEpsilonParam:
     def test_paper_convention_value(self):
@@ -183,6 +205,15 @@ class TestEpsilonParam:
             epsilon_param(1.0, 1.5)
         with pytest.raises(UsageError):
             epsilon_param(1.0, 0.5, convention="fancy")
+
+    def test_nan_inputs_are_domain_errors(self):
+        """NaN fails each check, and a NaN delta_alpha is reported first, as a
+        negative one is: before sigma and before the convention."""
+        for sigma, convention in ((0.5, "paper"), (math.nan, "paper"), (1.5, "fancy")):
+            with pytest.raises(DomainError, match="^delta_alpha must be >= 0, got nan$"):
+                epsilon_param(math.nan, sigma, convention)
+        with pytest.raises(DomainError, match="^sigma must lie in \\[-1, 1\\], got nan$"):
+            epsilon_param(1.0, math.nan)
 
 
 class TestDecoherenceAndNorm:

@@ -5,6 +5,7 @@ subcommand imports is part of its latency.  The checks that need an
 untouched module table run in a fresh interpreter.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -82,6 +83,56 @@ def test_radial_function_loads_dataclasses_on_first_use():
 ], ids=["sweep", "point"])
 def test_superpose_never_loads_scipy(tail):
     assert fresh(cli_run(["superpose", "--geometry", "ring", "--ell", "16", *tail])) == []
+
+
+PENCIL_NAMES = {"GenEig2", "gen_eig_2x2", "build_block", "_block_stack"}
+
+
+def test_superpose_loads_neither_numpy_nor_the_oracle():
+    """The closed-form engine runs a sweep, an amplitude point and the library
+    routes without numpy; the explicit pencil lives in the oracle alone."""
+    sweep = ["superpose", "--geometry", "ring", "--ell", "16", "--case", "i",
+             "--sigma-ell", "1:12:12", "--delta-alpha", "0.5:4:36"]
+    point = ["superpose", "--geometry", "harmonic", "--ell", "16", "--alpha-plus", "2",
+             "--alpha-minus", "0.5", "--beta-mag2", "1", "--delta-alpha", "1.5"]
+    assert fresh("import contextlib, io, json, sys\n"
+                 "from fluxring.cli import main\n"
+                 "import fluxring.superposition as engine\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    codes = [main({sweep!r}), main({point!r})]\n"
+                 "engine.superpose_harmonic('ii', 6, 2.0, 0.3, theta=1.3)\n"
+                 "engine.feasibility_boundary('i', 'ring', 16, 8.0)\n"
+                 "print(json.dumps([codes, sorted({'numpy', 'scipy', 'fluxring.oracle'}\n"
+                 "                                & set(sys.modules)),\n"
+                 f"                  sorted(set({sorted(PENCIL_NAMES)!r}) & set(vars(engine)))]))"
+                 ) == [[0, 0], [], []]
+
+
+def _imported_names(path: Path) -> set[str]:
+    """Every module an import statement in path names, at any depth, with its
+    relative imports resolved within the package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                assert node.level == 1, "an import that leaves the package"
+                base = "fluxring" + (f".{base}" if base else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_the_engine_never_imports_numpy_or_the_oracle():
+    names = _imported_names(Path(SRC, "fluxring", "superposition.py"))
+    assert {"math", "fluxring.darkstate", "fluxring.ring"} <= names  # the walk sees imports
+    banned = [name for name in names
+              if name.split(".")[0] in ("numpy", "scipy") or name == "fluxring.oracle"
+              or name.startswith("fluxring.oracle.")]
+    assert banned == []
+    assert PENCIL_NAMES <= set(vars(fluxring.oracle))
 
 
 def test_every_public_name_and_submodule_resolves_after_a_bare_import():

@@ -293,6 +293,20 @@ class TestBlockScan:
                                              r"exceeds the 1000000-row table limit$"):
             superposition_block_scan("i", "ring", ell, sigma_ell, 0.1)
 
+    @pytest.mark.parametrize("m_max", [9.5, math.nan, math.inf, "9", [9]])
+    def test_non_integer_m_max_is_rejected_before_any_block(self, monkeypatch, m_max):
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(oracle, "build_block", no_blocks)
+        with pytest.raises(UsageError, match="^m_max must be an integer, got "):
+            superposition_block_scan("i", "ring", 4, 1.0, 0.1, m_max=m_max)
+
+    def test_integer_valued_m_max_scans_the_integer_window(self):
+        minimum, m_star, rep = superposition_block_scan("i", "ring", 4, 1.0, 0.1, m_max=9.0)
+        assert (minimum, m_star) == superposition_block_scan("i", "ring", 4, 1.0, 0.1)[:2]
+        assert rep.metadata["m_max"] == 9 and type(rep.metadata["m_max"]) is int
+
     def test_explicit_window_beyond_the_table_cap_is_rejected(self):
         with pytest.raises(UsageError, match="window of 2 m_max"):
             superposition_block_scan("i", "ring", 4, 1.0, 0.1, m_max=500_000)

@@ -318,6 +318,27 @@ class TestBuildBlock:
         assert stack.h.shape == (0, 2, 2)
         assert values.shape == (0, 2) and vectors.shape == (0, 2, 2)
 
+    @pytest.mark.parametrize("ell", [-4, 4.5, math.nan, math.inf, "4"])
+    def test_rejects_the_ell_that_superpose_rejects(self, ell):
+        for build in (lambda: build_block("i", "ring", ell, 1.0, 0.1),
+                      lambda: build_block("ii", "harmonic", ell, 1.0, 0.1, m=range(-6, 7)),
+                      lambda: superpose_ring("i", ell, 1.0, 0.1)):
+            with pytest.raises(DomainError, match="^ell must be (a nonnegative|an) integer, got "):
+                build()
+
+    @pytest.mark.parametrize("m", [2.5, [2.5], "3", math.nan, math.inf, [0, 1.5],
+                                   np.array([0.5]), [None]])
+    def test_m_must_be_an_integer(self, m):
+        with pytest.raises(DomainError, match="^m must be an integer, got "):
+            build_block("i", "ring", 4, 1.0, 0.1, m=m)
+
+    def test_integer_valued_m_builds_the_integer_blocks(self):
+        np.testing.assert_array_equal(build_block("i", "harmonic", 4, 1.0, 0.1, m=2.0).h,
+                                      build_block("i", "harmonic", 4, 1.0, 0.1, m=2).h)
+        np.testing.assert_array_equal(
+            build_block("ii", "ring", 4, 1.0, 0.1, m=[-1.0, np.int64(0), 1]).h,
+            build_block("ii", "ring", 4, 1.0, 0.1, m=range(-1, 2)).h)
+
 
 def _random_scan_stacks(count, seed):
     """Seeded theta = 0 block stacks over both cases and geometries."""
