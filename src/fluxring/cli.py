@@ -183,6 +183,7 @@ def _sigma_grid(args) -> list[float]:
     ell = args.ell
     if ell <= 0:  # a negative ell is left for the trap spectrum to reject
         return [0.0]
+    _check_table_rows(8 * ell + 1, f"the default sigma_ell grid of {8 * ell + 1} points")
     return _linspace(-float(ell), float(ell), 8 * ell + 1)
 
 

@@ -118,21 +118,24 @@ def mean_spin(alpha: float, beta_mag2: float) -> float:
     alpha : real amplitude of the wound leg.
     beta_mag2 : squared magnitude of the other leg.
 
-    The result lies in [-1, 1].  Vanishing total weight raises
-    DegenerateFieldError; a NaN or overflowing weight, DomainError.
+    The result lies in [-1, 1] without a clamp: for |beta|^2 >= 0,
+    |alpha^2 - |beta|^2| <= alpha^2 + |beta|^2, and rounding is monotone,
+    so the rounded difference never exceeds the rounded norm in size.
+    Vanishing total weight raises DegenerateFieldError; a NaN or
+    overflowing weight, DomainError.
     """
     if not beta_mag2 >= 0.0:  # NaN fails both checks
         raise DomainError(f"beta_mag2 must be >= 0, got {beta_mag2}")
     a2 = alpha * alpha
-    norm = a2 + beta_mag2
+    try:
+        norm = a2 + beta_mag2
+    except OverflowError:  # an int alpha^2 with no float
+        norm = math.inf
     if not norm < math.inf:
         raise DomainError(f"alpha^2 + beta_mag2 must be finite, got {norm} at alpha = {alpha}")
     if norm == 0.0:
         raise DegenerateFieldError("field amplitudes carry no weight")
-    sigma = (a2 - beta_mag2) / norm
-    if abs(sigma) > 1.0:
-        sigma = math.copysign(1.0, sigma)  # shave the odd rounding ulp
-    return sigma
+    return (a2 - beta_mag2) / norm
 
 
 def classify_flux_case(config: FieldConfig, tol: float = 1e-9) -> tuple[CaseClassification, SpinPair]:
@@ -143,7 +146,7 @@ def classify_flux_case(config: FieldConfig, tol: float = 1e-9) -> tuple[CaseClas
     |beta|^2 with tolerance tol.  beta = 0 satisfies both at once only
     when alpha_plus*alpha_minus = 0 too, which is a degenerate field.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:  # NaN fails it
         raise DomainError(f"tol must be >= 0, got {tol}")
     b2 = config.beta_mag2
     prod = config.alpha_plus * config.alpha_minus
@@ -167,7 +170,7 @@ def classify_flux_case(config: FieldConfig, tol: float = 1e-9) -> tuple[CaseClas
 
 def gauge_potential_phi(ell: int, sigma: float, r: float, hbar: float = 1.0) -> float:
     """Azimuthal gauge potential A_phi = hbar * ell * sigma / r."""
-    if r <= 0.0:
+    if not r > 0.0:  # NaN fails it
         raise DomainError(f"r must be > 0, got {r}")
     return hbar * ell * sigma / r
 
@@ -179,7 +182,7 @@ def effective_flux(ell: int, sigma: float, hbar: float = 1.0) -> float:
 
 def scalar_potential(ell: int, r: float, hbar2_over_2m: float = 1.0) -> float:
     """Repulsive scalar potential (hbar^2/2M) ell^2 / r^2 left by the winding."""
-    if r <= 0.0:
+    if not r > 0.0:  # NaN fails it
         raise DomainError(f"r must be > 0, got {r}")
     return hbar2_over_2m * (ell * ell) / (r * r)
 
@@ -193,7 +196,7 @@ def bright_excited_eigenvalues(chi_mag2: float, big_n: float,
     """
     if detuning_e31 != 0.0:
         raise ConfigError("bright/excited eigenvalues assume resonance, detuning_e31 must be 0")
-    if big_n < 0.0:
+    if not big_n >= 0.0:  # NaN fails it
         raise DomainError(f"N must be >= 0, got {big_n}")
     value = chi_mag2 * big_n
     return value, -value
@@ -267,16 +270,23 @@ def epsilon_param(delta_alpha: float, sigma: float, convention: str = "paper") -
 
 def decoherence_factor(delta_alpha: float, gamma_t: float) -> float:
     """Off-diagonal survival exp(-|delta_alpha|^2 gamma t / 2) under photon loss."""
-    if gamma_t < 0.0:
+    if not gamma_t >= 0.0:  # NaN fails it
         raise DomainError(f"gamma_t must be >= 0, got {gamma_t}")
-    return math.exp(-0.5 * delta_alpha * delta_alpha * gamma_t)
+    exponent = 0.5 * delta_alpha * delta_alpha * gamma_t
+    if exponent != exponent:  # a NaN delta_alpha, or inf * 0
+        raise DomainError(f"decoherence exponent undefined at delta_alpha={delta_alpha}, "
+                          f"gamma_t={gamma_t}")
+    return math.exp(-exponent)
 
 
 def superposition_norm(overlap_mag: float, psi: float, theta: float) -> float:
     """Norm sqrt(2 (1 + |<Phi+|Phi->| cos(theta + psi))) of the superposed pair."""
     if not 0.0 <= overlap_mag <= 1.0:
         raise DomainError(f"overlap magnitude must lie in [0, 1], got {overlap_mag}")
-    arg = 2.0 * (1.0 + overlap_mag * math.cos(theta + psi))
+    phase = theta + psi
+    if not math.isfinite(phase):
+        raise DomainError(f"theta + psi must be finite, got {phase}")
+    arg = 2.0 * (1.0 + overlap_mag * math.cos(phase))
     if arg <= 0.0:
         raise DegeneracyError("superposition norm vanishes for this phase")
     return math.sqrt(arg)

@@ -21,7 +21,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
-from .ring import _square_sum, _sweep_window, ground_m
+from .ring import _natural, _square_sum, _sweep_window, ground_m
 
 if TYPE_CHECKING:  # the array functions import numpy, so spectra and gaps load without it
     import numpy as np
@@ -65,8 +65,7 @@ def mu(ell: int, sigma_ell: float, m: int) -> float:
 
 def harmonic_energy(ell: int, sigma_ell: float, n: int, m: int) -> float:
     """Trap level E_{n,m} = 2 n + mu_m + 1 in units of hbar*Omega."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    n = _natural(n, "n")
     return 2.0 * n + mu(ell, sigma_ell, m) + 1.0
 
 
@@ -76,23 +75,21 @@ def ground_quantum_numbers(sigma_ell: float) -> tuple[int, int]:
 
 
 def harmonic_gap(ell: int, sigma_ell: float) -> float:
-    """Gap above E_{0, m_check}, minimized over nearby (n, m) candidates.
+    """Gap above E_{0, m_check}: the lower of the levels (0, m_check +- 1).
 
-    Candidates are (0, m_check +- 1..3) and (1, m_check).  At sigma_ell = 0
-    this reduces to sqrt(ell^2 + 1) - ell, which closes slowly with ell,
-    and it vanishes exactly at half-integer sigma_ell.
+    With x = sigma_ell + m_check in [-1/2, 1/2], mu at m_check + k is
+    sqrt((x + k)^2 + ell^2 - sigma_ell^2), which grows as x + k moves
+    away from 0, so k = +1 and k = -1 are the lowest levels on each side.
+    Both exist whenever mu at m_check does, since (x +- 1)^2 >= 1/4 >= x^2,
+    and each lies at most sqrt(2) above it (at most 1 when
+    |sigma_ell| <= ell), so the radial level (1, m_check), 2 above, never
+    wins.  At sigma_ell = 0 the gap is sqrt(ell^2 + 1) - ell, which closes
+    slowly with ell, and it vanishes exactly at half-integer sigma_ell.
     """
     mc = ground_m(sigma_ell)
     e0 = harmonic_energy(ell, sigma_ell, 0, mc)
-    candidates = [(0, mc + k) for k in (-3, -2, -1, 1, 2, 3)] + [(1, mc)]
-    best = math.inf
-    for n, m in candidates:
-        try:
-            e = harmonic_energy(ell, sigma_ell, n, m)
-        except DomainError:
-            continue  # |m| beyond the physical window for this sigma_ell
-        best = min(best, e - e0)
-    return best
+    return min(harmonic_energy(ell, sigma_ell, 0, mc - 1),
+               harmonic_energy(ell, sigma_ell, 0, mc + 1)) - e0
 
 
 class HarmonicSweepRow(NamedTuple):
@@ -149,15 +146,13 @@ def laguerre_gen(n: int, a: float, x):
     >>> laguerre_gen(2, 1.0, 2.0)
     -1.0
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
-    if a <= -1.0:
+    n = _natural(n, "n")
+    if not a > -1.0:  # NaN fails it
         raise DomainError(f"a must be > -1, got {a}")
     import numpy as np
 
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0):
+    if not np.all(xs >= 0.0):  # NaN fails it
         raise DomainError("x must be >= 0")
     prev = np.zeros_like(xs)
     cur = np.ones_like(xs)
@@ -168,7 +163,7 @@ def laguerre_gen(n: int, a: float, x):
 
 def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0; a thin domain guard over math.lgamma."""
-    if x <= 0.0:
+    if not x > 0.0:  # NaN fails it
         raise DomainError(f"log_gamma needs x > 0, got {x}")
     return math.lgamma(x)
 
@@ -214,7 +209,7 @@ def _radial_function_class() -> type:
             import numpy as np
 
             rs = np.asarray(r, dtype=float)
-            if np.any(rs < 0.0):
+            if not np.all(rs >= 0.0):  # NaN fails it
                 raise DomainError("r must be >= 0")
             x = 0.5 * rs * rs
             logx = np.log(np.where(x > 0.0, x, 1.0))
@@ -240,9 +235,7 @@ def radial_wavefunction(ell: int, sigma_ell: float, n: int, m: int) -> RadialFun
     exp(0.5 (log n! - log Gamma(n + mu + 1))); if that prefactor cannot be
     represented the state is outside the supported range.
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = _natural(n, "n")
     mu_nm = mu(ell, sigma_ell, m)
     log_norm = 0.5 * (log_gamma(n + 1.0) - log_gamma(n + mu_nm + 1.0))
     if not math.isfinite(log_norm) or abs(log_norm) > 700.0:
@@ -253,7 +246,7 @@ def radial_wavefunction(ell: int, sigma_ell: float, n: int, m: int) -> RadialFun
 
 def radial_profile(f: RadialFunction, r_max: float, n_points: int = 512) -> np.ndarray:
     """Tabulated (r, f(r)) pairs on a uniform grid, ready for dumping."""
-    if r_max <= 0.0:
+    if not r_max > 0.0:  # NaN fails it
         raise DomainError(f"r_max must be > 0, got {r_max}")
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")

@@ -33,9 +33,8 @@ from .errors import (CaseError, ConvergenceError, DomainError, DomainSizeError,
                      WindowError)
 from .harmonic import RadialFunction
 from .params import GeometryKind, as_geometry_kind
-from .ring import _check_table_rows, _square_sum_error, ground_m
-from .superposition import (_block_parameters, _check_ell, _check_epsilon, _check_theta,
-                            _closed_forms, _integer, _row)
+from .ring import _check_ell, _check_table_rows, _integer, _square_sum_error, ground_m
+from .superposition import _block_parameters, _check_epsilon, _check_theta, _closed_forms, _row
 
 __all__ = [
     "GenEig2",

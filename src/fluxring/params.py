@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .harmonic import _UNIT_LABEL as _HARMONIC_LABEL
 from .ring import _UNIT_LABEL as _RING_LABEL
+from .ring import _check_ell
 
 __all__ = [
     "HBAR",
@@ -73,15 +74,7 @@ class FieldConfig:
             raise ConfigError(f"beta must be finite, got {beta!r}")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "theta", _as_real("theta", self.theta))
-        try:
-            ell = int(self.ell)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"ell must be an integer, got {self.ell!r}") from exc
-        if ell != self.ell:
-            raise ConfigError(f"ell must be an integer, got {self.ell!r}")
-        if ell < 0:
-            raise ConfigError(f"ell must be >= 0, got {ell}")
-        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "ell", _check_ell(self.ell, ConfigError))
         object.__setattr__(self, "chi", _as_real("chi", self.chi))
         object.__setattr__(self, "detuning_e31", _as_real("detuning_e31", self.detuning_e31))
 

@@ -42,6 +42,29 @@ def _check_table_rows(rows: int, what: str) -> None:
         raise UsageError(f"{what} exceeds the {_MAX_TABLE_ROWS}-row table limit")
 
 
+def _integer(value, name: str, error: type = DomainError) -> int:
+    """value as an int when it equals one; error for 2.5, NaN, inf, "3" or [3]."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _natural(value, name: str, error: type = DomainError) -> int:
+    """value as an int >= 0, by _integer's rule; error otherwise."""
+    value = _integer(value, name, error)
+    if value < 0:
+        raise error(f"{name} must be a nonnegative integer, got {value}")
+    return value
+
+
+def _check_ell(ell, error: type = DomainError) -> int:
+    """The winding number as an int >= 0: the one rule for every layer."""
+    return _natural(ell, "ell", error)
+
+
 def _square_sum(ell: int, sigma_ell: float, m: int) -> float:
     """ell^2 + m^2 as a float; DomainError when the integer has none."""
     try:
@@ -79,8 +102,12 @@ def ground_m(sigma_ell: float) -> int:
     n is never formed as floor(sigma_ell + 1/2): that sum rounds, and
     picks the wrong m at 0.49999999999999994 and at 2^52 + 1.
     """
-    if not math.isfinite(sigma_ell):
-        raise DomainError(f"sigma_ell must be finite, got {sigma_ell}")
+    try:
+        finite = math.isfinite(sigma_ell)
+    except (TypeError, OverflowError):  # "1.0", 1j, or an int with no float
+        finite = False
+    if not finite:
+        raise DomainError(f"sigma_ell must be finite, got {sigma_ell!r}")
     n = round(sigma_ell)  # exact; a tie went to the even neighbour
     if sigma_ell - n == 0.5:  # exact too: the tie goes up, to floor(sigma_ell) + 1
         n += 1
@@ -90,14 +117,15 @@ def ground_m(sigma_ell: float) -> int:
 def ring_gap(ell: int, sigma_ell: float) -> float:
     """Excitation gap min_{m != m_check} E_m - E_m_check, in hbar^2/2I.
 
-    Found by direct minimization over the neighbors of the ground state;
-    the result is independent of ell, 1-periodic in sigma_ell, and
-    vanishes exactly at half-integer sigma_ell.
+    Only the two neighbours m_check +- 1 can hold the minimum: with
+    x = sigma_ell + m_check in [-1/2, 1/2], E_{m_check + k} - E_{m_check}
+    = k (k + 2 x), which is at most 1 for k = +-1 and at least 2 for
+    |k| >= 2.  The result is independent of ell, 1-periodic in sigma_ell,
+    and vanishes exactly at half-integer sigma_ell.
     """
     mc = ground_m(sigma_ell)
     e0 = ring_energy(ell, sigma_ell, mc)
-    return min(ring_energy(ell, sigma_ell, m) - e0
-               for m in range(mc - 3, mc + 4) if m != mc)
+    return min(ring_energy(ell, sigma_ell, mc - 1), ring_energy(ell, sigma_ell, mc + 1)) - e0
 
 
 class RingSweepRow(NamedTuple):
@@ -120,10 +148,12 @@ def _sweep_window(ell: int, sigma_ell_values: Sequence[float] | Iterable[float],
 
     The window defaults to ceil(max |sigma_ell|) + 2 and must at least
     contain the ground state plus one neighbor at every grid point.  A
-    ground state whose ell^2 + m^2 has no float raises DomainError, and
-    a table of more than _MAX_TABLE_ROWS rows (grid x window x levels)
-    raises UsageError, both before any row is built.
+    non-integer ell or a ground state whose ell^2 + m^2 has no float
+    raises DomainError, and a table of more than _MAX_TABLE_ROWS rows
+    (grid x window x levels) raises UsageError, all before any row is
+    built.  A negative ell is left for the first energy to reject.
     """
+    _integer(ell, "ell")
     grid = [float(s) for s in sigma_ell_values]
     if not grid:
         raise UsageError("sigma_ell grid is empty")
@@ -134,7 +164,7 @@ def _sweep_window(ell: int, sigma_ell_values: Sequence[float] | Iterable[float],
         worst = max(worst, abs(mc))
     if m_window is None:
         m_window = math.ceil(max(abs(s) for s in grid)) + 2
-    m_window = int(m_window)
+    m_window = _integer(m_window, "m_window", UsageError)
     if m_window < 1:
         raise UsageError(f"m_window must be >= 1, got {m_window}")
     if m_window < worst + 1:

@@ -59,7 +59,8 @@ from .errors import (CaseError, DegeneracyError, DomainError, ExpansionWarning,
                      SingularOverlapError, UsageError)
 from .harmonic import harmonic_gap
 from .params import GeometryKind, as_geometry_kind
-from .ring import _check_table_rows, _square_sum, _square_sum_error, ground_m, ring_gap
+from .ring import (_check_ell, _check_table_rows, _square_sum, _square_sum_error, ground_m,
+                   ring_gap)
 
 __all__ = [
     "SuperpositionResult",
@@ -166,9 +167,13 @@ def _block_parameters(geometry: GeometryKind, ell: int, sigma_ell: float,
 
 
 def _check_theta(theta: float) -> None:
-    """Every route into a block rejects a non-finite relative phase."""
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta}")
+    """Every route into a block rejects a relative phase that is no finite number."""
+    try:
+        finite = math.isfinite(theta)
+    except (TypeError, OverflowError):  # "x", 1j, or an int with no float
+        finite = False
+    if not finite:
+        raise DomainError(f"theta must be finite, got {theta!r}")
 
 
 class _Row(NamedTuple):
@@ -189,27 +194,14 @@ class _Row(NamedTuple):
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 <= epsilon:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon}")
+    try:
+        nonnegative = 0.0 <= epsilon  # NaN fails it
+    except TypeError:  # "0.1", 1j or None
+        nonnegative = False
+    if not nonnegative:
+        raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
     if epsilon >= 1.0:
         raise SingularOverlapError(f"epsilon = {epsilon} >= 1")
-
-
-def _integer(value, name: str, error: type = DomainError) -> int:
-    """value as an int when it equals one; error for 2.5, NaN, inf, "3" or [3]."""
-    try:
-        if value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise error(f"{name} must be an integer, got {value!r}")
-
-
-def _check_ell(ell: int) -> int:
-    ell = _integer(ell, "ell")
-    if ell < 0:
-        raise DomainError(f"ell must be a nonnegative integer, got {ell}")
-    return ell
 
 
 def _spin(ell: int, sigma_ell: float) -> float:
@@ -222,11 +214,15 @@ def _spin(ell: int, sigma_ell: float) -> float:
 
 
 def _check_sigma_ell(ell: int, sigma_ell: float) -> int:
-    """m_check of a finite sigma_ell with |sigma_ell| <= ell."""
-    if abs(sigma_ell) > ell:
+    """m_check of a finite real sigma_ell with |sigma_ell| <= ell."""
+    try:
+        beyond = abs(sigma_ell) > ell
+    except TypeError:  # "1.0": ground_m names it
+        beyond = False
+    if beyond:
         raise DomainError(
             f"|sigma_ell| = {abs(sigma_ell)} exceeds ell = {ell} (|sigma| > 1)")
-    return ground_m(sigma_ell)  # rejects NaN, which _is_half_integer cannot take
+    return ground_m(sigma_ell)  # rejects NaN and non-numbers, which _is_half_integer cannot take
 
 
 def _degenerate(sigma_ell: float) -> str:

@@ -1,11 +1,16 @@
 """Command-line interface: flags, tables, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import time
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis.strategies import (data, floats, integers, lists, one_of, sampled_from,
+                                   tuples)
 
 from fluxring import (FeasibilityPoint, HarmonicSweepRow, RingSweepRow, UsageError,
                       feasibility_sweep, ground_m, harmonic_gap, harmonic_spectrum_sweep,
@@ -303,11 +308,15 @@ UNBOUNDED_TABLES = [
     ["spectrum", "--geometry", "ring", "--ell", "4", "--sigma-ell", "0:1:100000000"],
     ["spectrum", "--geometry", "ring", "--ell", "4", "--sigma-ell", "0",
      "--m-window", "99999999999999999999"],
+    # the default trap grid has 8 ell + 1 points, counted before it is built
+    ["gap", "--geometry", "harmonic", "--ell", "200000"],
+    ["spectrum", "--geometry", "harmonic", "--ell", "100000000"],
 ]
 
 
 class TestTableRowCap:
-    @pytest.mark.parametrize("argv", UNBOUNDED_TABLES, ids=["window", "count", "m-window"])
+    @pytest.mark.parametrize("argv", UNBOUNDED_TABLES,
+                             ids=["window", "count", "m-window", "trap-gap", "trap-spectrum"])
     def test_unbounded_table_is_refused_quickly(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run(capsys, argv)
@@ -385,6 +394,12 @@ ERROR_SURFACE = [
       "--alpha-minus", "0.5", "--beta-mag2", "1", "--delta-alpha", "1.5"], 2,
      f"validation error: ell^2 + m^2 exceeds the float range at ell={10**400}, "
      "sigma=0.6\n"),
+    (UNBOUNDED_TABLES[3], 1,
+     "usage error: the default sigma_ell grid of 1600001 points exceeds the 1000000-row "
+     "table limit\n"),
+    (UNBOUNDED_TABLES[4], 1,
+     "usage error: the default sigma_ell grid of 800000001 points exceeds the 1000000-row "
+     "table limit\n"),
 ]
 
 
@@ -394,6 +409,74 @@ def test_error_surface(capsys, argv, code, stderr):
     got, out, err = run(capsys, argv)
     assert (got, err) == (code, stderr)
     assert (out == "") == (code != 0)
+
+
+# Argv fuzz: small ell and grids of at most 50 points keep every table small;
+# the default trap grid, 8 ell + 1 points, is refused past the row cap
+def _mostly(valid, invalid):
+    """Each valid value four times as likely as each invalid one."""
+    return sampled_from(valid * 4 + invalid)
+
+
+_VALUES = one_of(
+    floats(min_value=-60.0, max_value=60.0).map(repr),
+    integers(min_value=-3, max_value=12).map(str),
+    sampled_from(["nan", "inf", "-inf", "1e17", "-1e17", "1.34e154", "1e308", "-1e200",
+                  "5e-324", "0.5", "-2.5", "x", "", "1+2j"]))
+_GRIDS = one_of(
+    _VALUES,
+    lists(_VALUES, min_size=1, max_size=5).map(",".join),
+    tuples(_VALUES, _VALUES, integers(min_value=-1, max_value=50)).map(
+        lambda t: f"{t[0]}:{t[1]}:{t[2]}"),
+    sampled_from(["1:2", "1:2:3:4", "0:1:x", ",", "1,,2"]))
+_OPTIONS = {
+    "--geometry": _mostly(["ring", "harmonic"], ["disk"]),
+    "--ell": _mostly([str(ell) for ell in range(-2, 13)],
+                     ["200000", "100000000", "1" + "0" * 400, "2.5", "x", ""]),
+    "--sigma-ell": _GRIDS,
+    "--format": _mostly(["csv", "json"], ["xml"]),
+}
+_COMMAND_OPTIONS = {
+    "spectrum": {"--m-window": _mostly([str(window) for window in range(-2, 61)],
+                                       ["99999999999999999999", "2.5"])},
+    "gap": {},
+    "superpose": {
+        "--case": _mostly(["i", "ii", "auto"], ["iii"]),
+        "--delta-alpha": _GRIDS,
+        "--theta": _VALUES,
+        "--overlap-convention": _mostly(["paper", "standard"], ["other"]),
+    },
+}
+_AMPLITUDES = ("--alpha-plus", "--alpha-minus", "--beta-mag2")
+
+
+@seed(30)
+@settings(max_examples=200, deadline=None)
+@given(data())
+def test_fuzzed_argv_ends_in_an_exit_code(draw):
+    """Every argv ends in exit 0-3, never in a traceback, and prints rows only on 0."""
+    command = draw.draw(sampled_from(sorted(_COMMAND_OPTIONS)))
+    argv = [command]
+    for flag, values in {**_OPTIONS, **_COMMAND_OPTIONS[command]}.items():
+        if draw.draw(integers(min_value=0, max_value=9)):  # a flag is left out 1 time in 10
+            argv.append(f"{flag}={draw.draw(values)}")
+    if command == "superpose":  # a sweep, an amplitude point, or a mix of the two
+        mode = draw.draw(sampled_from(["sweep", "point", "case-point", "mixed"]))
+        if mode != "sweep":
+            amplitudes = [draw.draw(_VALUES) for _ in _AMPLITUDES]
+            if mode == "case-point":  # |beta|^2 = |a+ a-|: case (i) or (ii) when finite
+                try:
+                    amplitudes[2] = repr(abs(float(amplitudes[0]) * float(amplitudes[1])))
+                except ValueError:
+                    pass
+            argv += [f"{flag}={value}" for flag, value in zip(_AMPLITUDES, amplitudes)
+                     if mode != "mixed" or draw.draw(integers(min_value=0, max_value=1))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert (out.getvalue() == "") == (code != 0), argv
 
 
 class TestWarnings:

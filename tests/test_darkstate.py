@@ -56,8 +56,10 @@ class TestMeanSpin:
         (-1e200, 0.0, "alpha\\^2 \\+ beta_mag2 must be finite, got inf"),
         (math.inf, 1.0, "alpha\\^2 \\+ beta_mag2 must be finite, got inf"),
         (1.0, math.inf, "alpha\\^2 \\+ beta_mag2 must be finite, got inf"),
+        # an int alpha whose square has no float raised a bare OverflowError
+        (10**200, 1.0, "alpha\\^2 \\+ beta_mag2 must be finite, got inf"),
     ], ids=["nan-alpha", "nan-beta", "overflowing-alpha", "overflowing-negative-alpha",
-            "inf-alpha", "inf-beta"])
+            "inf-alpha", "inf-beta", "int-alpha"])
     def test_nan_and_overflowing_amplitudes_are_domain_errors(self, alpha, beta_mag2, message):
         """No NaN comes out: each of these returned NaN before."""
         with pytest.raises(DomainError, match=message):
@@ -235,3 +237,27 @@ class TestDecoherenceAndNorm:
     def test_norm_rejects_bad_overlap(self):
         with pytest.raises(DomainError):
             superposition_norm(1.2, 0.0, 0.0)
+
+
+class TestNanInputs:
+    """Every check fails on NaN, so no NaN input comes back as a number."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: decoherence_factor(1.0, math.nan),
+        lambda: decoherence_factor(math.nan, 1.0),
+        lambda: decoherence_factor(math.inf, 0.0),
+        lambda: superposition_norm(0.5, math.nan, 0.0),
+        lambda: superposition_norm(0.5, 0.0, math.inf),
+        lambda: gauge_potential_phi(4, 0.5, math.nan),
+        lambda: scalar_potential(4, math.nan),
+        lambda: bright_excited_eigenvalues(1.0, math.nan),
+    ], ids=["gamma_t", "delta_alpha", "inf-times-0", "psi", "theta", "gauge-r", "scalar-r",
+            "big-n"])
+    def test_is_a_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_nan_tolerance_is_no_verdict(self):
+        """tol = NaN read case NEITHER with residual 0.0 for case (i) amplitudes."""
+        with pytest.raises(DomainError, match="^tol must be >= 0, got nan$"):
+            classify_flux_case(FieldConfig(2.0, 0.5, 1.0), tol=math.nan)

@@ -70,6 +70,12 @@ class TestHarmonicEnergy:
         with pytest.raises(DomainError):
             harmonic_energy(4, 0.0, -1, 0)
 
+    @pytest.mark.parametrize("n", [0.5, math.nan, "1"])
+    def test_rejects_a_fractional_n(self, n):
+        """harmonic_energy(4, 1.0, 0.5, 0) read 6.0 before n took the integer rule."""
+        with pytest.raises(DomainError, match="^n must be an integer, got "):
+            harmonic_energy(4, 1.0, n, 0)
+
 
 class TestGroundQuantumNumbers:
     def test_known_points(self):
@@ -149,6 +155,12 @@ class TestLaguerre:
         with pytest.raises(DomainError):
             laguerre_gen(2, 0.5, -1.0)
 
+    @pytest.mark.parametrize("n, a, x", [(math.nan, 1.0, 1.0), (2, math.nan, 1.0),
+                                         (2, 1.0, math.nan), (2, 1.0, [1.0, math.nan])])
+    def test_nan_is_a_domain_error(self, n, a, x):
+        with pytest.raises(DomainError):
+            laguerre_gen(n, a, x)
+
 
 class TestLogGamma:
     def test_known_values(self):
@@ -167,6 +179,8 @@ class TestLogGamma:
             log_gamma(0.0)
         with pytest.raises(DomainError):
             log_gamma(-2.5)
+        with pytest.raises(DomainError):
+            log_gamma(math.nan)
 
 
 class TestRadialWavefunction:
@@ -191,6 +205,18 @@ class TestRadialWavefunction:
         r = np.linspace(0.01, 12.0, 12000)
         r_star = r[np.argmax(f(r))]
         assert r_star == pytest.approx(f.peak_radius(), abs=2e-3)
+
+    @pytest.mark.parametrize("n", [math.nan, 1.5, -1])
+    def test_n_takes_the_integer_rule(self, n):
+        with pytest.raises(DomainError, match="^n must be a"):
+            radial_wavefunction(4, 1.0, n, 0)
+
+    def test_nan_radius_is_a_domain_error(self):
+        f = radial_wavefunction(4, 1.0, 0, -1)
+        with pytest.raises(DomainError):
+            f(math.nan)
+        with pytest.raises(DomainError):
+            radial_profile(f, math.nan)
 
     def test_peak_radius_only_for_nodeless_state(self):
         with pytest.raises(DomainError):

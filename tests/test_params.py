@@ -41,6 +41,12 @@ class TestFieldConfig:
         with pytest.raises(ConfigError):
             FieldConfig(alpha_plus=1.0, alpha_minus=0.5, beta=1.0, ell=-2)
 
+    @pytest.mark.parametrize("ell", [math.inf, math.nan, "4", 4.5])
+    def test_winding_takes_the_integer_rule(self, ell):
+        """ell = inf raised a bare OverflowError before the shared rule."""
+        with pytest.raises(ConfigError, match="^ell must be an integer, got "):
+            FieldConfig(alpha_plus=1.0, alpha_minus=0.5, beta=1.0, ell=ell)
+
 
 class TestGeometrySpec:
     def test_ring_derives_inertia_from_mass_and_radius(self):

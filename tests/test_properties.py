@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.special
-from hypothesis import assume, example, given
-from hypothesis.strategies import data, floats, integers, lists, sampled_from
+from hypothesis import assume, example, given, seed
+from hypothesis.strategies import (data, floats, integers, just, lists, one_of, sampled_from,
+                                   tuples)
 
 from fluxring import (
+    DegenerateFieldError,
+    DomainError,
     build_block,
     epsilon_param,
     feasibility_sweep,
@@ -17,6 +20,7 @@ from fluxring import (
     ground_m,
     ground_quantum_numbers,
     harmonic_energy,
+    harmonic_gap,
     laguerre_gen,
     log_gamma,
     mean_spin,
@@ -234,3 +238,75 @@ def test_ground_m_is_the_exact_nearest_integer(sigma_ell):
     """-floor(sigma_ell + 1/2) evaluated exactly: the nearest integer, and
     the upper one at a tie (the lower m of the degenerate pair)."""
     assert ground_m(sigma_ell) == -math.floor(Fraction(sigma_ell) + Fraction(1, 2))
+
+
+def _wide_gap(energy, ell, sigma_ell, levels):
+    """The gap by the rule the two-neighbour gaps replaced, over a wider
+    window: the least energy(n, m) - E_0 over |m - m_check| <= 10 and every
+    n in levels, skipping a level that raises."""
+    mc = ground_m(sigma_ell)
+    e0 = energy(ell, sigma_ell, 0, mc)
+    best = math.inf
+    for n in levels:
+        for m in range(mc - 10, mc + 11):
+            if (n, m) == (0, mc):
+                continue
+            try:
+                e = energy(ell, sigma_ell, n, m)
+            except DomainError:
+                continue
+            best = min(best, e - e0)
+    return best
+
+
+def _ring_level(ell, sigma_ell, n, m):
+    return ring_energy(ell, sigma_ell, m)
+
+
+def _half_integers(bound):
+    return integers(min_value=-2 * bound, max_value=2 * bound).map(lambda k: k / 2)
+
+
+@seed(30)
+@given(integers(min_value=0, max_value=10**4),
+       one_of(floats(min_value=-1e6, max_value=1e6), _half_integers(10**6)))
+@example(0, 0.5)
+@example(10**4, -999999.5)
+def test_ring_gap_is_the_wide_window_minimum(ell, sigma_ell):
+    """m_check +- 1 hold the minimum: bit for bit the least over |k| <= 10."""
+    assert ring_gap(ell, sigma_ell) == _wide_gap(_ring_level, ell, sigma_ell, levels=(0,))
+
+
+def _trap_points(max_ell):
+    """(ell, sigma_ell) with |sigma_ell| <= ell, half-integers included."""
+    return integers(min_value=0, max_value=max_ell).flatmap(lambda ell: tuples(
+        just(ell), one_of(floats(min_value=-ell, max_value=ell), _half_integers(ell))))
+
+
+@seed(30)
+@given(_trap_points(10**4))
+@example((1, 0.5))
+@example((10**4, -9999.5))
+@example((10**4, 10**4))
+def test_harmonic_gap_is_the_wide_window_minimum(point):
+    """(0, m_check +- 1) hold the minimum: bit for bit the least over
+    |k| <= 10 and n <= 2, where the wide rule skips levels that raise."""
+    ell, sigma_ell = point
+    assert harmonic_gap(ell, sigma_ell) == _wide_gap(harmonic_energy, ell, sigma_ell,
+                                                     levels=(0, 1, 2))
+
+
+@seed(30)
+@given(floats(allow_nan=False, allow_infinity=False),
+       floats(min_value=0.0, allow_infinity=False))
+@example(3e-162, 5e-324)            # alpha^2 subnormal
+@example(5e-324, 2.5e-323)          # alpha^2 underflows to 0
+@example(1.3407807929942596e154, 0.0)
+@example(1e154, 1.7976931348623157e308)
+def test_mean_spin_needs_no_clamp(alpha, beta_mag2):
+    """|fl(a^2 - b)| <= fl(a^2 + b) for b >= 0, so sigma stays in [-1, 1]."""
+    try:
+        sigma = mean_spin(alpha, beta_mag2)
+    except (DomainError, DegenerateFieldError):
+        return
+    assert -1.0 <= sigma <= 1.0

@@ -9,6 +9,7 @@ from fluxring import (
     DomainError,
     UsageError,
     ground_m,
+    harmonic_spectrum_sweep,
     ring_energy,
     ring_gap,
     ring_spectrum_sweep,
@@ -63,6 +64,12 @@ class TestGroundM:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             ground_m(math.nan)
+
+    @pytest.mark.parametrize("sigma_ell", ["1.0", 1j, None, 10**400],
+                             ids=["str", "complex", "none", "int-without-float"])
+    def test_rejects_what_has_no_finite_float(self, sigma_ell):
+        with pytest.raises(DomainError, match="^sigma_ell must be finite, got "):
+            ground_m(sigma_ell)
 
     @pytest.mark.parametrize("sigma_ell, expected", [
         (0.49999999999999994, 0), (-0.49999999999999994, 0),
@@ -140,6 +147,18 @@ class TestRingSweep:
             ring_spectrum_sweep(4, [0.0], m_window=0)
         with pytest.raises(UsageError):
             ring_spectrum_sweep(4, [3.0], m_window=1)
+
+    @pytest.mark.parametrize("sweep", [ring_spectrum_sweep, harmonic_spectrum_sweep])
+    def test_winding_must_be_an_integer(self, sweep):
+        """ell = 4.5 tabulated ell^2 = 20.25 before the sweeps took the integer rule."""
+        with pytest.raises(DomainError, match="^ell must be an integer, got 4.5$"):
+            sweep(4.5, [0.0])
+
+    @pytest.mark.parametrize("m_window", [2.5, math.nan, math.inf, "2"])
+    def test_window_must_be_an_integer(self, m_window):
+        """2.5 no longer tabulates |m| <= 2, and NaN is no bare ValueError."""
+        with pytest.raises(UsageError, match="^m_window must be an integer, got "):
+            ring_spectrum_sweep(4, [0.0], m_window=m_window)
 
 
 class TestRingWavefunction:

@@ -539,6 +539,22 @@ class TestValidation:
                                               rf"at ell={ell}, sigma_ell=1.0$"):
             route(ell)
 
+    @pytest.mark.parametrize("route, message", [
+        (lambda: superpose_ring("i", 4, "1.0", 0.1), "sigma_ell must be finite, got '1.0'"),
+        (lambda: superpose_harmonic("i", 4, 1j, 0.1), "sigma_ell must be finite, got 1j"),
+        (lambda: superpose_ring("i", 10**401, 10**400, 0.1), "sigma_ell must be finite"),
+        (lambda: small_eps_delta_e("i", "ring", 4, "1.0", 0.1),
+         "sigma_ell must be finite, got '1.0'"),
+        (lambda: superpose_ring("i", 4, 1.0, "0.1"), "epsilon must be >= 0, got '0.1'"),
+        (lambda: small_eps_delta_e("ii", "harmonic", 4, 1.0, None),
+         "epsilon must be >= 0, got None"),
+    ], ids=["sigma-str", "sigma-complex", "sigma-huge-int", "small-eps-sigma", "eps-str",
+            "eps-none"])
+    def test_a_non_number_is_a_domain_error(self, route, message):
+        """These raised bare TypeErrors (or OverflowErrors) before the checks caught them."""
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
+            route()
+
     def test_m_check_is_the_nearest_integer(self):
         """sigma_ell + 1/2 rounds up to 1 here; the ground state is still m = 0."""
         assert superpose_ring("i", 4, 0.49999999999999994, 0.1).m_check == 0
@@ -849,7 +865,9 @@ class TestFeasibility:
         feasibility_boundary("i", geometry, 10**8, 2.0)
         assert len(kernel_calls) <= 64
 
-    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    # "x" and 10**400 raised a bare TypeError and OverflowError before
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, "x", 10**400],
+                             ids=["inf", "-inf", "nan", "str", "int-without-float"])
     def test_non_finite_theta_is_rejected_on_every_route(self, theta):
         with pytest.raises(DomainError, match="theta must be finite"):
             superpose_ring("i", 4, 1.0, 0.1, theta)
