@@ -162,6 +162,18 @@ class TestHermitianEigs:
         with pytest.raises(ConvergenceError, match="did not converge"):
             hermitian_eigs(np.eye(3))
 
+    def test_residual_over_budget_is_a_convergence_error(self, monkeypatch):
+        """Vectors that miss their eigenvalues by 1e-6 fail the 1e-10 ||H|| budget."""
+        eigh = np.linalg.eigh
+
+        def perturbed(h):
+            values, vectors = eigh(h)
+            return values, vectors + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ConvergenceError, match="eigenvector residual .* exceeds budget"):
+            hermitian_eigs(_random_hermitian(8, seed=3), compute_vectors=True)
+
 
 class TestRingFd:
     def test_free_particle_levels(self):
@@ -233,6 +245,11 @@ class TestRadialFd:
         monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
         with pytest.raises(ConvergenceError, match=r"inverse iteration at shift 1\d\.\d+"):
             radial_fd_spectrum(4, 1.0, -1, n_grid=2000)
+
+    def test_leaking_top_level_is_a_domain_size_error(self):
+        """At the default r_max the 20th level's tail reaches 2e-4, far above 1e-6."""
+        with pytest.raises(DomainSizeError, match=r"eigenfunction tail 0\.0002\d* at r_max"):
+            radial_fd_spectrum(4, 1.0, -1, k_lowest=20)
 
     def test_validation(self):
         with pytest.raises(UsageError):
