@@ -93,6 +93,23 @@ class DarkOverlaps:
 
 _CASE_VALUES = {member.value: member for member in FluxCase}
 
+# (rule, test) pairs for _check; each test is False for NaN
+_FINITE = ("finite", math.isfinite)
+_POSITIVE = ("finite and > 0", lambda x: math.isfinite(x) and x > 0.0)
+_NONNEGATIVE = ("finite and >= 0", lambda x: math.isfinite(x) and x >= 0.0)
+
+
+def _check(value, name: str, rule: tuple) -> None:
+    """DomainError unless value passes the rule's test.  A value the test
+    cannot compare ("x", 1j, None, or an int with no float) fails it too."""
+    text, holds = rule
+    try:
+        ok = holds(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be {text}, got {value!r}")
+
 
 def case_of(case) -> FluxCase:
     """Normalize FluxCase, CaseClassification, or 'i'/'ii' strings."""
@@ -122,16 +139,21 @@ def mean_spin(alpha: float, beta_mag2: float) -> float:
     |alpha^2 - |beta|^2| <= alpha^2 + |beta|^2, and rounding is monotone,
     so the rounded difference never exceeds the rounded norm in size.
     Vanishing total weight raises DegenerateFieldError; a NaN or
-    overflowing weight, DomainError.
+    overflowing weight, or an amplitude that is no real number, DomainError.
     """
-    if not beta_mag2 >= 0.0:  # NaN fails both checks
-        raise DomainError(f"beta_mag2 must be >= 0, got {beta_mag2}")
-    a2 = alpha * alpha
     try:
-        norm = a2 + beta_mag2
-    except OverflowError:  # an int alpha^2 with no float
-        norm = math.inf
-    if not norm < math.inf:
+        if not beta_mag2 >= 0.0:  # NaN fails both checks
+            raise DomainError(f"beta_mag2 must be >= 0, got {beta_mag2}")
+        a2 = alpha * alpha
+        try:
+            norm = a2 + beta_mag2
+        except OverflowError:  # an int alpha^2 with no float
+            norm = math.inf
+        finite = norm < math.inf
+    except TypeError:  # "x", None, or a complex alpha
+        raise DomainError(f"alpha and beta_mag2 must be real numbers, got {alpha!r} "
+                          f"and {beta_mag2!r}") from None
+    if not finite:
         raise DomainError(f"alpha^2 + beta_mag2 must be finite, got {norm} at alpha = {alpha}")
     if norm == 0.0:
         raise DegenerateFieldError("field amplitudes carry no weight")
@@ -170,20 +192,23 @@ def classify_flux_case(config: FieldConfig, tol: float = 1e-9) -> tuple[CaseClas
 
 def gauge_potential_phi(ell: int, sigma: float, r: float, hbar: float = 1.0) -> float:
     """Azimuthal gauge potential A_phi = hbar * ell * sigma / r."""
-    if not r > 0.0:  # NaN fails it
-        raise DomainError(f"r must be > 0, got {r}")
+    _check(r, "r", _POSITIVE)
+    _check(sigma, "sigma", _FINITE)
+    _check(hbar, "hbar", _POSITIVE)
     return hbar * ell * sigma / r
 
 
 def effective_flux(ell: int, sigma: float, hbar: float = 1.0) -> float:
     """Flux of the effective tube threading the trap axis, 2 pi hbar sigma ell."""
+    _check(sigma, "sigma", _FINITE)
+    _check(hbar, "hbar", _POSITIVE)
     return 2.0 * math.pi * hbar * sigma * ell
 
 
 def scalar_potential(ell: int, r: float, hbar2_over_2m: float = 1.0) -> float:
     """Repulsive scalar potential (hbar^2/2M) ell^2 / r^2 left by the winding."""
-    if not r > 0.0:  # NaN fails it
-        raise DomainError(f"r must be > 0, got {r}")
+    _check(r, "r", _POSITIVE)
+    _check(hbar2_over_2m, "hbar2_over_2m", _POSITIVE)
     return hbar2_over_2m * (ell * ell) / (r * r)
 
 
@@ -196,8 +221,8 @@ def bright_excited_eigenvalues(chi_mag2: float, big_n: float,
     """
     if detuning_e31 != 0.0:
         raise ConfigError("bright/excited eigenvalues assume resonance, detuning_e31 must be 0")
-    if not big_n >= 0.0:  # NaN fails it
-        raise DomainError(f"N must be >= 0, got {big_n}")
+    _check(chi_mag2, "chi_mag2", _NONNEGATIVE)
+    _check(big_n, "N", _NONNEGATIVE)
     value = chi_mag2 * big_n
     return value, -value
 
@@ -219,7 +244,11 @@ def dark_overlaps(case, sigma: float) -> DarkOverlaps:
 
 def _spin_root(sigma: float) -> float:
     """sqrt(1 - sigma^2), the overlap factor of two dark states of spin +-sigma."""
-    if not abs(sigma) <= 1.0:  # NaN fails it
+    try:
+        inside = -1.0 <= sigma <= 1.0  # NaN fails it
+    except TypeError:  # "x", 1j or None
+        inside = False
+    if not inside:
         raise DomainError(f"sigma must lie in [-1, 1], got {sigma}")
     return math.sqrt(1.0 - sigma * sigma)
 
@@ -263,8 +292,12 @@ def epsilon_param(delta_alpha: float, sigma: float, convention: str = "paper") -
     >>> round(epsilon_param(1.0, 0.6), 7)
     0.2943036
     """
-    # a negative or NaN delta_alpha is reported before sigma, the convention after it
-    root = _spin_root(sigma) if delta_alpha >= 0.0 else 1.0
+    # a delta_alpha that is negative, NaN or no number is reported before sigma,
+    # the convention after it
+    try:
+        root = _spin_root(sigma) if delta_alpha >= 0.0 else 1.0
+    except TypeError:  # "x", 1j or None
+        raise DomainError(f"delta_alpha must be >= 0, got {delta_alpha!r}") from None
     return _damping(delta_alpha, convention) * root
 
 

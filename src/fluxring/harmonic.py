@@ -21,7 +21,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
-from .ring import _natural, _square_sum, _sweep_window, ground_m
+from .ring import _integer, _natural, _square_sum, _sweep_window, ground_m
 
 if TYPE_CHECKING:  # the array functions import numpy, so spectra and gaps load without it
     import numpy as np
@@ -85,7 +85,9 @@ def harmonic_gap(ell: int, sigma_ell: float) -> float:
     |sigma_ell| <= ell), so the radial level (1, m_check), 2 above, never
     wins.  At sigma_ell = 0 the gap is sqrt(ell^2 + 1) - ell, which closes
     slowly with ell, and it vanishes exactly at half-integer sigma_ell.
+    ell must be an integer; its sign is left to mu.
     """
+    _integer(ell, "ell")
     mc = ground_m(sigma_ell)
     e0 = harmonic_energy(ell, sigma_ell, 0, mc)
     return min(harmonic_energy(ell, sigma_ell, 0, mc - 1),

@@ -44,6 +44,8 @@ def _check_table_rows(rows: int, what: str) -> None:
 
 def _integer(value, name: str, error: type = DomainError) -> int:
     """value as an int when it equals one; error for 2.5, NaN, inf, "3" or [3]."""
+    if type(value) is int:  # the common case, without the two int() calls below
+        return value
     try:
         if value == int(value):
             return int(value)
@@ -121,8 +123,10 @@ def ring_gap(ell: int, sigma_ell: float) -> float:
     x = sigma_ell + m_check in [-1/2, 1/2], E_{m_check + k} - E_{m_check}
     = k (k + 2 x), which is at most 1 for k = +-1 and at least 2 for
     |k| >= 2.  The result is independent of ell, 1-periodic in sigma_ell,
-    and vanishes exactly at half-integer sigma_ell.
+    and vanishes exactly at half-integer sigma_ell.  ell must be an
+    integer; its sign is left to ring_energy.
     """
+    _integer(ell, "ell")
     mc = ground_m(sigma_ell)
     e0 = ring_energy(ell, sigma_ell, mc)
     return min(ring_energy(ell, sigma_ell, mc - 1), ring_energy(ell, sigma_ell, mc + 1)) - e0

@@ -244,13 +244,12 @@ class TestVerifyCommand:
 
     def test_singular_shift_is_a_verification_error(self, capsys, monkeypatch):
         """A singular inverse-iteration solve exits 3 with the shift named."""
-        import numpy as np
-        import scipy.linalg
+        import scipy.linalg.lapack
 
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular matrix")
+        def singular(dl, d, du, b, **kwargs):
+            return dl, d, du, b, 1  # ?gtsv's info > 0: a zero pivot, a singular matrix
 
-        monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular)
         code, out, err = run(capsys, [
             "verify", "--ring-grid", "256", "--radial-grid", "2000"])
         assert code == 3
@@ -400,6 +399,13 @@ ERROR_SURFACE = [
     (UNBOUNDED_TABLES[4], 1,
      "usage error: the default sigma_ell grid of 800000001 points exceeds the 1000000-row "
      "table limit\n"),
+    # an FD grid is a matrix of n_grid rows, capped like a table before it is built
+    (["verify", "--radial-grid", "10000000000"], 1,
+     "usage error: n_grid = 10000000000 exceeds the 1000000-row table limit\n"),
+    (["verify", "--ring-grid", "100000000000"], 1,
+     "usage error: n_grid = 100000000000 exceeds the 1000000-row table limit\n"),
+    (["verify", "--radial-grid", "99999999999999999999999"], 1,
+     "usage error: n_grid = 99999999999999999999999 exceeds the 1000000-row table limit\n"),
 ]
 
 

@@ -257,6 +257,31 @@ class TestNanInputs:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: gauge_potential_phi(4, math.nan, 1.0), "^sigma must be finite, got nan$"),
+        (lambda: effective_flux(4, math.nan), "^sigma must be finite, got nan$"),
+        (lambda: scalar_potential(4, 1.0, hbar2_over_2m=math.nan),
+         "^hbar2_over_2m must be finite and > 0, got nan$"),
+        (lambda: bright_excited_eigenvalues(math.nan, 1.0),
+         "^chi_mag2 must be finite and >= 0, got nan$"),
+    ], ids=["gauge-sigma", "flux-sigma", "scalar-prefactor", "chi"])
+    def test_unchecked_parameter_returned_nan(self, call, message):
+        """Each of these returned NaN before sigma, the prefactor and |chi|^2 were checked."""
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: scalar_potential(4, "x"), "^r must be finite and > 0, got 'x'$"),
+        (lambda: epsilon_param("x", 0.5), "^delta_alpha must be >= 0, got 'x'$"),
+        (lambda: dark_overlaps("i", "x"), r"^sigma must lie in \[-1, 1\], got x$"),
+        (lambda: mean_spin("x", 1.0),
+         "^alpha and beta_mag2 must be real numbers, got 'x' and 1.0$"),
+    ], ids=["scalar-r", "epsilon-delta-alpha", "overlaps-sigma", "mean-spin-alpha"])
+    def test_a_non_number_is_a_domain_error(self, call, message):
+        """Each of these raised a bare TypeError."""
+        with pytest.raises(DomainError, match=message):
+            call()
+
     def test_nan_tolerance_is_no_verdict(self):
         """tol = NaN read case NEITHER with residual 0.0 for case (i) amplitudes."""
         with pytest.raises(DomainError, match="^tol must be >= 0, got nan$"):

@@ -217,6 +217,15 @@ class TestRingFd:
         with pytest.raises(UsageError):
             ring_fd_spectrum(4, 1.2, n_grid=64, method="sparse")
 
+    @pytest.mark.parametrize("route", [ring_fd_spectrum, radial_fd_spectrum],
+                             ids=["ring", "radial"])
+    def test_grid_is_capped_before_it_is_built(self, route):
+        """10^10 points would need 75 GiB per array: refused at once, by the table cap."""
+        args = (4, 1.2) if route is ring_fd_spectrum else (4, 1.0, -1)
+        with pytest.raises(UsageError, match="^n_grid = 10000000000 exceeds the "
+                                             "1000000-row table limit$"):
+            route(*args, n_grid=10**10)
+
 
 class TestRadialFd:
     def test_trap_levels_no_flux(self):
@@ -236,13 +245,42 @@ class TestRadialFd:
         dev_fine = radial_fd_spectrum(4, 1.0, -1, n_grid=4000).max_abs_dev
         assert dev_coarse / dev_fine == pytest.approx(4.0, rel=1e-2)
 
+    def test_levels_match_relative_accurate_lapack(self):
+        """The polished levels agree with LAPACK ?pteqr to 2e-12 at N = 2000.
+
+        ?pteqr (Cholesky, then QR) is relative-accurate on this positive
+        definite tridiagonal.  Over ten seeded samples like this one the
+        polish missed it by at most 4.4e-13; a full-precision ?stebz stops
+        at eps ||T|| and misses by 5e-12 to 2e-10, 2.6e-11 at (4, 1, -1).
+        """
+        from scipy.linalg.lapack import dpteqr
+
+        rng = np.random.default_rng(31)
+        draws = [(4, 1.0, -1, 8)]
+        while len(draws) < 8:
+            ell, m = int(rng.integers(0, 13)), int(rng.integers(-4, 5))
+            sigma_ell = float(np.round(rng.uniform(-ell, ell), 3))
+            if ell * ell + m * m + 2.0 * sigma_ell * m >= 0.25:  # mu^2 - 1/4 >= 0: T is SPD
+                draws.append((ell, sigma_ell, m, int(rng.integers(1, 9))))
+        n_grid = 2000
+        for ell, sigma_ell, m, k in draws:
+            report = radial_fd_spectrum(ell, sigma_ell, m, n_grid=n_grid, k_lowest=k)
+            mu2 = ell * ell + m * m + 2.0 * sigma_ell * m
+            step = report.metadata["step"]
+            r = step * np.arange(1, n_grid)
+            diag = 2.0 / (step * step) + (mu2 - 0.25) / (r * r) + 0.25 * r * r
+            levels, _, _, info = dpteqr(diag, np.full(n_grid - 2, -1.0 / (step * step)),
+                                        np.zeros((1, 1)))
+            assert info == 0
+            np.testing.assert_allclose(report.computed, np.sort(levels)[:k], rtol=0, atol=2e-12)
+
     def test_singular_shift_is_a_convergence_error(self, monkeypatch):
-        import scipy.linalg
+        import scipy.linalg.lapack
 
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular matrix")
+        def singular(dl, d, du, b, **kwargs):
+            return dl, d, du, b, 1  # ?gtsv's info > 0: a zero pivot, a singular matrix
 
-        monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular)
         with pytest.raises(ConvergenceError, match=r"inverse iteration at shift 1\d\.\d+"):
             radial_fd_spectrum(4, 1.0, -1, n_grid=2000)
 
@@ -250,6 +288,30 @@ class TestRadialFd:
         """At the default r_max the 20th level's tail reaches 2e-4, far above 1e-6."""
         with pytest.raises(DomainSizeError, match=r"eigenfunction tail 0\.0002\d* at r_max"):
             radial_fd_spectrum(4, 1.0, -1, k_lowest=20)
+
+    def test_unsettled_level_is_a_convergence_error(self, monkeypatch):
+        """A residual budget of 0 is below every rounding floor: no level settles."""
+        monkeypatch.setattr(oracle, "_POLISH_RESIDUAL", 0.0)
+        with pytest.raises(ConvergenceError, match=r"inverse iteration at shift 1\d\.\d+: "
+                                                   r"level 3 did not settle inside its bracket"):
+            radial_fd_spectrum(4, 1.0, -1, n_grid=2000)
+
+    def test_level_outside_its_bracket_is_a_convergence_error(self, monkeypatch):
+        """Brackets moved 0.5 off their levels: the quotients go to the levels, out
+        of the brackets, and are never accepted."""
+        import scipy.linalg.lapack
+
+        dstebz = scipy.linalg.lapack.dstebz
+
+        def moved(*args):
+            found, centres, *rest = dstebz(*args)
+            return (found, centres + 0.5, *rest)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", moved)
+        with pytest.raises(ConvergenceError, match=r"did not settle inside its bracket "
+                                                   r"11\.3\d* \+- 0\.01 .*Rayleigh quotient "
+                                                   r"10\.87"):
+            radial_fd_spectrum(4, 1.0, -1, n_grid=2000)
 
     def test_validation(self):
         with pytest.raises(UsageError):

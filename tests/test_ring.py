@@ -9,6 +9,7 @@ from fluxring import (
     DomainError,
     UsageError,
     ground_m,
+    harmonic_gap,
     harmonic_spectrum_sweep,
     ring_energy,
     ring_gap,
@@ -104,6 +105,16 @@ class TestRingGap:
         for sl in (0.13, 0.37, 0.71):
             assert ring_gap(4, sl) == pytest.approx(ring_gap(4, sl + 1.0), abs=1e-12)
             assert ring_gap(4, sl) == pytest.approx(ring_gap(4, sl - 2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("gap", [ring_gap, harmonic_gap])
+    def test_winding_must_be_an_integer(self, gap):
+        """ell = 4.5 gave 1.0 on the ring and 0.1098 in the trap; the sweeps reject it."""
+        with pytest.raises(DomainError, match="^ell must be an integer, got 4.5$"):
+            gap(4.5, 0.0)
+
+    @pytest.mark.parametrize("gap", [ring_gap, harmonic_gap])
+    def test_an_integral_float_winding_is_an_integer(self, gap):
+        assert gap(4.0, 0.3) == gap(4, 0.3)
 
 
 class TestRingSweep:
