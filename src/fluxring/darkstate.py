@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .errors import (CaseError, ConfigError, DegeneracyError, DegenerateFieldError,
                      DomainError, UsageError)
 from .params import FieldConfig
+from .ring import _integer
 
 __all__ = [
     "FluxCase",
@@ -192,6 +193,7 @@ def classify_flux_case(config: FieldConfig, tol: float = 1e-9) -> tuple[CaseClas
 
 def gauge_potential_phi(ell: int, sigma: float, r: float, hbar: float = 1.0) -> float:
     """Azimuthal gauge potential A_phi = hbar * ell * sigma / r."""
+    _integer(ell, "ell")
     _check(r, "r", _POSITIVE)
     _check(sigma, "sigma", _FINITE)
     _check(hbar, "hbar", _POSITIVE)
@@ -200,6 +202,7 @@ def gauge_potential_phi(ell: int, sigma: float, r: float, hbar: float = 1.0) -> 
 
 def effective_flux(ell: int, sigma: float, hbar: float = 1.0) -> float:
     """Flux of the effective tube threading the trap axis, 2 pi hbar sigma ell."""
+    _integer(ell, "ell")
     _check(sigma, "sigma", _FINITE)
     _check(hbar, "hbar", _POSITIVE)
     return 2.0 * math.pi * hbar * sigma * ell
@@ -207,6 +210,7 @@ def effective_flux(ell: int, sigma: float, hbar: float = 1.0) -> float:
 
 def scalar_potential(ell: int, r: float, hbar2_over_2m: float = 1.0) -> float:
     """Repulsive scalar potential (hbar^2/2M) ell^2 / r^2 left by the winding."""
+    _integer(ell, "ell")
     _check(r, "r", _POSITIVE)
     _check(hbar2_over_2m, "hbar2_over_2m", _POSITIVE)
     return hbar2_over_2m * (ell * ell) / (r * r)

@@ -211,9 +211,9 @@ def _polish(diag: np.ndarray, off: float, centre: float, level: int,
             budget: float) -> tuple[float, np.ndarray]:
     """One level and its unit vector by Rayleigh-quotient iteration from a bracket.
 
-    Each step solves (T - shift) x = u with LAPACK ?gtsv from u = ones,
-    normalizes x and takes the Rayleigh quotient rho = u.T T u.  The
-    first shift is the bracket centre.  While rho lies within
+    Starting from u = ones and the bracket centre as the shift, each step
+    solves (T - shift) x = u with LAPACK ?gtsv, normalizes x to the next u
+    and takes its Rayleigh quotient rho = u.T T u.  While rho lies within
     _BRACKET_TOL of the centre it becomes the next shift, and the level
     is accepted once ||T u - rho u|| <= budget; a quotient outside the
     bracket is never accepted, and the shift returns to the centre, so

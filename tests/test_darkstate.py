@@ -276,7 +276,11 @@ class TestNanInputs:
         (lambda: dark_overlaps("i", "x"), r"^sigma must lie in \[-1, 1\], got x$"),
         (lambda: mean_spin("x", 1.0),
          "^alpha and beta_mag2 must be real numbers, got 'x' and 1.0$"),
-    ], ids=["scalar-r", "epsilon-delta-alpha", "overlaps-sigma", "mean-spin-alpha"])
+        (lambda: scalar_potential("x", 1.0), "^ell must be an integer, got 'x'$"),
+        (lambda: gauge_potential_phi(4.5, 0.5, 1.0), "^ell must be an integer, got 4.5$"),
+        (lambda: effective_flux(None, 0.5), "^ell must be an integer, got None$"),
+    ], ids=["scalar-r", "epsilon-delta-alpha", "overlaps-sigma", "mean-spin-alpha",
+            "scalar-ell", "gauge-ell", "flux-ell"])
     def test_a_non_number_is_a_domain_error(self, call, message):
         """Each of these raised a bare TypeError."""
         with pytest.raises(DomainError, match=message):
