@@ -175,6 +175,8 @@ def ring_fd_spectrum(ell: int, sigma_ell: float, n_grid: int = 1024,
     instead, which checks the matrix assembly against the symbol on
     small grids.
     """
+    n_grid = _integer(n_grid, "n_grid", UsageError)
+    k_lowest = _integer(k_lowest, "k_lowest", UsageError)
     if n_grid < 64:
         raise UsageError(f"n_grid must be >= 64, got {n_grid}")
     _check_table_rows(n_grid, f"n_grid = {n_grid}")
@@ -282,6 +284,8 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, r_max: float | None =
     settle, leaves its bracket or meets a singular shifted matrix raises
     ConvergenceError naming the shift; there is no fallback.
     """
+    n_grid = _integer(n_grid, "n_grid", UsageError)
+    k_lowest = _integer(k_lowest, "k_lowest", UsageError)
     if n_grid < 2000:
         raise UsageError(f"n_grid must be >= 2000, got {n_grid}")
     _check_table_rows(n_grid, f"n_grid = {n_grid}")

@@ -226,6 +226,17 @@ class TestRingFd:
                                              "1000000-row table limit$"):
             route(*args, n_grid=10**10)
 
+    @pytest.mark.parametrize("route", [ring_fd_spectrum, radial_fd_spectrum],
+                             ids=["ring", "radial"])
+    @pytest.mark.parametrize("name, value", [("n_grid", 2048.5), ("k_lowest", 2.5),
+                                             ("n_grid", "4000")])
+    def test_grid_and_level_count_are_integers(self, route, name, value):
+        """n_grid = 64.5 gave the ring a grid step of 2 pi / 64.5; in the radial route
+        n_grid = 2000.5 and k_lowest = 2.5 raised a bare TypeError or ValueError."""
+        args = (4, 1.2) if route is ring_fd_spectrum else (4, 1.0, -1)
+        with pytest.raises(UsageError, match=f"^{name} must be an integer, got {value!r}$"):
+            route(*args, **{name: value})
+
 
 class TestRadialFd:
     def test_trap_levels_no_flux(self):
