@@ -237,6 +237,20 @@ class TestRingFd:
         with pytest.raises(UsageError, match=f"^{name} must be an integer, got {value!r}$"):
             route(*args, **{name: value})
 
+    @pytest.mark.xfail(strict=True, reason="the ring route checks neither ell nor sigma_ell")
+    @pytest.mark.parametrize("args, message", [
+        ((4, math.nan), "^sigma_ell must be finite, got nan$"),
+        ((4, math.inf), "^sigma_ell must be finite, got inf$"),
+        ((4.5, 1.0), "^ell must be an integer, got 4.5$"),
+        (("x", 1.0), "^ell must be an integer, got 'x'$"),
+        ((-4, 1.0), "^ell must be a nonnegative integer, got -4$"),
+    ])
+    def test_winding_and_flux_are_checked(self, args, message):
+        """NaN raised a bare ValueError, inf a RuntimeWarning and then an OverflowError,
+        ell = 4.5 or -4 returned a report and ell = 'x' raised a bare TypeError."""
+        with pytest.raises(DomainError, match=message):
+            ring_fd_spectrum(*args, n_grid=64)
+
 
 class TestRadialFd:
     def test_trap_levels_no_flux(self):
@@ -337,6 +351,24 @@ class TestRadialFd:
         for r_max in (math.inf, math.nan):
             with pytest.raises(DomainError, match="r_max must be finite"):
                 radial_fd_spectrum(4, 1.0, -1, r_max=r_max, n_grid=2000)
+
+    @pytest.mark.xfail(strict=True, reason="the radial route checks neither ell, sigma_ell nor m")
+    @pytest.mark.parametrize("args, message", [
+        ((4, math.nan, -1), "^sigma_ell must be finite, got nan$"),
+        ((4, math.inf, -1), "^sigma_ell must be finite, got inf$"),
+        ((4.5, 1.0, -1), "^ell must be an integer, got 4.5$"),
+        ((-4, 1.0, -1), "^ell must be a nonnegative integer, got -4$"),
+        ((4, 1.0, -1.5), "^m must be an integer, got -1.5$"),
+        ((4, 1.0, "x"), "^m must be an integer, got 'x'$"),
+        ((4, 1.0, 10**200), r"^ell\^2 \+ m\^2 exceeds the float range at ell=4, "
+                            r"sigma_ell=1\.0$"),
+    ])
+    def test_winding_flux_and_m_are_checked(self, args, message):
+        """sigma_ell = NaN was reported as a non-finite r_max, ell = 4.5 or -4 and
+        m = -1.5 returned a report, m = 'x' raised a bare TypeError and m = 10^200
+        a bare OverflowError."""
+        with pytest.raises(DomainError, match=message):
+            radial_fd_spectrum(*args, n_grid=2000)
 
 
 class TestBlockScan:
