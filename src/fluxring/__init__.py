@@ -26,10 +26,8 @@ _EXPORTS = {
         "DegenerateFieldError", "CaseError", "DegeneracyError", "SingularOverlapError",
         "DomainSizeError", "WindowError", "ConvergenceError", "VerificationError",
         "ExpansionWarning"),
-    # parameters and units
-    "params": (
-        "HBAR", "FieldConfig", "GeometryKind", "GeometrySpec", "EnergyUnit",
-        "energy_unit", "oscillator_length", "as_geometry_kind"),
+    # request parameters
+    "params": ("FieldConfig", "GeometryKind", "as_geometry_kind"),
     # dark-state observables
     "darkstate": (
         "FluxCase", "CaseClassification", "SpinPair", "DarkOverlaps", "case_of",

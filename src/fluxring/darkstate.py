@@ -62,8 +62,8 @@ class CaseClassification:
     residual: float
 
     def __post_init__(self) -> None:
-        if self.residual < 0.0:
-            raise DomainError("classification residual must be >= 0")
+        if not self.residual >= 0.0:  # NaN fails it; inf is NEITHER's residual at beta = 0
+            raise DomainError(f"classification residual must be >= 0, got {self.residual}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class SpinPair:
 
     def __post_init__(self) -> None:
         for value in (self.sigma_plus, self.sigma_minus):
-            if abs(value) > 1.0 + 1e-12:
+            if not abs(value) <= 1.0 + 1e-12:  # NaN fails it
                 raise DomainError(f"mean spin out of [-1, 1]: {value}")
 
 

@@ -26,7 +26,7 @@ from .ring import _integer, _natural, _square_sum, _sweep_window, ground_m
 if TYPE_CHECKING:  # the array functions import numpy, so spectra and gaps load without it
     import numpy as np
 
-# Energy unit of every trap table; params.energy_unit names it too.
+# Energy unit of every trap table.
 _UNIT_LABEL = "hbar*Omega"
 
 __all__ = [

@@ -34,7 +34,8 @@ from .errors import (CaseError, ConvergenceError, DomainError, DomainSizeError,
                      WindowError)
 from .harmonic import RadialFunction
 from .params import GeometryKind, as_geometry_kind
-from .ring import _check_ell, _check_table_rows, _integer, _square_sum_error, ground_m
+from .ring import (_check_ell, _check_table_rows, _integer, _square_sum, _square_sum_error,
+                   ground_m)
 from .superposition import _block_parameters, _check_epsilon, _check_theta, _closed_forms, _row
 
 __all__ = [
@@ -173,7 +174,8 @@ def ring_fd_spectrum(ell: int, sigma_ell: float, n_grid: int = 1024,
     default route.  method='dense'
     assembles the same pentadiagonal matrix and runs hermitian_eigs
     instead, which checks the matrix assembly against the symbol on
-    small grids.
+    small grids.  ell must be an integer >= 0 and sigma_ell a finite
+    real, or DomainError.
     """
     n_grid = _integer(n_grid, "n_grid", UsageError)
     k_lowest = _integer(k_lowest, "k_lowest", UsageError)
@@ -182,6 +184,8 @@ def ring_fd_spectrum(ell: int, sigma_ell: float, n_grid: int = 1024,
     _check_table_rows(n_grid, f"n_grid = {n_grid}")
     if k_lowest < 1 or k_lowest > n_grid:
         raise UsageError(f"k_lowest must be in [1, {n_grid}], got {k_lowest}")
+    ell = _check_ell(ell)
+    ground_m(sigma_ell)  # DomainError unless sigma_ell is a finite real
     if method == "circulant":
         fd = np.sort(_ring_fd_circulant_eigs(ell, sigma_ell, n_grid))[:k_lowest]
     elif method == "dense":
@@ -258,7 +262,8 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, r_max: float | None =
     -u'' + [(mu^2 - 1/4)/r^2 + r^2/4] u = E u on (0, r_max) with u = 0 at
     both ends.  Three-point differences on n_grid steps make it a
     tridiagonal T, and its lowest k_lowest eigenvalues are compared
-    against 2n + mu + 1 in two steps:
+    against 2n + mu + 1 in two steps (ell must be an integer >= 0, m an
+    integer and sigma_ell a finite real, or DomainError):
 
     * Bracket.  One Sturm bisection (LAPACK ?stebz) to the absolute
       tolerance _BRACKET_TOL = 0.01 certifies which eigenvalue each
@@ -291,7 +296,10 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, r_max: float | None =
     _check_table_rows(n_grid, f"n_grid = {n_grid}")
     if k_lowest < 1 or k_lowest > n_grid - 1:
         raise UsageError(f"k_lowest must be in [1, {n_grid - 1}], got {k_lowest}")
-    mu2 = ell * ell + m * m + 2.0 * sigma_ell * m
+    ell = _check_ell(ell)
+    ground_m(sigma_ell)  # DomainError unless sigma_ell is a finite real
+    m = _integer(m, "m")
+    mu2 = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m
     if mu2 < 0.0:
         raise DomainError(f"mu^2 = {mu2} < 0; no such radial state")
     mu_m = math.sqrt(mu2)

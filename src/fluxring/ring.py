@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-# Energy unit of every ring table; params.energy_unit names it too.
+# Energy unit of every ring table.
 _UNIT_LABEL = "hbar^2/2I"
 
 # Largest table a sweep builds.  The biggest real one (trap spectrum at

@@ -13,6 +13,7 @@ from fluxring import (
     DomainError,
     FieldConfig,
     FluxCase,
+    SpinPair,
     UsageError,
     bright_excited_eigenvalues,
     case_of,
@@ -94,6 +95,22 @@ class TestCaseClassification:
         verdict, _ = classify_flux_case(cfg)
         assert verdict.case is FluxCase.NEITHER
         assert verdict.residual > 0.0
+        # beta = 0 with alpha_plus alpha_minus != 0 has no relative residual
+        verdict, _ = classify_flux_case(FieldConfig(alpha_plus=2.0, alpha_minus=0.5, beta=0.0))
+        assert verdict == CaseClassification(FluxCase.NEITHER, math.inf)
+
+    @pytest.mark.parametrize("record, args, message", [
+        (CaseClassification, (FluxCase.CASE_I, -0.5),
+         r"^classification residual must be >= 0, got -0\.5$"),
+        (CaseClassification, (FluxCase.CASE_I, math.nan),
+         "^classification residual must be >= 0, got nan$"),
+        (SpinPair, (0.5, -1.5), r"^mean spin out of \[-1, 1\]: -1\.5$"),
+        (SpinPair, (math.nan, 0.0), r"^mean spin out of \[-1, 1\]: nan$"),
+    ], ids=["negative-residual", "nan-residual", "spin-past-one", "nan-spin"])
+    def test_records_reject_what_they_cannot_hold(self, record, args, message):
+        """A NaN residual or spin constructed silently: both checks compared with < or >."""
+        with pytest.raises(DomainError, match=message):
+            record(*args)
 
     def test_vanishing_fields_rejected(self):
         cfg = FieldConfig(alpha_plus=1.0, alpha_minus=0.0, beta=0.0)

@@ -237,7 +237,6 @@ class TestRingFd:
         with pytest.raises(UsageError, match=f"^{name} must be an integer, got {value!r}$"):
             route(*args, **{name: value})
 
-    @pytest.mark.xfail(strict=True, reason="the ring route checks neither ell nor sigma_ell")
     @pytest.mark.parametrize("args, message", [
         ((4, math.nan), "^sigma_ell must be finite, got nan$"),
         ((4, math.inf), "^sigma_ell must be finite, got inf$"),
@@ -352,7 +351,6 @@ class TestRadialFd:
             with pytest.raises(DomainError, match="r_max must be finite"):
                 radial_fd_spectrum(4, 1.0, -1, r_max=r_max, n_grid=2000)
 
-    @pytest.mark.xfail(strict=True, reason="the radial route checks neither ell, sigma_ell nor m")
     @pytest.mark.parametrize("args, message", [
         ((4, math.nan, -1), "^sigma_ell must be finite, got nan$"),
         ((4, math.inf, -1), "^sigma_ell must be finite, got inf$"),

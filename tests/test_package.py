@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +22,22 @@ def test_export_table_matches_the_module(name):
                         if inspect.isclass(value) and issubclass(value, BaseException)
                         and value.__module__ == module.__name__)
         assert classes == exported
+
+
+def test_bench_tracer_wraps_every_layer_and_restores_it(monkeypatch):
+    """bench/spans.py imports each of its LAYERS as fluxring.<layer> and wraps the
+    public callables it finds; a layer renamed or removed without it breaks every
+    traced bench run, so the tracer is installed here and taken off again."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        patches = list(tracer._patches)
+        wrapped_layers = {name.split(".", 1)[0] for name in tracer.names}
+    finally:
+        tracer.uninstall()
+    assert all(f"fluxring.{layer}" in sys.modules for layer in spans.LAYERS)
+    assert wrapped_layers == set(spans.LAYERS)
+    assert patches
+    assert all(vars(owner)[attr] is original for owner, attr, original in patches)

@@ -1,19 +1,10 @@
-"""Field configuration, geometry specs, and unit bookkeeping."""
+"""Field configuration and the geometry kind."""
 
 import math
 
 import pytest
 
-from fluxring import (
-    HBAR,
-    ConfigError,
-    FieldConfig,
-    GeometryKind,
-    GeometrySpec,
-    as_geometry_kind,
-    energy_unit,
-    oscillator_length,
-)
+from fluxring import ConfigError, FieldConfig, GeometryKind, as_geometry_kind
 
 
 class TestFieldConfig:
@@ -23,6 +14,9 @@ class TestFieldConfig:
         assert cfg.alpha_plus == 2.0
         assert cfg.beta == 1.0 + 0.5j
         assert cfg.beta_mag2 == pytest.approx(1.25, rel=1e-15)
+        # a complex amplitude with zero imaginary part is its real part
+        same = FieldConfig(alpha_plus=2 + 0j, alpha_minus=0.5, beta=1.0 + 0.5j, theta=0.3, ell=4)
+        assert same == cfg and type(same.alpha_plus) is float
 
     def test_rejects_complex_alpha(self):
         with pytest.raises(ConfigError):
@@ -33,6 +27,26 @@ class TestFieldConfig:
             FieldConfig(alpha_plus=math.nan, alpha_minus=0.5, beta=1.0)
         with pytest.raises(ConfigError):
             FieldConfig(alpha_plus=1.0, alpha_minus=0.5, beta=complex(math.inf, 0.0))
+
+    def test_rejects_beta_whose_weight_overflows(self):
+        """beta = 1e200 (1 + i) was accepted, and classify_flux_case then raised a
+        bare OverflowError from beta_mag2; 1e154 still fits."""
+        with pytest.raises(ConfigError, match=r"^beta and \|beta\|\^2 must be finite, "
+                                              r"got \(1e\+200\+1e\+200j\)$"):
+            FieldConfig(alpha_plus=1.0, alpha_minus=0.5, beta=1e200 + 1e200j)
+        assert FieldConfig(alpha_plus=1.0, alpha_minus=0.5, beta=1e154).beta_mag2 < math.inf
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("alpha_plus", "x", "^alpha_plus must be a real number, got 'x'$"),
+        ("beta", "x", "^beta must be a complex number, got 'x'$"),
+        ("beta", None, "^beta must be a complex number, got None$"),
+        ("beta", [1], r"^beta must be a complex number, got \[1\]$"),
+    ])
+    def test_rejects_non_numbers(self, name, value, message):
+        """beta = 'x' raised a bare ValueError, and None or [1] a bare TypeError."""
+        fields = {"alpha_plus": 1.0, "alpha_minus": 0.5, "beta": 1.0, name: value}
+        with pytest.raises(ConfigError, match=message):
+            FieldConfig(**fields)
 
     def test_rejects_bad_winding(self):
         """ell is a photon winding number: integer and nonnegative."""
@@ -48,25 +62,7 @@ class TestFieldConfig:
             FieldConfig(alpha_plus=1.0, alpha_minus=0.5, beta=1.0, ell=ell)
 
 
-class TestGeometrySpec:
-    def test_ring_derives_inertia_from_mass_and_radius(self):
-        geo = GeometrySpec.ring(mass=2.0, radius=3.0, use_dimensionless=False)
-        assert geo.inertia_I == pytest.approx(18.0, rel=1e-15)
-
-    def test_kind_field_exclusivity(self):
-        with pytest.raises(ConfigError):
-            GeometrySpec(GeometryKind.RING, omega=1.0)
-        with pytest.raises(ConfigError):
-            GeometrySpec(GeometryKind.HARMONIC, radius=1.0)
-        with pytest.raises(ConfigError):
-            GeometrySpec(GeometryKind.HARMONIC, inertia_I=1.0)
-
-    def test_rejects_nonpositive_scales(self):
-        with pytest.raises(ConfigError):
-            GeometrySpec.ring(inertia_I=0.0, use_dimensionless=False)
-        with pytest.raises(ConfigError):
-            GeometrySpec.harmonic(omega=-1.0, use_dimensionless=False)
-
+class TestAsGeometryKind:
     def test_as_geometry_kind_normalizes(self):
         assert as_geometry_kind("ring") is GeometryKind.RING
         assert as_geometry_kind("HARMONIC") is GeometryKind.HARMONIC
@@ -87,42 +83,3 @@ class TestGeometrySpec:
         with pytest.raises(ConfigError, match="unknown geometry"):
             as_geometry_kind(value)
 
-
-class TestEnergyUnit:
-    def test_dimensionless_units_are_one_with_labels(self):
-        ring = energy_unit(GeometrySpec.ring())
-        trap = energy_unit(GeometrySpec.harmonic())
-        assert ring.value == 1.0 and ring.label == "hbar^2/2I"
-        assert trap.value == 1.0 and trap.label == "hbar*Omega"
-
-    def test_si_ring_unit(self):
-        geo = GeometrySpec.ring(inertia_I=4.0e-45, use_dimensionless=False)
-        assert energy_unit(geo).value == pytest.approx(HBAR**2 / 8.0e-45, rel=1e-15)
-
-    def test_si_harmonic_unit(self):
-        geo = GeometrySpec.harmonic(omega=2e3, use_dimensionless=False)
-        assert energy_unit(geo).value == pytest.approx(HBAR * 2e3, rel=1e-15)
-
-    def test_si_unit_requires_scale(self):
-        with pytest.raises(ConfigError):
-            energy_unit(GeometrySpec.ring(use_dimensionless=False))
-        with pytest.raises(ConfigError):
-            energy_unit(GeometrySpec.harmonic(use_dimensionless=False))
-
-
-class TestOscillatorLength:
-    def test_dimensionless_is_unity(self):
-        assert oscillator_length(GeometrySpec.harmonic()) == 1.0
-
-    def test_si_value(self):
-        geo = GeometrySpec.harmonic(omega=1e3, mass=1e-25, use_dimensionless=False)
-        assert oscillator_length(geo) == pytest.approx(
-            math.sqrt(HBAR / (2.0 * 1e-25 * 1e3)), rel=1e-15)
-
-    def test_rejects_ring(self):
-        with pytest.raises(ConfigError):
-            oscillator_length(GeometrySpec.ring())
-
-    def test_si_needs_mass_and_omega(self):
-        with pytest.raises(ConfigError):
-            oscillator_length(GeometrySpec.harmonic(omega=1e3, use_dimensionless=False))
