@@ -62,8 +62,7 @@ class CaseClassification:
     residual: float
 
     def __post_init__(self) -> None:
-        if not self.residual >= 0.0:  # NaN fails it; inf is NEITHER's residual at beta = 0
-            raise DomainError(f"classification residual must be >= 0, got {self.residual}")
+        _check(self.residual, "classification residual", _RESIDUAL)
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,8 @@ class SpinPair:
     sigma_minus: float
 
     def __post_init__(self) -> None:
-        for value in (self.sigma_plus, self.sigma_minus):
-            if not abs(value) <= 1.0 + 1e-12:  # NaN fails it
-                raise DomainError(f"mean spin out of [-1, 1]: {value}")
+        _check(self.sigma_plus, "sigma_plus", _SPIN)
+        _check(self.sigma_minus, "sigma_minus", _SPIN)
 
 
 @dataclass(frozen=True)
@@ -98,6 +96,8 @@ _CASE_VALUES = {member.value: member for member in FluxCase}
 _FINITE = ("finite", math.isfinite)
 _POSITIVE = ("finite and > 0", lambda x: math.isfinite(x) and x > 0.0)
 _NONNEGATIVE = ("finite and >= 0", lambda x: math.isfinite(x) and x >= 0.0)
+_RESIDUAL = (">= 0", lambda x: x >= 0.0)  # inf is NEITHER's residual at beta = 0
+_SPIN = ("in [-1, 1]", lambda x: -1.0 - 1e-12 <= x <= 1.0 + 1e-12)
 
 
 def _check(value, name: str, rule: tuple) -> None:

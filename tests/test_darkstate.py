@@ -104,11 +104,16 @@ class TestCaseClassification:
          r"^classification residual must be >= 0, got -0\.5$"),
         (CaseClassification, (FluxCase.CASE_I, math.nan),
          "^classification residual must be >= 0, got nan$"),
-        (SpinPair, (0.5, -1.5), r"^mean spin out of \[-1, 1\]: -1\.5$"),
-        (SpinPair, (math.nan, 0.0), r"^mean spin out of \[-1, 1\]: nan$"),
-    ], ids=["negative-residual", "nan-residual", "spin-past-one", "nan-spin"])
+        (CaseClassification, (FluxCase.CASE_I, "x"),
+         "^classification residual must be >= 0, got 'x'$"),
+        (SpinPair, (0.5, -1.5), r"^sigma_minus must be in \[-1, 1\], got -1\.5$"),
+        (SpinPair, (math.nan, 0.0), r"^sigma_plus must be in \[-1, 1\], got nan$"),
+        (SpinPair, (1j, 0.0), r"^sigma_plus must be in \[-1, 1\], got 1j$"),
+    ], ids=["negative-residual", "nan-residual", "str-residual", "spin-past-one",
+            "nan-spin", "complex-spin"])
     def test_records_reject_what_they_cannot_hold(self, record, args, message):
-        """A NaN residual or spin constructed silently: both checks compared with < or >."""
+        """A NaN residual or spin constructed silently, since both checks compared
+        with < or >, and a string residual or spin raised a bare TypeError."""
         with pytest.raises(DomainError, match=message):
             record(*args)
 
