@@ -1,6 +1,7 @@
 """Numerical oracle layer: LAPACK-backed eigensolvers, FD routes, block scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,21 @@ class TestRingFd:
         sym = ring_fd_spectrum(4, 1.2, n_grid=64, k_lowest=9, method="circulant")
         dense = ring_fd_spectrum(4, 1.2, n_grid=64, k_lowest=9, method="dense")
         np.testing.assert_allclose(dense.computed, sym.computed, rtol=0, atol=1e-8)
+
+    @pytest.mark.xfail(strict=True, reason="the reference window spans 2 |sigma_ell| states")
+    def test_reference_window_does_not_grow_with_the_flux(self):
+        """The k lowest levels of (m + sigma_ell)^2 lie within k/2 + 1 of -sigma_ell,
+        so 2k + 9 states around m_check hold the reference at any flux.  A window
+        of 2 (k + ceil|sigma_ell| + 4) + 1 states took 52 MiB at sigma_ell = 1e6;
+        at 1e12 it would need 16 TB, so that call comes only after the peak check."""
+        tracemalloc.start()
+        try:
+            ring_fd_spectrum(4, 1e6, n_grid=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert ring_fd_spectrum(4, 1e12, n_grid=64).reference.shape == (9,)
 
     def test_usage_errors(self):
         with pytest.raises(UsageError):
