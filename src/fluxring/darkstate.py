@@ -62,6 +62,8 @@ class CaseClassification:
     residual: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.case, FluxCase):
+            raise CaseError(f"case must be a FluxCase, got {self.case!r}")
         _check(self.residual, "classification residual", _RESIDUAL)
 
 

@@ -33,9 +33,8 @@ from .errors import (CaseError, ConvergenceError, DomainError, DomainSizeError,
                      SingularOverlapError, UsageError, ValidationError, VerificationError,
                      WindowError)
 from .harmonic import RadialFunction
-from .params import GeometryKind, as_geometry_kind
-from .ring import (_check_ell, _check_table_rows, _integer, _square_sum, _square_sum_error,
-                   ground_m)
+from .params import as_geometry_kind
+from .ring import _check_ell, _check_table_rows, _integer, _square_sum, ground_m
 from .superposition import _block_parameters, _check_epsilon, _check_theta, _closed_forms, _row
 
 __all__ = [
@@ -185,7 +184,7 @@ def ring_fd_spectrum(ell: int, sigma_ell: float, n_grid: int = 1024,
     if k_lowest < 1 or k_lowest > n_grid:
         raise UsageError(f"k_lowest must be in [1, {n_grid}], got {k_lowest}")
     ell = _check_ell(ell)
-    ground_m(sigma_ell)  # DomainError unless sigma_ell is a finite real
+    m_check = ground_m(sigma_ell)  # DomainError unless sigma_ell is a finite real
     if method == "circulant":
         fd = np.sort(_ring_fd_circulant_eigs(ell, sigma_ell, n_grid))[:k_lowest]
     elif method == "dense":
@@ -194,8 +193,8 @@ def ring_fd_spectrum(ell: int, sigma_ell: float, n_grid: int = 1024,
         fd = hermitian_eigs(_ring_fd_dense(ell, sigma_ell, n_grid))[:k_lowest]
     else:
         raise UsageError(f"unknown method {method!r}")
-    window = k_lowest + math.ceil(abs(sigma_ell)) + 4
-    ms = np.arange(-window, window + 1, dtype=float)
+    # the k lowest levels of (m + sigma_ell)^2 lie within k/2 + 1 of -sigma_ell
+    ms = m_check + np.arange(-(k_lowest + 4), k_lowest + 5, dtype=float)
     analytic = np.sort(ell * ell + ms * ms + 2.0 * sigma_ell * ms)[:k_lowest]
     return OracleReport.from_arrays(fd, analytic, {
         "ell": ell, "sigma_ell": sigma_ell, "n_grid": n_grid,
@@ -524,16 +523,16 @@ def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
 
     m defaults to the ground-state value.  A sequence of integers for m
     (a range, say) gives a (len(m), 2, 2) stack of H, one block per m in
-    order, against the one overlap A they share; the stack is computed
-    over all m at once, with the operations of the single block, so
-    each of its blocks has the bits of that block built alone.  This is
-    the matrix the closed forms in superpose_ring / superpose_harmonic
-    diagonalize; feeding it to gen_eig_2x2 provides the independent
-    numerical route, and superposition_block_scan solves its stacked
-    form.  ell, epsilon and theta face the checks of superpose_*, and each
-    m must be an integer (DomainError).  H and A are float64 when the
-    phase e^{i theta} is real (sin theta == 0.0, so theta = 0) and
-    complex128 otherwise.
+    order, against the one overlap A they share.  One loop builds every
+    block from the engine's _block_parameters, so a block has the same
+    bits alone or in a stack, and the first m without a block (a trap
+    radicand <= 0) raises its DomainError.  This is the matrix the closed
+    forms in superpose_ring / superpose_harmonic diagonalize; feeding it
+    to gen_eig_2x2 provides the independent numerical route, and
+    superposition_block_scan solves its stacked form.  ell, epsilon and
+    theta face the checks of superpose_*, and each m must be an integer
+    (DomainError).  H and A are float64 when the phase e^{i theta} is
+    real (sin theta == 0.0, so theta = 0) and complex128 otherwise.
 
     Examples
     --------
@@ -553,61 +552,27 @@ def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     _check_epsilon(epsilon)
     sin = math.sin(theta)
     phase = math.cos(theta) if sin == 0.0 else complex(math.cos(theta), sin)
-    if isinstance(m, Iterable):
+    stacked = isinstance(m, Iterable)
+    if stacked:
         # a range holds integers already; any other sequence is checked entry by entry
-        ms = list(m) if isinstance(m, range) else [_integer(mm, "m") for mm in m]
-        h = _block_stack(geo, ell, sigma_ell, epsilon, phase, kind is FluxCase.CASE_I, ms)
+        ms = m if isinstance(m, range) else [_integer(mm, "m") for mm in m]
     else:
-        center, d, q = _block_parameters(geo, ell, sigma_ell,
-                                         ground_m(sigma_ell) if m is None else _integer(m, "m"))
-        off = epsilon * center * phase if kind is FluxCase.CASE_I else -q * epsilon * phase
-        h = np.array([[center + d, off], [off.conjugate(), center - d]])
-    if kind is FluxCase.CASE_I:
+        ms = [ground_m(sigma_ell) if m is None else _integer(m, "m")]
+    case_i = kind is FluxCase.CASE_I
+    entries = []  # h00, h01, h10, h11 of each block in turn
+    for mm in ms:
+        center, d, q = _block_parameters(geo, ell, sigma_ell, mm)
+        off = epsilon * center * phase if case_i else -q * epsilon * phase
+        entries += (center + d, off, off.conjugate(), center - d)
+    h = np.array(entries, dtype=type(phase)).reshape(-1, 2, 2)
+    if case_i:
         a01 = epsilon * phase
     elif kind is FluxCase.CASE_II:
         a01 = type(phase)(0.0)  # 0.0 or 0j, as real as the phase
     else:
         raise CaseError("blocks exist only for case (i) or case (ii)")
-    return GenEig2(h, np.array([[1.0, a01], [a01.conjugate(), 1.0]]))
-
-
-def _block_stack(geo: GeometryKind, ell: int, sigma_ell: float, epsilon: float,
-                 phase: float | complex, case_i: bool, ms: list[int]) -> np.ndarray:
-    """The (len(ms), 2, 2) H stack: _block_parameters and the off-diagonal
-    over all m at once, each operation in the order of the single block."""
-    # ell^2 + m^2 and ell m are exact integers, each rounded once
-    ell_squared = ell * ell
-    try:
-        squares = np.array([ell_squared + mm * mm for mm in ms], dtype=float)
-    except OverflowError:
-        raise _square_sum_error(ell, sigma_ell) from None
-    mf = np.fromiter(ms, float, len(ms))
-    if geo is GeometryKind.RING:
-        center = squares
-        d = 2.0 * sigma_ell * mf
-        if not case_i:
-            q = 2.0 * ell * mf
-    else:
-        spin_m = sigma_ell * mf
-        abs_spin_m = np.abs(spin_m)
-        radicand = squares - 2.0 * abs_spin_m
-        if radicand.min(initial=1.0) <= 0.0:  # the single block names the first bad m
-            for mm in ms:
-                _block_parameters(geo, ell, sigma_ell, mm)
-        mu_star = np.sqrt(radicand)
-        center = (mu_star + 1.0) + abs_spin_m / mu_star
-        d = spin_m / mu_star
-        if not case_i:
-            q = np.array([ell * mm for mm in ms], dtype=float) / mu_star
-    off = epsilon * center if case_i else -q * epsilon
-    if phase != 1.0:  # off * 1.0 would be off again
-        off = off * phase
-    rows = np.empty((4, len(ms)), dtype=off.dtype)  # h00, h01, h10, h11 over m
-    rows[0] = center + d
-    rows[1] = off
-    rows[2] = off.conj() if off.dtype.kind == "c" else off
-    rows[3] = center - d
-    return rows.T.reshape(-1, 2, 2)
+    return GenEig2(h if stacked else h[0],
+                   np.array([[1.0, a01], [a01.conjugate(), 1.0]]))
 
 
 # ---------------------------------------------------------------------------

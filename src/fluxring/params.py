@@ -28,6 +28,8 @@ def _as_real(name: str, value) -> float:
             raise ConfigError(f"{name} must be real, got {value!r}")
         value = value.real
     try:
+        if not (hasattr(value, "__float__") or hasattr(value, "__index__")):
+            raise TypeError("no number: float() would parse it as text")
         value = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a real number, got {value!r}") from exc
@@ -44,7 +46,8 @@ class FieldConfig:
     counter-rotating components with phase windings +ell and -ell,
     beta is the complex amplitude of the second leg, and theta is the
     relative phase printed on the coupling of the superposed states.
-    beta must be a number whose |beta|^2 is finite.
+    beta must be a number whose |beta|^2 is finite.  Every field takes
+    numbers only: text or bytes such as '2.0' or '1+2j' raise ConfigError.
     """
 
     alpha_plus: float
@@ -57,6 +60,8 @@ class FieldConfig:
         object.__setattr__(self, "alpha_plus", _as_real("alpha_plus", self.alpha_plus))
         object.__setattr__(self, "alpha_minus", _as_real("alpha_minus", self.alpha_minus))
         try:
+            if isinstance(self.beta, str):
+                raise TypeError("no number: complex() would parse it as text")
             beta = complex(self.beta)
             finite = math.isfinite(abs(beta) ** 2)  # NaN and inf parts fail it too
         except (TypeError, ValueError) as exc:

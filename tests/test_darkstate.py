@@ -99,22 +99,24 @@ class TestCaseClassification:
         verdict, _ = classify_flux_case(FieldConfig(alpha_plus=2.0, alpha_minus=0.5, beta=0.0))
         assert verdict == CaseClassification(FluxCase.NEITHER, math.inf)
 
-    @pytest.mark.parametrize("record, args, message", [
-        (CaseClassification, (FluxCase.CASE_I, -0.5),
+    @pytest.mark.parametrize("record, args, error, message", [
+        (CaseClassification, (FluxCase.CASE_I, -0.5), DomainError,
          r"^classification residual must be >= 0, got -0\.5$"),
-        (CaseClassification, (FluxCase.CASE_I, math.nan),
+        (CaseClassification, (FluxCase.CASE_I, math.nan), DomainError,
          "^classification residual must be >= 0, got nan$"),
-        (CaseClassification, (FluxCase.CASE_I, "x"),
+        (CaseClassification, (FluxCase.CASE_I, "x"), DomainError,
          "^classification residual must be >= 0, got 'x'$"),
-        (SpinPair, (0.5, -1.5), r"^sigma_minus must be in \[-1, 1\], got -1\.5$"),
-        (SpinPair, (math.nan, 0.0), r"^sigma_plus must be in \[-1, 1\], got nan$"),
-        (SpinPair, (1j, 0.0), r"^sigma_plus must be in \[-1, 1\], got 1j$"),
-    ], ids=["negative-residual", "nan-residual", "str-residual", "spin-past-one",
+        (CaseClassification, ("i", 0.1), CaseError, "^case must be a FluxCase, got 'i'$"),
+        (SpinPair, (0.5, -1.5), DomainError, r"^sigma_minus must be in \[-1, 1\], got -1\.5$"),
+        (SpinPair, (math.nan, 0.0), DomainError, r"^sigma_plus must be in \[-1, 1\], got nan$"),
+        (SpinPair, (1j, 0.0), DomainError, r"^sigma_plus must be in \[-1, 1\], got 1j$"),
+    ], ids=["negative-residual", "nan-residual", "str-residual", "str-case", "spin-past-one",
             "nan-spin", "complex-spin"])
-    def test_records_reject_what_they_cannot_hold(self, record, args, message):
+    def test_records_reject_what_they_cannot_hold(self, record, args, error, message):
         """A NaN residual or spin constructed silently, since both checks compared
-        with < or >, and a string residual or spin raised a bare TypeError."""
-        with pytest.raises(DomainError, match=message):
+        with < or >, and a string residual or spin raised a bare TypeError.  A
+        string case was stored, and case_of then returned the string."""
+        with pytest.raises(error, match=message):
             record(*args)
 
     def test_vanishing_fields_rejected(self):

@@ -85,7 +85,7 @@ def test_superpose_never_loads_scipy(tail):
     assert fresh(cli_run(["superpose", "--geometry", "ring", "--ell", "16", *tail])) == []
 
 
-PENCIL_NAMES = {"GenEig2", "gen_eig_2x2", "build_block", "_block_stack"}
+PENCIL_NAMES = {"GenEig2", "gen_eig_2x2", "build_block"}
 
 
 def test_superpose_loads_neither_numpy_nor_the_oracle():

@@ -208,12 +208,11 @@ class TestRingFd:
         dense = ring_fd_spectrum(4, 1.2, n_grid=64, k_lowest=9, method="dense")
         np.testing.assert_allclose(dense.computed, sym.computed, rtol=0, atol=1e-8)
 
-    @pytest.mark.xfail(strict=True, reason="the reference window spans 2 |sigma_ell| states")
     def test_reference_window_does_not_grow_with_the_flux(self):
         """The k lowest levels of (m + sigma_ell)^2 lie within k/2 + 1 of -sigma_ell,
         so 2k + 9 states around m_check hold the reference at any flux.  A window
         of 2 (k + ceil|sigma_ell| + 4) + 1 states took 52 MiB at sigma_ell = 1e6;
-        at 1e12 it would need 16 TB, so that call comes only after the peak check."""
+        at 1e12 it would need 16 TB, so that call comes after the peak check."""
         tracemalloc.start()
         try:
             ring_fd_spectrum(4, 1e6, n_grid=64)
@@ -353,6 +352,22 @@ class TestRadialFd:
                                                    r"10\.87"):
             radial_fd_spectrum(4, 1.0, -1, n_grid=2000)
 
+    def test_missing_bracket_is_a_convergence_error(self, monkeypatch):
+        """?stebz bracketing one level fewer than asked for fails the route; it
+        never returns a shorter list."""
+        import scipy.linalg.lapack
+
+        dstebz = scipy.linalg.lapack.dstebz
+
+        def short(*args):
+            found, *rest = dstebz(*args)
+            return (found - 1, *rest)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", short)
+        with pytest.raises(ConvergenceError, match=r"^Sturm bracketing found 3 of 4 levels "
+                                                   r"\(dstebz info 0\)$"):
+            radial_fd_spectrum(4, 1.0, -1, n_grid=2000)
+
     def test_validation(self):
         with pytest.raises(UsageError):
             radial_fd_spectrum(4, 1.0, -1, n_grid=500)
@@ -453,6 +468,20 @@ class TestBlockScan:
         """When a neighboring block dips lower the scan refuses to certify."""
         with pytest.raises(VerificationError):
             superposition_block_scan("i", "ring", 4, 2.4, 0.5)
+
+    def test_minimum_off_the_closed_form_is_a_verification_error(self, monkeypatch):
+        """A closed-form shift moved by 1e-9 puts e_plus 7e-11 off the scan's
+        minimum, past the 1e-12 budget."""
+        closed_forms = oracle._closed_forms
+
+        def shifted(row, epsilons):
+            delta_e, *rest = closed_forms(row, epsilons)
+            return [delta_e + 1e-9, *rest]
+
+        monkeypatch.setattr(oracle, "_closed_forms", shifted)
+        with pytest.raises(VerificationError, match=r"^block-scan minimum deviates from "
+                                                    r"e_plus by 6\.\d+e-11 relative$"):
+            superposition_block_scan("i", "ring", 4, 1.0, 0.1)
 
 
 def _per_block_stack(theta):

@@ -1,6 +1,7 @@
 """Field configuration and the geometry kind."""
 
 import math
+from array import array
 
 import pytest
 
@@ -41,9 +42,16 @@ class TestFieldConfig:
         ("beta", "x", "^beta must be a complex number, got 'x'$"),
         ("beta", None, "^beta must be a complex number, got None$"),
         ("beta", [1], r"^beta must be a complex number, got \[1\]$"),
+        ("alpha_plus", "2.0", "^alpha_plus must be a real number, got '2.0'$"),
+        ("alpha_minus", b"0.5", "^alpha_minus must be a real number, got b'0.5'$"),
+        ("theta", array("b", b"1"), r"^theta must be a real number, got array\('b', \[49\]\)$"),
+        ("beta", "1+2j", r"^beta must be a complex number, got '1\+2j'$"),
+        ("beta", b"1", "^beta must be a complex number, got b'1'$"),
     ])
     def test_rejects_non_numbers(self, name, value, message):
-        """beta = 'x' raised a bare ValueError, and None or [1] a bare TypeError."""
+        """beta = 'x' raised a bare ValueError, and None or [1] a bare TypeError.
+        Text or a buffer that float() or complex() parses ('2.0', b'0.5', '1+2j')
+        was accepted while ell = '4' raised."""
         fields = {"alpha_plus": 1.0, "alpha_minus": 0.5, "beta": 1.0, name: value}
         with pytest.raises(ConfigError, match=message):
             FieldConfig(**fields)

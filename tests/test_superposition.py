@@ -504,6 +504,8 @@ class TestValidation:
     def test_neither_case(self):
         with pytest.raises(CaseError):
             superpose_ring("neither", 4, 1.0, 0.1)
+        with pytest.raises(CaseError, match="^expansion exists only for case"):
+            small_eps_delta_e("neither", "ring", 4, 1.0, 0.1)
 
     @pytest.mark.parametrize("solve", [superpose_ring, superpose_harmonic])
     def test_nan_sigma_ell_is_a_domain_error(self, solve):
@@ -570,6 +572,10 @@ class TestValidation:
             res = superpose_ring("ii", 4, 0.0, 0.1)
         # exact form survives: radius = eps, delta_e = -|q| eps with m_check = 0
         assert res.delta_e == 0.0
+        # sigma = eps = 0: R + sigma = 0 leaves the states unmixed
+        with pytest.warns(ExpansionWarning):
+            res = superpose_ring("ii", 4, 0.0, 0.0)
+        assert (res.delta_e, res.mixing_ratio) == (0.0, 0.0)
 
     @pytest.mark.parametrize("route", [
         lambda: superpose_harmonic("ii", 4, 0.0, 0.1),
@@ -647,6 +653,8 @@ class TestSmallEps:
             small_eps_delta_e("ii", "ring", 4, 0.0, 0.1)
         with pytest.raises(DomainError):
             small_eps_delta_e("ii", "ring", 4, -1.0, 0.1)
+        with pytest.raises(DomainError, match=r"^case \(ii\) needs ell >= 1 to define"):
+            small_eps_delta_e("ii", "ring", 0, 0.0, 0.1)
 
     @pytest.mark.parametrize("case", ["i", "ii"])
     @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
