@@ -326,6 +326,21 @@ class TestBuildBlock:
             with pytest.raises(DomainError, match="^ell must be (a nonnegative|an) integer, got "):
                 build()
 
+    @pytest.mark.xfail(strict=True, reason="build_block does not check sigma_ell when m is given")
+    @pytest.mark.parametrize("sigma_ell", [math.nan, math.inf, -math.inf, "1.0", None])
+    def test_rejects_the_sigma_ell_that_superpose_rejects(self, sigma_ell):
+        """A given m skipped the ground_m check: NaN reached 'h must be finite',
+        inf in a trap 'radial exponent undefined', and text or None a bare TypeError."""
+        with pytest.raises(DomainError, match="sigma_ell"):
+            superpose_ring("i", 4, sigma_ell, 0.1)
+        message = f"^sigma_ell must be finite, got {re.escape(repr(sigma_ell))}$"
+        for build in (lambda: build_block("i", "ring", 4, sigma_ell, 0.1, m=-1),
+                      lambda: build_block("ii", "harmonic", 4, sigma_ell, 0.1, m=range(-6, 7)),
+                      lambda: build_block("i", "harmonic", 4, sigma_ell, 0.1, 1.3, m=[0, 1]),
+                      lambda: build_block("ii", "ring", 4, sigma_ell, 0.1)):
+            with pytest.raises(DomainError, match=message):
+                build()
+
     @pytest.mark.parametrize("m", [2.5, [2.5], "3", math.nan, math.inf, [0, 1.5],
                                    np.array([0.5]), [None]])
     def test_m_must_be_an_integer(self, m):
