@@ -529,9 +529,9 @@ def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     radicand <= 0) raises its DomainError.  This is the matrix the closed
     forms in superpose_ring / superpose_harmonic diagonalize; feeding it
     to gen_eig_2x2 provides the independent numerical route, and
-    superposition_block_scan solves its stacked form.  ell, epsilon and
-    theta face the checks of superpose_*, and each m must be an integer
-    (DomainError).  H and A are float64 when the phase e^{i theta} is
+    superposition_block_scan solves its stacked form.  ell, epsilon,
+    theta and a sigma_ell that is no finite number face the checks of
+    superpose_*, and each m must be an integer (DomainError).  H and A are float64 when the phase e^{i theta} is
     real (sin theta == 0.0, so theta = 0) and complex128 otherwise.
 
     Examples
@@ -550,6 +550,7 @@ def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     _check_theta(theta)
     ell = _check_ell(ell)
     _check_epsilon(epsilon)
+    mc = ground_m(sigma_ell)  # rejects NaN, inf and non-numbers, as superpose_* does
     sin = math.sin(theta)
     phase = math.cos(theta) if sin == 0.0 else complex(math.cos(theta), sin)
     stacked = isinstance(m, Iterable)
@@ -557,7 +558,7 @@ def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
         # a range holds integers already; any other sequence is checked entry by entry
         ms = m if isinstance(m, range) else [_integer(mm, "m") for mm in m]
     else:
-        ms = [ground_m(sigma_ell) if m is None else _integer(m, "m")]
+        ms = [mc if m is None else _integer(m, "m")]
     case_i = kind is FluxCase.CASE_I
     entries = []  # h00, h01, h10, h11 of each block in turn
     for mm in ms:

@@ -326,7 +326,6 @@ class TestBuildBlock:
             with pytest.raises(DomainError, match="^ell must be (a nonnegative|an) integer, got "):
                 build()
 
-    @pytest.mark.xfail(strict=True, reason="build_block does not check sigma_ell when m is given")
     @pytest.mark.parametrize("sigma_ell", [math.nan, math.inf, -math.inf, "1.0", None])
     def test_rejects_the_sigma_ell_that_superpose_rejects(self, sigma_ell):
         """A given m skipped the ground_m check: NaN reached 'h must be finite',
