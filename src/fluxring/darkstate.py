@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import (CaseError, ConfigError, DegeneracyError, DegenerateFieldError,
                      DomainError, UsageError)
 from .params import FieldConfig
-from .ring import _integer
+from .ring import _integer, _Record
 
 __all__ = [
     "FluxCase",
@@ -54,12 +53,10 @@ class FluxCase(enum.Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class CaseClassification:
+class CaseClassification(_Record):
     """Classification verdict plus the relative residual it was based on."""
 
-    case: FluxCase
-    residual: float
+    __slots__ = ("case", "residual")
 
     def __post_init__(self) -> None:
         if not isinstance(self.case, FluxCase):
@@ -67,20 +64,17 @@ class CaseClassification:
         _check(self.residual, "classification residual", _RESIDUAL)
 
 
-@dataclass(frozen=True)
-class SpinPair:
+class SpinPair(_Record):
     """Mean spins of the two superposed dark states; always opposite."""
 
-    sigma_plus: float
-    sigma_minus: float
+    __slots__ = ("sigma_plus", "sigma_minus")
 
     def __post_init__(self) -> None:
         _check(self.sigma_plus, "sigma_plus", _SPIN)
         _check(self.sigma_minus, "sigma_minus", _SPIN)
 
 
-@dataclass(frozen=True)
-class DarkOverlaps:
+class DarkOverlaps(_Record):
     """State overlap s = <D+|D-> and gradient coefficient g.
 
     The azimuthal gradient coupling is <D+-|grad D-+> = i g ell / r, so
@@ -88,8 +82,7 @@ class DarkOverlaps:
     The invariant s^2 + g^2 = 1 - sigma^2 holds in both cases.
     """
 
-    s_overlap: float
-    grad_coeff: float
+    __slots__ = ("s_overlap", "grad_coeff")
 
 
 _CASE_VALUES = {member.value: member for member in FluxCase}

@@ -21,7 +21,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
-from .ring import _integer, _natural, _square_sum, _sweep_window, ground_m
+from .ring import _integer, _natural, _Record, _square_sum, _sweep_window, ground_m
 
 if TYPE_CHECKING:  # the array functions import numpy, so spectra and gaps load without it
     import numpy as np
@@ -170,64 +170,36 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def __getattr__(name: str):
-    # PEP 562: RadialFunction is built the first time anything asks for it
-    if name == "RadialFunction":
-        return _radial_function_class()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+class RadialFunction(_Record):
+    """Evaluator for the normalized radial profile f_{n,m}(r).
 
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), "RadialFunction"})
-
-
-def _radial_function_class() -> type:
-    """RadialFunction, a frozen dataclass, defined on first use.
-
-    dataclasses loads inspect, about 7 ms a process; spectrum and gap
-    requests import this module but never build a radial function.
+    Calling it with r (scalar or array, in units of r0) assembles the
+    prefactor in the log domain, so large mu never overflows.  A frozen
+    record of (ell, sigma_ell, n, m, mu, log_norm); repr leaves log_norm out.
     """
-    global RadialFunction
-    if "RadialFunction" in globals():
-        return RadialFunction
-    from dataclasses import dataclass, field
 
-    @dataclass(frozen=True)
-    class RadialFunction:
-        """Evaluator for the normalized radial profile f_{n,m}(r).
+    __slots__ = ("ell", "sigma_ell", "n", "m", "mu", "log_norm")
+    _HIDDEN = ("log_norm",)
 
-        Calling it with r (scalar or array, in units of r0) assembles the
-        prefactor in the log domain, so large mu never overflows.
-        """
+    def __call__(self, r):
+        import numpy as np
 
-        ell: int
-        sigma_ell: float
-        n: int
-        m: int
-        mu: float
-        log_norm: float = field(repr=False)
+        rs = np.asarray(r, dtype=float)
+        if not np.all(rs >= 0.0):  # NaN fails it
+            raise DomainError("r must be >= 0")
+        x = 0.5 * rs * rs
+        logx = np.log(np.where(x > 0.0, x, 1.0))
+        axis = -np.inf if self.mu > 0.0 else 0.0  # limit of mu log x at the axis
+        logpre = (self.log_norm - 0.5 * x
+                  + np.where(x > 0.0, 0.5 * self.mu * logx, axis))
+        value = np.exp(logpre) * laguerre_gen(self.n, self.mu, x)
+        return float(value) if np.isscalar(r) else value
 
-        def __call__(self, r):
-            import numpy as np
-
-            rs = np.asarray(r, dtype=float)
-            if not np.all(rs >= 0.0):  # NaN fails it
-                raise DomainError("r must be >= 0")
-            x = 0.5 * rs * rs
-            logx = np.log(np.where(x > 0.0, x, 1.0))
-            axis = -np.inf if self.mu > 0.0 else 0.0  # limit of mu log x at the axis
-            logpre = (self.log_norm - 0.5 * x
-                      + np.where(x > 0.0, 0.5 * self.mu * logx, axis))
-            value = np.exp(logpre) * laguerre_gen(self.n, self.mu, x)
-            return float(value) if np.isscalar(r) else value
-
-        def peak_radius(self) -> float:
-            """Density maximum sqrt(2 mu) of the n = 0 profile."""
-            if self.n != 0:
-                raise DomainError("peak_radius is defined for n = 0 profiles")
-            return math.sqrt(2.0 * self.mu)
-
-    return RadialFunction
+    def peak_radius(self) -> float:
+        """Density maximum sqrt(2 mu) of the n = 0 profile."""
+        if self.n != 0:
+            raise DomainError("peak_radius is defined for n = 0 profiles")
+        return math.sqrt(2.0 * self.mu)
 
 
 def radial_wavefunction(ell: int, sigma_ell: float, n: int, m: int) -> RadialFunction:
@@ -243,7 +215,7 @@ def radial_wavefunction(ell: int, sigma_ell: float, n: int, m: int) -> RadialFun
     if not math.isfinite(log_norm) or abs(log_norm) > 700.0:
         raise DomainError(
             f"normalization prefactor out of representable range for mu={mu_nm}")
-    return _radial_function_class()(ell, sigma_ell, n, m, mu_nm, log_norm)
+    return RadialFunction(ell, sigma_ell, n, m, mu_nm, log_norm)
 
 
 def radial_profile(f: RadialFunction, r_max: float, n_points: int = 512) -> np.ndarray:

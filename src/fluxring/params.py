@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigError
-from .ring import _check_ell
+from .ring import _check_ell, _Record
 
 __all__ = [
     "FieldConfig",
@@ -38,8 +37,7 @@ def _as_real(name: str, value) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class FieldConfig:
+class FieldConfig(_Record):
     """Laser field settings for the three-level coupling scheme.
 
     alpha_plus and alpha_minus are the real amplitudes of the two
@@ -48,13 +46,11 @@ class FieldConfig:
     relative phase printed on the coupling of the superposed states.
     beta must be a number whose |beta|^2 is finite.  Every field takes
     numbers only: text or bytes such as '2.0' or '1+2j' raise ConfigError.
+    theta defaults to 0.0 and ell to 1.
     """
 
-    alpha_plus: float
-    alpha_minus: float
-    beta: complex
-    theta: float = 0.0
-    ell: int = 1
+    __slots__ = ("alpha_plus", "alpha_minus", "beta", "theta", "ell")
+    _DEFAULTS = {"theta": 0.0, "ell": 1}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha_plus", _as_real("alpha_plus", self.alpha_plus))

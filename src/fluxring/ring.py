@@ -67,6 +67,85 @@ def _check_ell(ell, error: type = DomainError) -> int:
     return _natural(ell, "ell", error)
 
 
+class _Record:
+    """Base of the package's frozen records: a fixed tuple of named fields.
+
+    A record lists its fields in order as __slots__, its trailing
+    defaults in _DEFAULTS and the fields its repr leaves out in _HIDDEN;
+    __post_init__ may check or convert fields through object.__setattr__.
+    Records compare and hash by their field values, equal only within
+    their own class, and pickle by value.  Unlike a frozen dataclass, a
+    record costs no import: dataclasses loads inspect, about 7 ms a process.
+    """
+
+    __slots__ = ()
+    _DEFAULTS: dict = {}
+    _HIDDEN: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        # each field's slot setter, called directly: object.__setattr__ would
+        # look the slot up again on every field of every record built
+        cls._SETTERS = tuple(getattr(cls, field).__set__ for field in cls.__slots__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        setters = self._SETTERS
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """One value per field from a call with keywords, defaults or the
+        wrong count; TypeError names what is missing, unknown or repeated."""
+        fields, name = self.__slots__, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        given = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in given:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+            given[field] = value
+        values = {**self._DEFAULTS, **given}
+        missing = [field for field in fields if field not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+        return [values[field] for field in fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, field) for field in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen "
+                             f"{type(self).__qualname__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen "
+                             f"{type(self).__qualname__}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__
+                          if field not in self._HIDDEN)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
 def _square_sum(ell: int, sigma_ell: float, m: int) -> float:
     """ell^2 + m^2 as a float; DomainError when the integer has none."""
     try:

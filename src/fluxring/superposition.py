@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 from typing import NamedTuple
@@ -59,8 +58,8 @@ from .errors import (CaseError, DegeneracyError, DomainError, ExpansionWarning,
                      SingularOverlapError, UsageError)
 from .harmonic import harmonic_gap
 from .params import GeometryKind, as_geometry_kind
-from .ring import (_check_ell, _check_table_rows, _square_sum, _square_sum_error, ground_m,
-                   ring_gap)
+from .ring import (_check_ell, _check_table_rows, _Record, _square_sum, _square_sum_error,
+                   ground_m, ring_gap)
 
 __all__ = [
     "SuperpositionResult",
@@ -73,37 +72,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SuperpositionResult:
+class SuperpositionResult(_Record):
     """Closed-form solution of the coupled ground-state pair.
 
     xi and zeta are the E_plus and E_minus eigenvectors in the bare
     two-component form, as (upper, lower) tuples of complex; xi_unit and
     zeta_unit are normalized copies (A metric in case (i), Euclidean in
-    case (ii)).  Tuples keep the result hashable and comparable with ==.  feasible compares
-    |delta_e| strictly against the single-state gap; exact equality is
-    reported as boundary instead.
+    case (ii)).  Tuples keep the result hashable and comparable with ==,
+    and repr leaves all four out.  feasible compares |delta_e| strictly
+    against the single-state gap; exact equality is reported as boundary
+    instead.
     """
 
-    case: FluxCase
-    geometry: GeometryKind
-    ell: int
-    sigma_ell: float
-    epsilon: float
-    theta: float
-    m_check: int
-    e_zero: float
-    e_plus: float
-    e_minus: float
-    delta_e: float
-    gap: float
-    mixing_ratio: float
-    feasible: bool
-    boundary: bool
-    xi: tuple[complex, complex] = field(repr=False)
-    zeta: tuple[complex, complex] = field(repr=False)
-    xi_unit: tuple[complex, complex] = field(repr=False)
-    zeta_unit: tuple[complex, complex] = field(repr=False)
+    __slots__ = ("case", "geometry", "ell", "sigma_ell", "epsilon", "theta", "m_check",
+                 "e_zero", "e_plus", "e_minus", "delta_e", "gap", "mixing_ratio", "feasible",
+                 "boundary", "xi", "zeta", "xi_unit", "zeta_unit")
+    _HIDDEN = ("xi", "zeta", "xi_unit", "zeta_unit")
 
     def to_dict(self) -> dict:
         """JSON-ready mirror of the fields (complex vectors as [re, im] pairs)."""
@@ -340,13 +324,12 @@ def _superpose(case, geometry, ell: int, sigma_ell: float, epsilon: float,
         return (complex((v0.real + v0.imag * 0.0) * scale, (v0.imag - v0.real * 0.0) * scale),
                 complex((v1.real + v1.imag * 0.0) * scale, (v1.imag - v1.real * 0.0) * scale))
 
+    # positional, in field order: the record's fast path
     return SuperpositionResult(
-        case=kind, geometry=geo, ell=row.ell, sigma_ell=row.sigma_ell,
-        epsilon=float(epsilon), theta=float(theta), m_check=row.m_check,
-        e_zero=e_zero, e_plus=e_zero + delta_e, e_minus=(center - d) - delta_e,
-        delta_e=delta_e, gap=gap, mixing_ratio=mixing, feasible=shift < gap,
-        boundary=shift == gap, xi=xi, zeta=zeta,
-        xi_unit=unit(xi, (1.0 + 0.0j, 0.0j)), zeta_unit=unit(zeta, (0.0j, 1.0 + 0.0j)))
+        kind, geo, row.ell, row.sigma_ell, float(epsilon), float(theta), row.m_check,
+        e_zero, e_zero + delta_e, (center - d) - delta_e, delta_e, gap, mixing,
+        shift < gap, shift == gap, xi, zeta,
+        unit(xi, (1.0 + 0.0j, 0.0j)), unit(zeta, (0.0j, 1.0 + 0.0j)))
 
 
 def superpose_ring(case, ell: int, sigma_ell: float, epsilon: float,

@@ -67,13 +67,12 @@ def test_gap_and_spectrum_never_load_numpy(command, geometry, fmt):
     assert banned.isdisjoint(loaded)
 
 
-def test_radial_function_loads_dataclasses_on_first_use():
+def test_radial_function_never_loads_dataclasses():
     assert fresh("import json, sys\n"
                  "import fluxring.harmonic as harmonic\n"
-                 "first = 'dataclasses' in sys.modules\n"
                  "f = harmonic.radial_wavefunction(4, 1.0, 0, -1)\n"
-                 "print(json.dumps([first, 'dataclasses' in sys.modules,\n"
-                 "                  type(f) is harmonic.RadialFunction]))") == [False, True, True]
+                 "print(json.dumps(['dataclasses' in sys.modules,\n"
+                 "                  type(f) is harmonic.RadialFunction]))") == [False, True]
 
 
 @pytest.mark.parametrize("tail", [
@@ -90,7 +89,8 @@ PENCIL_NAMES = {"GenEig2", "gen_eig_2x2", "build_block"}
 
 def test_superpose_loads_neither_numpy_nor_the_oracle():
     """The closed-form engine runs a sweep, an amplitude point and the library
-    routes without numpy; the explicit pencil lives in the oracle alone."""
+    routes without numpy or dataclasses; the explicit pencil lives in the
+    oracle alone."""
     sweep = ["superpose", "--geometry", "ring", "--ell", "16", "--case", "i",
              "--sigma-ell", "1:12:12", "--delta-alpha", "0.5:4:36"]
     point = ["superpose", "--geometry", "harmonic", "--ell", "16", "--alpha-plus", "2",
@@ -102,7 +102,8 @@ def test_superpose_loads_neither_numpy_nor_the_oracle():
                  f"    codes = [main({sweep!r}), main({point!r})]\n"
                  "engine.superpose_harmonic('ii', 6, 2.0, 0.3, theta=1.3)\n"
                  "engine.feasibility_boundary('i', 'ring', 16, 8.0)\n"
-                 "print(json.dumps([codes, sorted({'numpy', 'scipy', 'fluxring.oracle'}\n"
+                 "print(json.dumps([codes, sorted({'numpy', 'scipy', 'fluxring.oracle',\n"
+                 "                                 'dataclasses'}\n"
                  "                                & set(sys.modules)),\n"
                  f"                  sorted(set({sorted(PENCIL_NAMES)!r}) & set(vars(engine)))]))"
                  ) == [[0, 0], [], []]
@@ -133,6 +134,15 @@ def test_the_engine_never_imports_numpy_or_the_oracle():
               or name.startswith("fluxring.oracle.")]
     assert banned == []
     assert PENCIL_NAMES <= set(vars(fluxring.oracle))
+
+
+def test_only_the_oracle_imports_dataclasses():
+    """The records are fluxring.ring._Record; only the oracle, which loads numpy
+    and scipy anyway, keeps dataclasses for GenEig2 and OracleReport."""
+    importers = sorted(path.name for path in Path(SRC, "fluxring").glob("*.py")
+                       if any(name.split(".")[0] == "dataclasses"
+                              for name in _imported_names(path)))
+    assert importers == ["oracle.py"]
 
 
 def test_every_public_name_and_submodule_resolves_after_a_bare_import():
