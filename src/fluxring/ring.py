@@ -164,8 +164,10 @@ def ring_energy(ell: int, sigma_ell: float, m: int) -> float:
     """Energy ell^2 + m^2 + 2 sigma_ell m of angular-momentum state m.
 
     An energy beyond the float range raises DomainError rather than
-    returning an infinity.
+    returning an infinity, and so does an ell that is no integer.
     """
+    if type(ell) is not int:  # 4.5 and "4" are no winding; 4.0 is 4
+        ell = _integer(ell, "ell")
     if ell < 0:
         raise DomainError(f"ell must be >= 0, got {ell}")
     energy = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m

@@ -44,6 +44,15 @@ class TestMu:
         with pytest.raises(DomainError, match="ell must be >= 0"):
             mu(-3, 0.2, 0)
 
+    @pytest.mark.parametrize("ell", [4.5, math.nan, math.inf, "4", None])
+    def test_winding_must_be_an_integer(self, ell):
+        """4.5 gave mu = 4.5, and "4" or None a bare TypeError."""
+        with pytest.raises(DomainError, match="^ell must be an integer, got "):
+            mu(ell, 0.0, 0)
+
+    def test_an_integral_float_winding_is_an_integer(self):
+        assert mu(4.0, 1.0, -1) == mu(4, 1.0, -1)
+
     @pytest.mark.parametrize("sigma_ell, m", [(1e154, 10**154), (-1e154, -10**154),
                                               (1e308, 10**308)],
                              ids=["up", "down", "far"])

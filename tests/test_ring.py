@@ -35,6 +35,15 @@ class TestRingEnergy:
         with pytest.raises(DomainError):
             ring_energy(-1, 0.5, 0)
 
+    @pytest.mark.parametrize("ell", [4.5, math.nan, math.inf, "4", None])
+    def test_winding_must_be_an_integer(self, ell):
+        """4.5 gave 20.25, and "4" or None a bare TypeError."""
+        with pytest.raises(DomainError, match="^ell must be an integer, got "):
+            ring_energy(ell, 0.0, 0)
+
+    def test_an_integral_float_winding_is_an_integer(self):
+        assert ring_energy(4.0, 1.0, -1) == ring_energy(4, 1.0, -1) == 15.0
+
 
 class TestGroundM:
     @pytest.mark.parametrize("sigma_ell, expected", [
