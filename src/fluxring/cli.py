@@ -11,9 +11,10 @@ byte-identical files.  Exit codes: 0 success, 1 usage, 2 validation,
 each, `fluxring: warning: <message>`, and leave the exit code alone.
 
 Each subcommand imports only what it runs.  spectrum and gap load the
-ring and trap spectra alone (no numpy, darkstate, superposition or
-dataclasses); superpose adds darkstate and superposition; verify adds
-the oracle, numpy and scipy.linalg; json loads where JSON is written.
+ring and trap spectra alone (no numpy, darkstate or superposition);
+superpose adds darkstate and superposition, whose records need no
+dataclasses; verify adds the oracle, numpy, scipy.linalg and
+dataclasses; json loads where JSON is written.
 """
 
 from __future__ import annotations

@@ -530,9 +530,10 @@ def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     forms in superpose_ring / superpose_harmonic diagonalize; feeding it
     to gen_eig_2x2 provides the independent numerical route, and
     superposition_block_scan solves its stacked form.  ell, epsilon,
-    theta and a sigma_ell that is no finite number face the checks of
-    superpose_*, and each m must be an integer (DomainError).  H and A are float64 when the phase e^{i theta} is
-    real (sin theta == 0.0, so theta = 0) and complex128 otherwise.
+    theta and the finiteness of sigma_ell face the checks of superpose_*,
+    given m or not, and each m must be an integer (DomainError).  H and A
+    are float64 when the phase e^{i theta} is real (sin theta == 0.0, so
+    theta = 0) and complex128 otherwise.
 
     Examples
     --------
