@@ -75,7 +75,8 @@ class _Record:
     __post_init__ may check or convert fields through object.__setattr__.
     Records compare and hash by their field values, equal only within
     their own class, and pickle by value.  Unlike a frozen dataclass, a
-    record costs no import: dataclasses loads inspect, about 7 ms a process.
+    record costs no import: dataclasses loads inspect, ast, dis and
+    tokenize, several milliseconds of every fresh superpose request.
     """
 
     __slots__ = ()
