@@ -735,6 +735,24 @@ class TestFeasibility:
             feasibility_sweep(case, "ring", 4, sigma_ells, delta_alphas,
                               convention=convention)
 
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
+    def test_a_later_row_meets_epsilon_one_in_the_kernel(self, geometry, case):
+        """The sigma_ell = 0 row starts at epsilon = exp(-1/4) < 1, so its row
+        checks pass; only the kernel's own per-epsilon check sees the second
+        column's epsilon = 1.  Case (ii) warns about sigma = 0 first."""
+        def sweep():
+            with pytest.raises(SingularOverlapError, match=r"^epsilon = 1\.0 >= 1$") as caught:
+                feasibility_sweep(case, geometry, 4, [1, 0], [0.5, 0.0])
+            assert [entry.name for entry in caught.traceback[-2:]] == [
+                "_closed_forms", "_check_epsilon"]
+
+        if case == "ii":
+            with pytest.warns(ExpansionWarning, match="case \\(ii\\) with sigma = 0"):
+                sweep()
+        else:
+            sweep()
+
     def test_sweep_validation(self):
         with pytest.raises(UsageError):
             feasibility_sweep("i", "ring", 16, [], [1.0])
