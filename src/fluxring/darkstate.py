@@ -21,8 +21,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import (CaseError, ConfigError, DegeneracyError, DegenerateFieldError,
-                     DomainError, UsageError)
+from .errors import CaseError, DegeneracyError, DegenerateFieldError, DomainError, UsageError
 from .params import FieldConfig
 from .ring import _integer, _Record
 
@@ -156,16 +155,14 @@ def mean_spin(alpha: float, beta_mag2: float) -> float:
     return (a2 - beta_mag2) / norm
 
 
-def classify_flux_case(config: FieldConfig, tol: float = 1e-9) -> tuple[CaseClassification, SpinPair]:
+def classify_flux_case(config: FieldConfig) -> tuple[CaseClassification, SpinPair]:
     """Decide whether the amplitudes realize case (i), case (ii), or neither.
 
     Case (i) holds when |beta|^2 = +alpha_plus*alpha_minus and case (ii)
     when |beta|^2 = -alpha_plus*alpha_minus, both judged relative to
-    |beta|^2 with tolerance tol.  beta = 0 satisfies both at once only
+    |beta|^2 with tolerance 1e-9.  beta = 0 satisfies both at once only
     when alpha_plus*alpha_minus = 0 too, which is a degenerate field.
     """
-    if not tol >= 0.0:  # NaN fails it
-        raise DomainError(f"tol must be >= 0, got {tol}")
     b2 = config.beta_mag2
     prod = config.alpha_plus * config.alpha_minus
     res_i = abs(b2 - prod)
@@ -175,7 +172,7 @@ def classify_flux_case(config: FieldConfig, tol: float = 1e-9) -> tuple[CaseClas
             raise DegenerateFieldError("beta = 0 satisfies both flux conditions at once")
         verdict = CaseClassification(FluxCase.NEITHER, math.inf)
     else:
-        scale = tol * b2
+        scale = 1e-9 * b2
         if res_i <= scale:
             verdict = CaseClassification(FluxCase.CASE_I, res_i / b2)
         elif res_ii <= scale:
@@ -186,40 +183,34 @@ def classify_flux_case(config: FieldConfig, tol: float = 1e-9) -> tuple[CaseClas
     return verdict, spins
 
 
-def gauge_potential_phi(ell: int, sigma: float, r: float, hbar: float = 1.0) -> float:
-    """Azimuthal gauge potential A_phi = hbar * ell * sigma / r."""
+def gauge_potential_phi(ell: int, sigma: float, r: float) -> float:
+    """Azimuthal gauge potential A_phi = ell sigma / r, in units of hbar."""
     _integer(ell, "ell")
     _check(r, "r", _POSITIVE)
     _check(sigma, "sigma", _FINITE)
-    _check(hbar, "hbar", _POSITIVE)
-    return hbar * ell * sigma / r
+    return float(ell) * sigma / r
 
 
-def effective_flux(ell: int, sigma: float, hbar: float = 1.0) -> float:
-    """Flux of the effective tube threading the trap axis, 2 pi hbar sigma ell."""
+def effective_flux(ell: int, sigma: float) -> float:
+    """Flux 2 pi sigma ell of the tube threading the trap axis, in units of hbar."""
     _integer(ell, "ell")
     _check(sigma, "sigma", _FINITE)
-    _check(hbar, "hbar", _POSITIVE)
-    return 2.0 * math.pi * hbar * sigma * ell
+    return 2.0 * math.pi * sigma * ell
 
 
-def scalar_potential(ell: int, r: float, hbar2_over_2m: float = 1.0) -> float:
-    """Repulsive scalar potential (hbar^2/2M) ell^2 / r^2 left by the winding."""
+def scalar_potential(ell: int, r: float) -> float:
+    """Repulsive scalar potential ell^2 / r^2 left by the winding, in units
+    of hbar^2/2M."""
     _integer(ell, "ell")
     _check(r, "r", _POSITIVE)
-    _check(hbar2_over_2m, "hbar2_over_2m", _POSITIVE)
-    return hbar2_over_2m * (ell * ell) / (r * r)
+    return float(ell * ell) / (r * r)
 
 
-def bright_excited_eigenvalues(chi_mag2: float, big_n: float,
-                               detuning_e31: float = 0.0) -> tuple[float, float]:
+def bright_excited_eigenvalues(chi_mag2: float, big_n: float) -> tuple[float, float]:
     """Eigenvalues (+|chi|^2 N, -|chi|^2 N) of the bright/excited sector.
 
-    Valid only on two-photon resonance; a nonzero detuning_e31 destroys
-    the dark state and is rejected.
+    Valid on two-photon resonance, where the dark state exists.
     """
-    if detuning_e31 != 0.0:
-        raise ConfigError("bright/excited eigenvalues assume resonance, detuning_e31 must be 0")
     _check(chi_mag2, "chi_mag2", _NONNEGATIVE)
     _check(big_n, "N", _NONNEGATIVE)
     value = chi_mag2 * big_n

@@ -49,13 +49,15 @@ def mu(ell: int, sigma_ell: float, m: int) -> float:
 
     The radicand is nonnegative whenever |sigma_ell| <= ell; anything
     negative means the requested state does not exist.  A radicand beyond
-    the float range or an ell that is no integer raises DomainError, as
-    in ring_energy.
+    the float range or an ell or m that is no integer raises DomainError,
+    as in ring_energy.
     """
     if type(ell) is not int:  # 4.5 and "4" are no winding; 4.0 is 4
         ell = _integer(ell, "ell")
     if ell < 0:
         raise DomainError(f"ell must be >= 0, got {ell}")
+    if type(m) is not int:  # nor are 0.5 and "x" a state
+        m = _integer(m, "m")
     radicand = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m
     if not 0.0 <= radicand < math.inf:
         if -math.inf < radicand < 0.0:

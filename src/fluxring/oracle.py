@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .darkstate import FluxCase, case_of
+from .darkstate import _NONNEGATIVE, FluxCase, _check, case_of
 from .errors import (CaseError, ConvergenceError, DomainError, DomainSizeError,
                      SingularOverlapError, UsageError, ValidationError, VerificationError,
                      WindowError)
@@ -253,16 +253,18 @@ def _polish(diag: np.ndarray, off: float, centre: float, level: int,
                            f"{residual!r} against {budget!r})")
 
 
-def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, r_max: float | None = None,
-                       n_grid: int = 4000, k_lowest: int = 4) -> OracleReport:
+def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, n_grid: int = 4000,
+                       k_lowest: int = 4) -> OracleReport:
     """Lowest radial levels of the trap from a Dirichlet FD discretization.
 
     The substitution u = f sqrt(r) turns the radial problem into
     -u'' + [(mu^2 - 1/4)/r^2 + r^2/4] u = E u on (0, r_max) with u = 0 at
-    both ends.  Three-point differences on n_grid steps make it a
-    tridiagonal T, and its lowest k_lowest eigenvalues are compared
-    against 2n + mu + 1 in two steps (ell must be an integer >= 0, m an
-    integer and sigma_ell a finite real, or DomainError):
+    both ends, where r_max = sqrt(2 mu) + 12 lies 12 trap lengths past
+    the peak of the n = 0 profile.  Three-point differences on n_grid
+    steps make it a tridiagonal T, and its lowest k_lowest eigenvalues
+    are compared against 2n + mu + 1 in two steps (ell must be an
+    integer >= 0, m an integer and sigma_ell a finite real, or
+    DomainError):
 
     * Bracket.  One Sturm bisection (LAPACK ?stebz) to the absolute
       tolerance _BRACKET_TOL = 0.01 certifies which eigenvalue each
@@ -284,9 +286,10 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, r_max: float | None =
 
     The polished vector of the top level, the most extended of the
     requested states, must have a boundary tail |u[-1]| / max|u| below
-    1e-6, or DomainSizeError reports leakage.  A level that does not
-    settle, leaves its bracket or meets a singular shifted matrix raises
-    ConvergenceError naming the shift; there is no fallback.
+    1e-6, or DomainSizeError reports leakage (k_lowest = 20 at
+    (4, 1.0, -1) leaks).  A level that does not settle, leaves its
+    bracket or meets a singular shifted matrix raises ConvergenceError
+    naming the shift; there is no fallback.
     """
     n_grid = _integer(n_grid, "n_grid", UsageError)
     k_lowest = _integer(k_lowest, "k_lowest", UsageError)
@@ -302,13 +305,7 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, r_max: float | None =
     if mu2 < 0.0:
         raise DomainError(f"mu^2 = {mu2} < 0; no such radial state")
     mu_m = math.sqrt(mu2)
-    r_floor = math.sqrt(2.0 * mu_m) + 10.0
-    if r_max is None:
-        r_max = math.sqrt(2.0 * mu_m) + 12.0
-    if not math.isfinite(r_max):
-        raise DomainError(f"r_max must be finite, got {r_max}")
-    if r_max < r_floor:
-        raise DomainSizeError(f"r_max = {r_max} is below the safe floor {r_floor}")
+    r_max = math.sqrt(2.0 * mu_m) + 12.0
     # scipy.linalg adds about 28 MiB resident, so it loads only for this oracle
     from scipy.linalg.lapack import dstebz
 
@@ -517,6 +514,22 @@ def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def _blocks(case_i: bool, geo, ell: int, sigma_ell: float, epsilon: float, theta: float,
+            ms: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(H, A) of checked inputs: a (len(ms), 2, 2) stack of H, one block
+    per m of ms from one loop over _block_parameters, and the A they share."""
+    sin = math.sin(theta)
+    phase = math.cos(theta) if sin == 0.0 else complex(math.cos(theta), sin)
+    entries = []  # h00, h01, h10, h11 of each block in turn
+    for mm in ms:
+        center, d, q = _block_parameters(geo, ell, sigma_ell, mm)
+        off = epsilon * center * phase if case_i else -q * epsilon * phase
+        entries += (center + d, off, off.conjugate(), center - d)
+    h = np.array(entries, dtype=type(phase)).reshape(-1, 2, 2)
+    a01 = epsilon * phase if case_i else type(phase)(0.0)  # 0.0 or 0j, as real as the phase
+    return h, np.array([[1.0, a01], [a01.conjugate(), 1.0]])
+
+
 def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
                 theta: float = 0.0, m: int | Iterable[int] | None = None) -> GenEig2:
     """Explicit (H, A) pencil of the two-sector block at angular momentum m.
@@ -529,10 +542,11 @@ def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     radicand <= 0) raises its DomainError.  This is the matrix the closed
     forms in superpose_ring / superpose_harmonic diagonalize; feeding it
     to gen_eig_2x2 provides the independent numerical route, and
-    superposition_block_scan solves its stacked form.  ell, epsilon,
-    theta and the finiteness of sigma_ell face the checks of superpose_*,
-    given m or not, and each m must be an integer (DomainError).  H and A
-    are float64 when the phase e^{i theta} is real (sin theta == 0.0, so
+    superposition_block_scan solves its stacked form.  The case comes
+    first (CaseError unless (i) or (ii)); then ell, epsilon, theta and
+    the finiteness of sigma_ell face the checks of superpose_*, given m
+    or not, and each m must be an integer (DomainError).  H and A are
+    float64 when the phase e^{i theta} is real (sin theta == 0.0, so
     theta = 0) and complex128 otherwise.
 
     Examples
@@ -547,53 +561,41 @@ def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     dtype('complex128')
     """
     kind = case_of(case)
+    if kind is FluxCase.NEITHER:
+        raise CaseError("blocks exist only for case (i) or case (ii)")
     geo = as_geometry_kind(geometry)
     _check_theta(theta)
     ell = _check_ell(ell)
     _check_epsilon(epsilon)
     mc = ground_m(sigma_ell)  # rejects NaN, inf and non-numbers, as superpose_* does
-    sin = math.sin(theta)
-    phase = math.cos(theta) if sin == 0.0 else complex(math.cos(theta), sin)
     stacked = isinstance(m, Iterable)
     if stacked:
         # a range holds integers already; any other sequence is checked entry by entry
         ms = m if isinstance(m, range) else [_integer(mm, "m") for mm in m]
     else:
         ms = [mc if m is None else _integer(m, "m")]
-    case_i = kind is FluxCase.CASE_I
-    entries = []  # h00, h01, h10, h11 of each block in turn
-    for mm in ms:
-        center, d, q = _block_parameters(geo, ell, sigma_ell, mm)
-        off = epsilon * center * phase if case_i else -q * epsilon * phase
-        entries += (center + d, off, off.conjugate(), center - d)
-    h = np.array(entries, dtype=type(phase)).reshape(-1, 2, 2)
-    if case_i:
-        a01 = epsilon * phase
-    elif kind is FluxCase.CASE_II:
-        a01 = type(phase)(0.0)  # 0.0 or 0j, as real as the phase
-    else:
-        raise CaseError("blocks exist only for case (i) or case (ii)")
-    return GenEig2(h if stacked else h[0],
-                   np.array([[1.0, a01], [a01.conjugate(), 1.0]]))
+    h, a = _blocks(kind is FluxCase.CASE_I, geo, ell, sigma_ell, epsilon, theta, ms)
+    return GenEig2(h if stacked else h[0], a)
 
 
 # ---------------------------------------------------------------------------
 # block scan and quadrature
 # ---------------------------------------------------------------------------
 
-def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
-                             epsilon: float, theta: float = 0.0,
-                             m_max: int | None = None) -> tuple[float, int, OracleReport]:
+def superposition_block_scan(case, geometry, ell: int, sigma_ell: float, epsilon: float,
+                             theta: float = 0.0) -> tuple[float, int, OracleReport]:
     """Scan the per-m 2x2 blocks and verify the minimum sits at m_check.
 
-    The 2 m_max + 1 blocks with |m| <= m_max (harmonic blocks fix n = 0)
-    are solved as one stacked pencil (module docstring), with the bits of
-    gen_eig_2x2(build_block(..., m=m)) block by block.  The global
-    minimum must land at |m| = |m_check| and match the closed-form e_plus
-    to 1e-12 relative; a minimum pressed against the window edge raises
-    WindowError instead of being trusted.  An m_max that is not an
-    integer, or a window of more blocks than the table cap
-    (ring._MAX_TABLE_ROWS), raises UsageError before any block is built.
+    The 2 m_max + 1 blocks with |m| <= m_max = |m_check| + 8 (harmonic
+    blocks fix n = 0) are solved as one stacked pencil (module
+    docstring), with the bits of gen_eig_2x2(build_block(..., m=m))
+    block by block.  The inputs face the checks of superpose_* once, and
+    the stack is built from the checked row.  The global minimum must
+    land at |m| = |m_check| and match the closed-form e_plus to 1e-12
+    relative; a minimum pressed against the window edge raises
+    WindowError instead of being trusted.  A window of more blocks than
+    the table cap (ring._MAX_TABLE_ROWS), as |m_check| beyond about
+    5e5 gives, raises UsageError before any block is built.
     """
     geo = as_geometry_kind(geometry)
     kind = case_of(case)
@@ -602,13 +604,11 @@ def superposition_block_scan(case, geometry, ell: int, sigma_ell: float,
     row = _row(kind, geo, ell, sigma_ell, epsilon, theta, stacklevel=3)
     e_plus = (row.center + row.d) + _closed_forms(row, (epsilon,))[0]
     mc = row.m_check
-    m_max = abs(mc) + 8 if m_max is None else _integer(m_max, "m_max", UsageError)
-    if m_max < abs(mc) + 5:
-        raise UsageError(f"m_max must be >= |m_check| + 5 = {abs(mc) + 5}")
+    m_max = abs(mc) + 8
     # counted as 2 m_max + 1: len(range(...)) itself overflows past 2^63
     _check_table_rows(2 * m_max + 1, "the block-scan window of 2 m_max + 1 blocks")
     ms = range(-m_max, m_max + 1)
-    vals, _ = gen_eig_2x2(build_block(kind, geo, ell, sigma_ell, epsilon, theta, m=ms))
+    vals, _ = gen_eig_2x2(_blocks(row.case_i, geo, row.ell, sigma_ell, epsilon, theta, ms))
     lower = vals[:, 0]
     k = int(lower.argmin())  # the first minimum: the lowest m among equal values
     m_star = ms[k]
@@ -652,25 +652,23 @@ def _graded_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def quadrature_overlap(f: RadialFunction, g: RadialFunction,
-                       r_max: float | None = None) -> float:
+def quadrature_overlap(f: RadialFunction, g: RadialFunction) -> float:
     """Radial overlap integral of two profiles, integral f g r dr over [0, r_max].
 
-    r_max must be finite (DomainError) and defaults to sqrt(2 max mu)
-    + 12; the integrand tail 2 r_max |f g| at r_max must stay below 1e-8
-    (DomainSizeError).  The integral comes from Gauss-Legendre rules on
-    r = r_max u^2, u in [0, 1], with nodes from numpy's leggauss
-    (Golub-Welsch), cached per order.  Orders run 64, 128, ... up to
+    r_max = sqrt(2 max mu) + 12, 12 trap lengths past the peak of the
+    wider n = 0 profile, as in radial_fd_spectrum; the integrand tail
+    2 r_max |f g| at r_max must stay below 1e-8 (DomainSizeError), which
+    a profile extending past r_max (n = 20 at ell = 4, say) fails.  The
+    integral comes from Gauss-Legendre rules on r = r_max u^2, u in
+    [0, 1], with nodes from numpy's leggauss (Golub-Welsch), cached per
+    order.  Orders run 64, 128, ... up to
     2048; Q_2n is returned once |Q_n - Q_2n| <= 1e-12, and a rule that
     has not settled by then raises ConvergenceError instead of returning
     a value.  The rule sees only r_max, never mu or the normalization,
     and each profile is evaluated once per order on an array (once in
     all when g is f).
     """
-    if r_max is None:
-        r_max = math.sqrt(2.0 * max(f.mu, g.mu)) + 12.0
-    if not math.isfinite(r_max):
-        raise DomainError(f"r_max must be finite, got {r_max}")
+    r_max = math.sqrt(2.0 * max(f.mu, g.mu)) + 12.0
     order, previous = _GAUSS_FIRST_ORDER, None
     while True:
         nodes, weights = _graded_rule(order)
@@ -694,9 +692,10 @@ def quadrature_overlap(f: RadialFunction, g: RadialFunction,
         order, previous = 2 * order, value
 
 
-def quadrature_norm(f: RadialFunction, r_max: float | None = None) -> float:
-    """Norm integral f^2 r dr of a radial profile; 1 for healthy states."""
-    return quadrature_overlap(f, f, r_max=r_max)
+def quadrature_norm(f: RadialFunction) -> float:
+    """Norm integral f^2 r dr of a radial profile over quadrature_overlap's
+    domain; 1 for healthy states."""
+    return quadrature_overlap(f, f)
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +732,7 @@ def run_verification(ring_grid: int = 1024, radial_grid: int = 4000,
     matrix-vector products.  The eigensolver self-test's residual covers
     all 40 columns in one expression.
     """
-    if not (math.isfinite(tolerance_scale) and tolerance_scale >= 0.0):
-        raise DomainError(f"tolerance_scale must be finite and >= 0, got {tolerance_scale}")
+    _check(tolerance_scale, "tolerance_scale", _NONNEGATIVE)
     checks: list[dict] = []
 
     def record(name: str, deviation: float, tolerance: float) -> None:

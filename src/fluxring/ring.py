@@ -165,12 +165,14 @@ def ring_energy(ell: int, sigma_ell: float, m: int) -> float:
     """Energy ell^2 + m^2 + 2 sigma_ell m of angular-momentum state m.
 
     An energy beyond the float range raises DomainError rather than
-    returning an infinity, and so does an ell that is no integer.
+    returning an infinity, and so does an ell or m that is no integer.
     """
     if type(ell) is not int:  # 4.5 and "4" are no winding; 4.0 is 4
         ell = _integer(ell, "ell")
     if ell < 0:
         raise DomainError(f"ell must be >= 0, got {ell}")
+    if type(m) is not int:  # nor are 0.5 and "x" a state
+        m = _integer(m, "m")
     energy = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m
     if not math.isfinite(energy):
         raise DomainError(f"ell^2 + m^2 + 2 sigma_ell m exceeds the float range at "

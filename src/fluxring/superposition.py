@@ -35,9 +35,10 @@ eps* (1 -+ 2^-50) bracket the first float whose kernel shift fits under
 g, and bisecting the float bits (integers in the floats' order) finds
 it: 4 to 7 kernel calls where g > 0.  A bracket that misses costs at
 most 64 calls, never the result: a gap that rounds to 0, from ell ~ 7e7,
-leaves eps* = 0, and only a shift that underflows to 0 fits.  hi only
-caps the result.  At sigma_ell = 0, m_check = 0 makes d = q = 0, and
-one explicit branch returns 0.0.
+leaves eps* = 0, and only a shift that underflows to 0 fits.  The cap
+20.0 only bounds the result: a boundary above it raises DomainError.
+At sigma_ell = 0, m_check = 0 makes d = q = 0, and one explicit branch
+returns 0.0.
 
 Everything here is plain math, eigenvectors included (tuples of complex),
 without numpy; the explicit pencil and its LAPACK solve live in the oracle.
@@ -488,11 +489,10 @@ def _float(n: int) -> float:
 
 
 def feasibility_boundary(case, geometry, ell: int, sigma_ell: float,
-                         theta: float = 0.0, convention: str = "paper",
-                         hi: float = 20.0) -> float:
+                         theta: float = 0.0, convention: str = "paper") -> float:
     """Smallest delta_alpha with |delta_e| <= gap, by bisecting the float bits
     from the closed-form bracket (module docstring): at most 64 kernel calls.
-    sigma_ell = 0 gives 0.0; a result above hi, or none, raises DomainError."""
+    sigma_ell = 0 gives 0.0; a result above 20.0, or none, raises DomainError."""
     _check_sweep_sigma_ell(ell, sigma_ell)
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
@@ -517,8 +517,6 @@ def feasibility_boundary(case, geometry, ell: int, sigma_ell: float,
             fits = abs(_closed_forms(row, (_damping(_float(mid), convention) * root,))[0]) <= gap
             lo, up = (lo, mid) if fits else (mid, up)
     da = _float(up)
-    if not da <= hi or da == math.inf:  # a NaN hi fails da <= hi too
-        raise DomainError(f"delta_alpha must be >= 0, got {hi}" if hi < 0.0 else
-                          f"no feasible delta_alpha below {hi}" if hi == hi else
-                          f"hi must be a number, got {hi}")
+    if not da <= 20.0:  # the cap on the result, inf included
+        raise DomainError("no feasible delta_alpha below 20.0")
     return da

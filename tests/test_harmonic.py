@@ -1,6 +1,7 @@
 """Harmonic trap: Landau-like levels, gap, Laguerre tools, radial functions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,19 @@ class TestMu:
 
     def test_an_integral_float_winding_is_an_integer(self):
         assert mu(4.0, 1.0, -1) == mu(4, 1.0, -1)
+
+    @pytest.mark.parametrize("m", [0.5, math.nan, math.inf, "x", None])
+    @pytest.mark.parametrize("route", [
+        lambda m: mu(4, 1.0, m),
+        lambda m: harmonic_energy(4, 1.0, 0, m),
+        lambda m: radial_wavefunction(4, 1.0, 0, m),
+    ], ids=["mu", "energy", "wavefunction"])
+    def test_state_must_be_an_integer(self, route, m):
+        """mu(4, 1.0, 0.5) gave 4.153, and "x" or None a bare TypeError; the
+        trap energy and the radial profile take m through mu."""
+        with pytest.raises(DomainError, match=f"^m must be an integer, got {re.escape(repr(m))}$"):
+            route(m)
+        assert mu(4, 1.0, -1.0) == mu(4, 1.0, -1)
 
     @pytest.mark.parametrize("sigma_ell, m", [(1e154, 10**154), (-1e154, -10**154),
                                               (1e308, 10**308)],

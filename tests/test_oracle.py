@@ -18,6 +18,7 @@ from fluxring import (
     GenEig2,
     build_block,
     gen_eig_2x2,
+    ground_m,
     harmonic_energy,
     hermitian_eigs,
     quadrature_norm,
@@ -31,7 +32,7 @@ from fluxring import (
     superpose_harmonic,
     superpose_ring,
 )
-from fluxring import oracle
+from fluxring import oracle, superposition
 
 
 def _random_hermitian(n, seed):
@@ -376,11 +377,6 @@ class TestRadialFd:
                 radial_fd_spectrum(4, 1.0, -1, n_grid=2000, k_lowest=k_lowest)
         with pytest.raises(DomainError):
             radial_fd_spectrum(1, 5.0, -1)
-        with pytest.raises(DomainSizeError):
-            radial_fd_spectrum(4, 1.0, -1, r_max=5.0, n_grid=2000)
-        for r_max in (math.inf, math.nan):
-            with pytest.raises(DomainError, match="r_max must be finite"):
-                radial_fd_spectrum(4, 1.0, -1, r_max=r_max, n_grid=2000)
 
     @pytest.mark.parametrize("args, message", [
         ((4, math.nan, -1), "^sigma_ell must be finite, got nan$"),
@@ -421,14 +417,12 @@ class TestBlockScan:
             assert m_star == -1
             assert rep.max_rel_dev <= 1e-12
 
-    def test_window_too_small(self):
-        with pytest.raises(UsageError):
-            superposition_block_scan("i", "ring", 4, 1.0, 0.1, m_max=4)
-
     def test_edge_minimum_raises_window_error(self):
-        """A strong coupling drags the minimum to the scan edge."""
-        with pytest.raises(WindowError):
-            superposition_block_scan("i", "ring", 4, 3.6, 0.97, m_max=9)
+        """A strong coupling drags the minimum to the edge of the default
+        window, |m| <= |m_check| + 8 = 12."""
+        with pytest.raises(WindowError, match="^block-scan minimum sits at the window edge "
+                                              "m = -12$"):
+            superposition_block_scan("i", "ring", 4, 3.6, 0.97)
 
     @pytest.mark.parametrize("ell, sigma_ell", [
         (10**19, 5e18),  # len(range(...)) would overflow here
@@ -439,30 +433,24 @@ class TestBlockScan:
         def no_blocks(*args, **kwargs):
             raise AssertionError("a block was built")
 
-        monkeypatch.setattr(oracle, "build_block", no_blocks)
+        monkeypatch.setattr(oracle, "_blocks", no_blocks)
         with pytest.raises(UsageError, match=r"^the block-scan window of 2 m_max \+ 1 blocks "
                                              r"exceeds the 1000000-row table limit$"):
             superposition_block_scan("i", "ring", ell, sigma_ell, 0.1)
 
-    @pytest.mark.parametrize("m_max", [9.5, math.nan, math.inf, "9", [9]])
-    def test_non_integer_m_max_is_rejected_before_any_block(self, monkeypatch, m_max):
-        def no_blocks(*args, **kwargs):
-            raise AssertionError("a block was built")
+    def test_a_scan_checks_sigma_ell_once(self, monkeypatch):
+        """The stack is built from the checked row: ground_m runs once per
+        scan, under either module's binding."""
+        calls = []
 
-        monkeypatch.setattr(oracle, "build_block", no_blocks)
-        with pytest.raises(UsageError, match="^m_max must be an integer, got "):
-            superposition_block_scan("i", "ring", 4, 1.0, 0.1, m_max=m_max)
+        def counted(sigma_ell):
+            calls.append(sigma_ell)
+            return ground_m(sigma_ell)
 
-    def test_integer_valued_m_max_scans_the_integer_window(self):
-        minimum, m_star, rep = superposition_block_scan("i", "ring", 4, 1.0, 0.1, m_max=9.0)
-        assert (minimum, m_star) == superposition_block_scan("i", "ring", 4, 1.0, 0.1)[:2]
-        assert rep.metadata["m_max"] == 9 and type(rep.metadata["m_max"]) is int
-
-    def test_explicit_window_beyond_the_table_cap_is_rejected(self):
-        with pytest.raises(UsageError, match="window of 2 m_max"):
-            superposition_block_scan("i", "ring", 4, 1.0, 0.1, m_max=500_000)
-        # a window under the cap is still scanned
-        superposition_block_scan("i", "ring", 4, 1.0, 0.1, m_max=9)
+        monkeypatch.setattr(oracle, "ground_m", counted)
+        monkeypatch.setattr(superposition, "ground_m", counted)
+        superposition_block_scan("i", "ring", 4, 1.0, 0.1)
+        assert calls == [1.0]
 
     def test_ansatz_breakdown_detected(self):
         """When a neighboring block dips lower the scan refuses to certify."""
@@ -583,21 +571,22 @@ class TestQuadrature:
         assert abs(quadrature_overlap(f0, f2)) < 1e-8
 
     def test_norm_stable_under_longer_domain(self):
+        """The default domain sqrt(2 mu) + 12 holds the whole norm: adaptive
+        quadrature over twice that domain agrees to 6e-15."""
+        from scipy.integrate import quad
+
         f = radial_wavefunction(4, 1.0, 0, -1)
-        base = quadrature_norm(f)
-        wide = quadrature_norm(f, r_max=2.0 * (math.sqrt(2.0 * f.mu) + 12.0))
-        assert abs(wide - base) < 1e-10
+        r_wide = 2.0 * (math.sqrt(2.0 * f.mu) + 12.0)
+        wide, _ = quad(lambda r: f(r) ** 2 * r, 0.0, r_wide,
+                       limit=200, epsabs=1e-12, epsrel=1e-12)
+        assert abs(quadrature_norm(f) - wide) < 1e-13
 
     def test_truncated_domain_rejected(self):
-        f = radial_wavefunction(4, 1.0, 0, -1)
-        with pytest.raises(DomainSizeError):
-            quadrature_norm(f, r_max=3.0)
-
-    @pytest.mark.parametrize("r_max", [math.inf, math.nan])
-    def test_non_finite_domain_rejected(self, r_max):
-        f = radial_wavefunction(4, 1.0, 0, -1)
-        with pytest.raises(DomainError, match="r_max must be finite"):
-            quadrature_norm(f, r_max=r_max)
+        """The n = 20 profile reaches past the default domain: its tail is 3e-4."""
+        f = radial_wavefunction(4, 1.0, 20, -1)
+        with pytest.raises(DomainSizeError, match=r"^integrand tail estimate 0\.0002\d* at "
+                                                  r"r_max = 14\.78"):
+            quadrature_norm(f)
 
     def test_small_mu_norm(self):
         """r^mu with mu ~ 0.14 is not smooth at the axis; the graded rule still settles."""
@@ -657,7 +646,11 @@ class TestRunVerification:
         failing = sum(not c["passed"] for c in summary["checks"])
         assert failing >= 10
 
-    @pytest.mark.parametrize("scale", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    # "1" and 10**400 raised a bare TypeError and OverflowError before
+    @pytest.mark.parametrize("scale", [-1.0, -1e-300, math.nan, math.inf, -math.inf, "1",
+                                       10**400],
+                             ids=["-1.0", "-1e-300", "nan", "inf", "-inf", "1",
+                                  "int-without-float"])
     def test_bad_tolerance_scale_is_rejected_before_any_check(self, monkeypatch, scale):
         def no_checks(*args, **kwargs):
             raise AssertionError("a check ran")

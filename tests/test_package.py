@@ -1,5 +1,7 @@
 """The package's lazy export table against the modules it resolves names from."""
 
+import dataclasses
+import enum
 import importlib
 import inspect
 import sys
@@ -8,6 +10,43 @@ from pathlib import Path
 import pytest
 
 import fluxring
+from fluxring.ring import _Record
+
+# Every exported callable that has a parameter with a default, with each such
+# parameter and its default; a new option shows up here as a one-line diff.
+OPTIONS = {
+    "FieldConfig": {"theta": 0.0, "ell": 1},
+    "epsilon_param": {"convention": "paper"},
+    "ring_spectrum_sweep": {"m_window": None},
+    "harmonic_spectrum_sweep": {"m_window": None},
+    "radial_profile": {"n_points": 512},
+    "superpose_ring": {"theta": 0.0},
+    "superpose_harmonic": {"theta": 0.0},
+    "feasibility_sweep": {"theta": 0.0, "convention": "paper"},
+    "feasibility_boundary": {"theta": 0.0, "convention": "paper"},
+    "build_block": {"theta": 0.0, "m": None},
+    "OracleReport": {"metadata": dict},
+    "hermitian_eigs": {"compute_vectors": False},
+    "ring_fd_spectrum": {"n_grid": 1024, "k_lowest": 9, "method": "circulant"},
+    "radial_fd_spectrum": {"n_grid": 4000, "k_lowest": 4},
+    "superposition_block_scan": {"theta": 0.0},
+    "run_verification": {"ring_grid": 1024, "radial_grid": 4000, "tolerance_scale": 1.0},
+}
+
+
+def _options(obj) -> dict:
+    """The parameters of obj that have a default, with that default."""
+    if isinstance(obj, type) and issubclass(obj, enum.Enum):
+        return {}  # a lookup by value, not a constructor with options
+    if isinstance(obj, type) and issubclass(obj, _Record):
+        return dict(obj._DEFAULTS)  # its __init__ takes *args, **kwargs
+    if dataclasses.is_dataclass(obj):  # a default factory stands for its default
+        missing = dataclasses.MISSING
+        return {f.name: f.default if f.default_factory is missing else f.default_factory
+                for f in dataclasses.fields(obj)
+                if f.default is not missing or f.default_factory is not missing}
+    return {name: p.default for name, p in inspect.signature(obj).parameters.items()
+            if p.default is not p.empty}
 
 
 @pytest.mark.parametrize("name", sorted(fluxring._EXPORTS))
@@ -22,6 +61,14 @@ def test_export_table_matches_the_module(name):
                         if inspect.isclass(value) and issubclass(value, BaseException)
                         and value.__module__ == module.__name__)
         assert classes == exported
+
+
+def test_options_inventory():
+    exported = [name for module, names in fluxring._EXPORTS.items() if module != "errors"
+                for name in names]
+    found = {name: options for name in exported
+             if (options := _options(getattr(fluxring, name)))}
+    assert found == OPTIONS
 
 
 def test_bench_tracer_wraps_every_layer_and_restores_it(monkeypatch):

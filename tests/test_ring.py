@@ -1,6 +1,7 @@
 """Ring spectrum: energies, ground state selection, gap law, sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,13 @@ class TestRingEnergy:
 
     def test_an_integral_float_winding_is_an_integer(self):
         assert ring_energy(4.0, 1.0, -1) == ring_energy(4, 1.0, -1) == 15.0
+
+    @pytest.mark.parametrize("m", [0.5, math.nan, math.inf, "x", None])
+    def test_state_must_be_an_integer(self, m):
+        """0.5 gave 17.25, and "x" or None a bare TypeError; -1.0 is -1."""
+        with pytest.raises(DomainError, match=f"^m must be an integer, got {re.escape(repr(m))}$"):
+            ring_energy(4, 1.0, m)
+        assert ring_energy(4, 1.0, -1.0) == 15.0
 
 
 class TestGroundM:

@@ -274,8 +274,13 @@ class TestBuildBlock:
         np.testing.assert_array_equal(b_default.h, b_explicit.h)
 
     def test_neither_rejected(self):
-        with pytest.raises(CaseError):
-            build_block("neither", "ring", 4, 1.0, 0.1)
+        """The case is checked first, as on every superposition route: the trap
+        radicand at m = -5 is < 0 and sigma_ell = NaN is no flux, yet the case
+        is reported."""
+        for args in (("ring", 4, 1.0, 0.1), ("harmonic", 2, 3.0, 0.1, 0.0, -5),
+                     ("ring", 4, math.nan, 0.1)):
+            with pytest.raises(CaseError, match="^blocks exist only for case"):
+                build_block("neither", *args)
 
     @pytest.mark.parametrize("case", ["i", "ii"])
     @pytest.mark.parametrize("geometry", ["ring", "harmonic"])
@@ -808,8 +813,10 @@ class TestFeasibility:
         for geometry in ("ring", "harmonic"):  # m_check = 0, but not an integer
             with pytest.raises(UsageError, match="^sigma_ell grid must be integers, got 0.25$"):
                 feasibility_boundary("ii", geometry, 16, 0.25)
-        with pytest.raises(DomainError, match="^no feasible delta_alpha below 20.0$"):
-            feasibility_boundary("i", "ring", 10**12, 999999999999.0)  # a gap < 0
+        # the ring gap reads < 0 here (ROADMAP item 2): no delta_alpha fits below the cap
+        for sigma_ell in (999999999999.0, 5e11):
+            with pytest.raises(DomainError, match="^no feasible delta_alpha below 20.0$"):
+                feasibility_boundary("i", "ring", 10**12, sigma_ell)
         with pytest.raises(UsageError):
             feasibility_boundary("i", "ring", 16, 16.0)
 
@@ -846,26 +853,6 @@ class TestFeasibility:
         for ell in (1, 2, 5, 12):
             with pytest.warns(ExpansionWarning):
                 assert feasibility_boundary("ii", geometry, ell, 0.0) == 0.0
-
-    @pytest.mark.parametrize("hi, outcome", [
-        (math.inf, BOUNDARY_L16_S8),
-        (1e300, BOUNDARY_L16_S8),
-        (20.0, BOUNDARY_L16_S8),
-        (BOUNDARY_L16_S8, BOUNDARY_L16_S8),
-        (math.nextafter(BOUNDARY_L16_S8, 0.0),
-         f"no feasible delta_alpha below {math.nextafter(BOUNDARY_L16_S8, 0.0)}"),
-        (1.0, "no feasible delta_alpha below 1.0"),
-        (-1.0, "delta_alpha must be >= 0, got -1.0"),
-        (math.nan, "hi must be a number, got nan"),
-    ], ids=["inf", "1e300", "default", "at-boundary", "below-boundary", "low", "negative",
-            "nan"])
-    def test_boundary_hi_caps_the_result(self, hi, outcome):
-        """hi caps the result, at any size; it is never a step budget."""
-        if isinstance(outcome, str):
-            with pytest.raises(DomainError, match=f"^{re.escape(outcome)}$"):
-                feasibility_boundary("i", "ring", 16, 8.0, hi=hi)
-        else:
-            assert feasibility_boundary("i", "ring", 16, 8.0, hi=hi) == outcome
 
     @pytest.mark.parametrize("geometry, gap_name", [("ring", "ring_gap"),
                                                     ("harmonic", "harmonic_gap")])
