@@ -28,6 +28,8 @@ if TYPE_CHECKING:  # the array functions import numpy, so spectra and gaps load 
 
 # Energy unit of every trap table.
 _UNIT_LABEL = "hbar*Omega"
+# laguerre_gen runs n Python steps: 5 ms at this n for a scalar x, 31 ms on 2048 points
+_MAX_ORDER = 10_000
 
 __all__ = [
     "mu",
@@ -141,19 +143,27 @@ def harmonic_spectrum_sweep(ell: int, sigma_ell_values: Sequence[float] | Iterab
     return rows
 
 
+def _order(n) -> int:
+    """n by _natural's rule and at most _MAX_ORDER, or DomainError."""
+    if (n := _natural(n, "n")) > _MAX_ORDER:
+        raise DomainError(f"n exceeds the {_MAX_ORDER}-step recurrence limit")
+    return n
+
+
 def laguerre_gen(n: int, a: float, x):
     """Generalized Laguerre polynomial L_n^a(x) by the three-term recurrence.
 
     (k+1) L_{k+1} = (2k + 1 + a - x) L_k - (k + a) L_{k-1}
 
     Exact for the small orders used here; accepts scalar or array x >= 0.
+    n is at most _MAX_ORDER = 10000, or DomainError.
 
     Examples
     --------
     >>> laguerre_gen(2, 1.0, 2.0)
     -1.0
     """
-    n = _natural(n, "n")
+    n = _order(n)
     if not a > -1.0:  # NaN fails it
         raise DomainError(f"a must be > -1, got {a}")
     import numpy as np
@@ -212,9 +222,10 @@ def radial_wavefunction(ell: int, sigma_ell: float, n: int, m: int) -> RadialFun
 
     The normalization C = sqrt(n! / Gamma(n + mu + 1)) is evaluated as
     exp(0.5 (log n! - log Gamma(n + mu + 1))); if that prefactor cannot be
-    represented the state is outside the supported range.
+    represented the state is outside the supported range.  n takes
+    laguerre_gen's rule: an integer in [0, 10000], or DomainError.
     """
-    n = _natural(n, "n")
+    n = _order(n)
     mu_nm = mu(ell, sigma_ell, m)
     log_norm = 0.5 * (log_gamma(n + 1.0) - log_gamma(n + mu_nm + 1.0))
     if not math.isfinite(log_norm) or abs(log_norm) > 700.0:

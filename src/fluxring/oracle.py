@@ -3,8 +3,8 @@
 Nothing here reuses the analytic spectra: eigenvalues come from LAPACK
 on an assembled finite-difference matrix, from the exact Fourier
 diagonalization of the ring finite-difference circulant, or, on the
-radial tridiagonal, from coarse Sturm-bisection brackets (LAPACK ?stebz)
-polished by Rayleigh-quotient iteration (LAPACK ?gtsv solves).
+radial tridiagonal, from Rayleigh-quotient iteration (LAPACK ?gtsv) started
+at a coarser copy's levels and certified by a Sturm count (LAPACK ?stebz).
 Radial norms and overlaps come from graded Gauss-Legendre rules that
 refine until two orders agree.  The routes are independent of the
 closed forms, not of LAPACK.  Agreement between these routes and the
@@ -203,34 +203,45 @@ def ring_fd_spectrum(ell: int, sigma_ell: float, n_grid: int = 1024,
 
 
 # ---------------------------------------------------------------------------
-# radial finite differences (Dirichlet tridiagonal: Sturm brackets, RQI polish)
+# radial finite differences (Dirichlet tridiagonal: coarse shifts, RQI polish)
 # ---------------------------------------------------------------------------
 
 # measured in radial_fd_spectrum's docstring
-_BRACKET_TOL = 0.01        # ?stebz absolute tolerance: each level lies within it of its centre
+_SHIFT_TOL = 0.01          # ?stebz absolute tolerance of the coarse-grid starting shifts
+_POLISH_WINDOW = 0.5       # a level settles within this of its starting shift
 _POLISH_RESIDUAL = 1e-14   # ||T u - lambda u|| budget, relative to max|diag| + 2|off|
 _POLISH_STEPS = 5          # Rayleigh-quotient steps a level may take to settle
 
 
-def _polish(diag: np.ndarray, off: float, centre: float, level: int,
-            budget: float) -> tuple[float, np.ndarray]:
-    """One level and its unit vector by Rayleigh-quotient iteration from a bracket.
+def _radial_operator(mu2: float, r_max: float, n_grid: int) -> tuple[np.ndarray, float]:
+    """Diagonal and off-diagonal of the Dirichlet FD operator on n_grid steps of (0, r_max)."""
+    step = r_max / n_grid
+    r = step * np.arange(1, n_grid, dtype=float)
+    return 2.0 / (step * step) + (mu2 - 0.25) / (r * r) + 0.25 * r * r, -1.0 / (step * step)
 
-    Starting from u = ones and the bracket centre as the shift, each step
-    solves (T - shift) x = u with LAPACK ?gtsv, normalizes x to the next u
-    and takes its Rayleigh quotient rho = u.T T u.  While rho lies within
-    _BRACKET_TOL of the centre it becomes the next shift, and the level
-    is accepted once ||T u - rho u|| <= budget; a quotient outside the
-    bracket is never accepted, and the shift returns to the centre, so
-    the step is plain inverse iteration towards the bracket's level.  A
-    singular shifted matrix, or a level not settled inside its bracket
-    after _POLISH_STEPS steps, raises ConvergenceError naming the shift.
+
+def _polish(diag: np.ndarray, off: float, start: float, level: int,
+            budget: float) -> tuple[float, np.ndarray]:
+    """One level and its unit vector by Rayleigh-quotient iteration from a starting shift.
+
+    From u = ones and shift = start, each step solves (T - shift) x = u
+    (LAPACK ?gtsv), normalizes x to the next u and takes its Rayleigh
+    quotient rho.  Within _POLISH_WINDOW = 0.5 of the start rho becomes
+    the next shift, and is accepted once ||T u - rho u|| <= budget;
+    outside it the shift returns to the start.  0.5 plus the worst
+    measured miss of a start, 0.13, is under 1, half the level spacing,
+    so every admitted shift is nearest the intended level; a level took
+    2 to 4 steps (radial_fd_spectrum).  The accepted rho is summed as
+    |off| |D u|^2 + sum (diag + 2 off) u^2 (u = 0 past both ends), terms
+    >= 0 for mu^2 >= 1/4, so it is accurate relative to the level.  A
+    singular shifted matrix, or a level not settled in its window in
+    _POLISH_STEPS steps, raises ConvergenceError naming the shift.
     """
     from scipy.linalg.lapack import dgtsv
 
     offs = np.full(diag.size - 1, off)
     u = np.ones(diag.size)
-    shift = centre
+    shift = start
     for _ in range(_POLISH_STEPS):
         *_, x, info = dgtsv(offs, diag - shift, offs, u, overwrite_d=1)
         if info != 0:
@@ -243,12 +254,14 @@ def _polish(diag: np.ndarray, off: float, centre: float, level: int,
         rho = float(u @ tu)
         tu -= rho * u
         residual = math.sqrt(tu @ tu)
-        inside = abs(rho - centre) <= _BRACKET_TOL  # NaN fails it
+        inside = abs(rho - start) <= _POLISH_WINDOW  # NaN fails it
         if inside and residual <= budget:
-            return rho, u
-        shift = rho if inside else centre
+            du = np.diff(u)
+            rho = -off * (du @ du + u[0] * u[0] + u[-1] * u[-1]) + (diag + 2.0 * off) @ (u * u)
+            return float(rho), u
+        shift = rho if inside else start
     raise ConvergenceError(f"inverse iteration at shift {shift!r}: level {level} did not "
-                           f"settle inside its bracket {centre!r} +- {_BRACKET_TOL} in "
+                           f"settle inside its bracket {start!r} +- {_POLISH_WINDOW} in "
                            f"{_POLISH_STEPS} steps (Rayleigh quotient {rho!r}, residual "
                            f"{residual!r} against {budget!r})")
 
@@ -262,34 +275,35 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, n_grid: int = 4000,
     both ends, where r_max = sqrt(2 mu) + 12 lies 12 trap lengths past
     the peak of the n = 0 profile.  Three-point differences on n_grid
     steps make it a tridiagonal T, and its lowest k_lowest eigenvalues
-    are compared against 2n + mu + 1 in two steps (ell must be an
+    are compared against 2n + mu + 1 in three steps (ell must be an
     integer >= 0, m an integer and sigma_ell a finite real, or
     DomainError):
 
-    * Bracket.  One Sturm bisection (LAPACK ?stebz) to the absolute
-      tolerance _BRACKET_TOL = 0.01 certifies which eigenvalue each
-      bracket holds: level k lies within 0.01 of centre k.  At N = 4000
-      and four levels it takes 0.89 ms, where bisecting to full precision
-      (tolerance eps ||T||) took 2.39 ms.
-    * Polish.  Rayleigh-quotient iteration (_polish: one ?gtsv solve and
-      one quotient per step) from each bracket centre, top level first.
-      A level is accepted once ||T u - lambda u|| <= _POLISH_RESIDUAL
-      (max|diag| + 2|off|) with lambda inside its bracket.  The budget,
-      1e-14, is about 45 eps: over 400 seeded draws (ell <= 30, |m| <= 6,
-      N in {2000, 4000, 8000}, up to 8 levels) every level settled in 2
-      or 3 steps, against a cap of _POLISH_STEPS = 5, while a budget of
-      1e-16, below the rounding floor, left 16 of the draws unsettled.
-      The levels then agree with LAPACK ?pteqr, which is relative-
-      accurate on this positive-definite T, to 4.4e-13 at N = 2000 and
-      2.6e-12 at N = 8000; a full-precision ?stebz stops at
-      eps ||T|| and misses by 5e-12 to 2e-10 at N = 2000.
+    * Shifts.  One Sturm bisection (LAPACK ?stebz, tolerance _SHIFT_TOL =
+      0.01) of the same operator on min(n_grid, max(n_grid // 16,
+      ceil(r_max k_lowest))) steps gives each level a starting shift, in
+      0.05 ms at N = 4000 (0.87 ms on T).  For mu^2 in [0, 1296], N in
+      {2000, 4000, 8000} and up to 20 levels a shift missed by <= 0.13.
+    * Polish.  Rayleigh-quotient iteration (_polish) from each shift, top
+      level first, until ||T u - lambda u|| <= _POLISH_RESIDUAL
+      (max|diag| + 2|off|), lambda within _POLISH_WINDOW = 0.5 of the
+      shift.  The budget, 1e-14, is about 45 eps: in 421 seeded draws
+      (ell <= 30, |m| <= 6, N in {2000, 4000, 8000}, up to 8 levels, mu
+      down to 0) a level took 2, 3 or 4 steps (1028, 970, 17 times) of
+      _POLISH_STEPS = 5, and a 1e-16 budget left 24 of 400 unsettled.  The
+      levels agree with the relative-accurate LAPACK ?pteqr to 1.4e-12,
+      where a full-precision ?stebz misses by 5e-12 to 2e-10.
+    * Certificate.  As |lambda - rho| <= ||T u - rho u|| for symmetric T,
+      values more than 2 budget apart, with exactly k_lowest eigenvalues
+      in (min diag - 2|off|, top value + 2 budget] by one value-range
+      ?stebz count (0.07 ms at N = 4000), are the lowest k_lowest levels.
 
     The polished vector of the top level, the most extended of the
     requested states, must have a boundary tail |u[-1]| / max|u| below
     1e-6, or DomainSizeError reports leakage (k_lowest = 20 at
     (4, 1.0, -1) leaks).  A level that does not settle, leaves its
-    bracket or meets a singular shifted matrix raises ConvergenceError
-    naming the shift; there is no fallback.
+    window or meets a singular shifted matrix, and a failed certificate,
+    raise ConvergenceError; there is no fallback.
     """
     n_grid = _integer(n_grid, "n_grid", UsageError)
     k_lowest = _integer(k_lowest, "k_lowest", UsageError)
@@ -309,31 +323,42 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, n_grid: int = 4000,
     # scipy.linalg adds about 28 MiB resident, so it loads only for this oracle
     from scipy.linalg.lapack import dstebz
 
-    step = r_max / n_grid
-    r = step * np.arange(1, n_grid, dtype=float)
-    diag = 2.0 / (step * step) + (mu2 - 0.25) / (r * r) + 0.25 * r * r
-    off = -1.0 / (step * step)
-    found, centres, _, _, info = dstebz(diag, np.full(n_grid - 2, off), 2, 0.0, 0.0,
-                                        1, k_lowest, _BRACKET_TOL, "E")
+    coarse_grid = min(n_grid, max(n_grid // 16, math.ceil(r_max * k_lowest)))
+    coarse, coarse_off = _radial_operator(mu2, r_max, coarse_grid)
+    found, shifts, _, _, info = dstebz(coarse, np.full(coarse.size - 1, coarse_off), 2,
+                                       0.0, 0.0, 1, k_lowest, _SHIFT_TOL, "E")
     if info != 0 or found != k_lowest:
         raise ConvergenceError(f"Sturm bracketing found {found} of {k_lowest} levels "
                                f"(dstebz info {info})")
+    diag, off = _radial_operator(mu2, r_max, n_grid)
     budget = _POLISH_RESIDUAL * (float(np.abs(diag).max()) + 2.0 * abs(off))
     values = np.empty(k_lowest)
     top = k_lowest - 1
-    values[top], u = _polish(diag, off, float(centres[top]), top, budget)
+    values[top], u = _polish(diag, off, float(shifts[top]), top, budget)
     # boundary-leakage check on the most extended of the requested states
     tail = float(abs(u[-1]) / np.abs(u).max())
     if tail > 1e-6:
         raise DomainSizeError(f"eigenfunction tail {tail} at r_max = {r_max} "
                               "indicates boundary leakage")
     for level in range(top):
-        values[level] = _polish(diag, off, float(centres[level]), level, budget)[0]
+        values[level] = _polish(diag, off, float(shifts[level]), level, budget)[0]
+    # the certificate (docstring): distinct values, then one Sturm count
+    close = np.flatnonzero(np.diff(values) <= 2.0 * budget).tolist()
+    if close:
+        low, high = values[close[0]:close[0] + 2].tolist()
+        raise ConvergenceError(f"levels {close[0]} and {close[0] + 1} polished to {low!r} and "
+                               f"{high!r}, not more than 2 budget = {2.0 * budget!r} apart")
+    lower, upper = float(diag.min()) - 2.0 * abs(off), float(values[top]) + 2.0 * budget
+    count, *_, info = dstebz(diag, np.full(n_grid - 2, off), 1, lower, upper, 0, 0,
+                             upper - lower, "E")
+    if info != 0 or count != k_lowest:
+        raise ConvergenceError(f"Sturm count: {count} levels lie in ({lower!r}, {upper!r}]"
+                               f", not the {k_lowest} polished (dstebz info {info})")
     reference = 2.0 * np.arange(k_lowest, dtype=float) + mu_m + 1.0
     return OracleReport.from_arrays(values, reference, {
         "ell": ell, "sigma_ell": sigma_ell, "m": m, "mu": mu_m,
-        "r_max": r_max, "n_grid": n_grid, "step": step, "tail": tail,
-        "k_lowest": k_lowest, "method": "sturm bracket, rayleigh-quotient polish",
+        "r_max": r_max, "n_grid": n_grid, "step": r_max / n_grid, "tail": tail,
+        "k_lowest": k_lowest, "method": "coarse shifts, rayleigh-quotient polish, sturm count",
     })
 
 

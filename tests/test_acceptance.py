@@ -290,7 +290,7 @@ GOLDEN_OUTPUTS = [
       "--alpha-minus", "0.5", "--beta-mag2", "1", "--delta-alpha", "1.5"],
      "50257bc3075e5b4fe4a2e9d2ab930dd2da8033bd35d9b5206e3755d6fb130c13"),
     (["verify", "--ring-grid", "256", "--radial-grid", "2000"],
-     "ca23841fe4705208bb79dacd362a8e4f34639e92a0cec48d87924562ff406487"),
+     "b51769423c5e07bd6323ec81efa20950bcf2d123124b45265a7b89e243f736b3"),
     (["spectrum", "--geometry", "ring", "--ell", "4"],
      "c0eceb8fd7c1304c54369f435b696d7e6595895c3b8ff08fe5200d08d8e30c0b"),
     (["spectrum", "--geometry", "harmonic", "--ell", "4"],

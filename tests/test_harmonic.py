@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -184,6 +185,17 @@ class TestLaguerre:
         with pytest.raises(DomainError):
             laguerre_gen(n, a, x)
 
+    @pytest.mark.parametrize("n", [10_001, 2**1100])
+    def test_order_past_the_bound_is_refused_at_once(self, n):
+        """laguerre_gen(2**1100, 1.0, 2.0) ran its recurrence for 2**1100 steps and
+        never returned; 10000 steps take 5 ms."""
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="^n exceeds the 10000-step recurrence limit$"):
+            laguerre_gen(n, 1.0, 2.0)
+        assert time.perf_counter() - start < 0.1
+        assert laguerre_gen(10_000, 1.0, 2.0) == pytest.approx(
+            scipy.special.eval_genlaguerre(10_000, 1.0, 2.0), rel=1e-9)
+
 
 class TestLogGamma:
     def test_known_values(self):
@@ -233,6 +245,13 @@ class TestRadialWavefunction:
     def test_n_takes_the_integer_rule(self, n):
         with pytest.raises(DomainError, match="^n must be a"):
             radial_wavefunction(4, 1.0, n, 0)
+
+    @pytest.mark.parametrize("n", [10_001, 10**300, 2**1100])
+    def test_n_takes_the_laguerre_bound(self, n):
+        """n = 10**300 built a profile whose first evaluation never returned, and
+        2**1100 raised a bare OverflowError."""
+        with pytest.raises(DomainError, match="^n exceeds the 10000-step recurrence limit$"):
+            radial_wavefunction(4, 1.0, n, -1)
 
     def test_nan_radius_is_a_domain_error(self):
         f = radial_wavefunction(4, 1.0, 0, -1)

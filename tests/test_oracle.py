@@ -286,24 +286,32 @@ class TestRadialFd:
         assert dev_coarse / dev_fine == pytest.approx(4.0, rel=1e-2)
 
     def test_levels_match_relative_accurate_lapack(self):
-        """The polished levels agree with LAPACK ?pteqr to 2e-12 at N = 2000.
+        """The polished levels agree with LAPACK ?pteqr to 2e-12 at N = 2000 and 8000.
 
         ?pteqr (Cholesky, then QR) is relative-accurate on this positive
-        definite tridiagonal.  Over ten seeded samples of 12 such draws the
-        polish missed it by at most 4.4e-13; a full-precision ?stebz stops
-        at eps ||T|| and misses by 5e-12 to 2e-10, 3.0e-11 at (4, 1, -1).
+        definite tridiagonal.  Over 421 seeded draws (ell <= 30, |m| <= 6,
+        N in {2000, 4000, 8000}, up to 8 levels) the polish missed it by at
+        most 1.4e-12, at N = 8000; on six levels of two N = 8000 draws a
+        long-double Sturm bisection put ?pteqr within 8e-13 of the truth
+        and the polish within 3e-14.  A full-precision ?stebz stops at eps ||T|| and misses by 5e-12 to
+        2e-10, 3.0e-11 at (4, 1, -1).  The last four draws are where the
+        coarse-grid starting shifts are weakest: mu^2 = 0.26, just above
+        1/4 where u ~ r^(mu + 1/2) is least smooth, and ell = 30 at
+        mu^2 = 1296, whose eighth level the 164-point coarse grid misses
+        by 0.11 at N = 2000; each at N = 2000 and 8000.
         """
         from scipy.linalg.lapack import dpteqr
 
         rng = np.random.default_rng(31)
-        draws = [(4, 1.0, -1, 8)]
+        draws = [(4, 1.0, -1, 8, 2000)]
         while len(draws) < 8:
             ell, m = int(rng.integers(0, 13)), int(rng.integers(-4, 5))
             sigma_ell = float(np.round(rng.uniform(-ell, ell), 3))
             if ell * ell + m * m + 2.0 * sigma_ell * m >= 0.25:  # mu^2 - 1/4 >= 0: T is SPD
-                draws.append((ell, sigma_ell, m, int(rng.integers(1, 9))))
-        n_grid = 2000
-        for ell, sigma_ell, m, k in draws:
+                draws.append((ell, sigma_ell, m, int(rng.integers(1, 9)), 2000))
+        draws += [(1, 0.87, -1, 8, n_grid) for n_grid in (2000, 8000)]
+        draws += [(30, 30.0, 6, 8, n_grid) for n_grid in (2000, 8000)]
+        for ell, sigma_ell, m, k, n_grid in draws:
             report = radial_fd_spectrum(ell, sigma_ell, m, n_grid=n_grid, k_lowest=k)
             mu2 = ell * ell + m * m + 2.0 * sigma_ell * m
             step = report.metadata["step"]
@@ -336,21 +344,42 @@ class TestRadialFd:
                                                    r"level 3 did not settle inside its bracket"):
             radial_fd_spectrum(4, 1.0, -1, n_grid=2000)
 
-    def test_level_outside_its_bracket_is_a_convergence_error(self, monkeypatch):
-        """Brackets moved 0.5 off their levels: the quotients go to the levels, out
-        of the brackets, and are never accepted."""
+    def test_levels_polished_onto_one_eigenvalue_are_a_convergence_error(self, monkeypatch):
+        """Starting shifts 0 and 1 both at the ground level: each polish settles, but
+        two values within 2 budget of each other cannot be two distinct levels."""
         import scipy.linalg.lapack
 
         dstebz = scipy.linalg.lapack.dstebz
 
-        def moved(*args):
-            found, centres, *rest = dstebz(*args)
-            return (found, centres + 0.5, *rest)
+        def doubled(d, e, irange, *args):
+            found, shifts, *rest = dstebz(d, e, irange, *args)
+            if irange == 2:  # the coarse-grid starting shifts, not the count
+                shifts = shifts.copy()
+                shifts[1] = shifts[0]
+            return (found, shifts, *rest)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", moved)
-        with pytest.raises(ConvergenceError, match=r"did not settle inside its bracket "
-                                                   r"11\.3\d* \+- 0\.01 .*Rayleigh quotient "
-                                                   r"10\.87"):
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", doubled)
+        with pytest.raises(ConvergenceError, match=r"^levels 0 and 1 polished to 4\.87\d* "
+                                                   r"and 4\.87\d*, not more than 2 budget = "
+                                                   r"\d\.\d+e-\d+ apart$"):
+            radial_fd_spectrum(4, 1.0, -1, n_grid=2000)
+
+    @pytest.mark.parametrize("moved", [-1, 1])
+    def test_sturm_count_other_than_k_lowest_is_a_convergence_error(self, monkeypatch, moved):
+        """The certifying count must find exactly k_lowest eigenvalues up to the top
+        polished level plus 2 budget; one fewer or one more fails the route."""
+        import scipy.linalg.lapack
+
+        dstebz = scipy.linalg.lapack.dstebz
+
+        def miscounted(d, e, irange, *args):
+            found, *rest = dstebz(d, e, irange, *args)
+            return (found + moved if irange == 1 else found, *rest)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", miscounted)
+        with pytest.raises(ConvergenceError, match=rf"^Sturm count: {4 + moved} levels lie in "
+                                                   r"\(-?\d+\.\d+, 10\.87\d*\], not the 4 "
+                                                   r"polished \(dstebz info 0\)$"):
             radial_fd_spectrum(4, 1.0, -1, n_grid=2000)
 
     def test_missing_bracket_is_a_convergence_error(self, monkeypatch):

@@ -698,6 +698,17 @@ class TestSmallEps:
             shift = small_eps_delta_e("i", "ring", 4, 1.5, 0.1)
         assert shift == -abs(1.5 * ground_m(1.5)) * 0.1**2
 
+    @pytest.mark.parametrize("sigma_ell, eps, message", [
+        (1.5, 0.1, "^sigma_ell = 1.5 makes the single-state ground level degenerate"),
+        (1.0, 0.4, r"^small-eps expansion evaluated at eps = 0\.4 > 0\.3$"),
+    ], ids=["half_integer", "large_eps"])
+    def test_warnings_point_at_the_caller(self, sigma_ell, eps, message):
+        """Both ExpansionWarnings name this file, not superposition.py: a
+        stacklevel of 1 or 3 would point into the package or into pytest."""
+        with pytest.warns(ExpansionWarning, match=message) as caught:
+            small_eps_delta_e("i", "ring", 4, sigma_ell, eps)
+        assert [w.filename for w in caught] == [__file__]
+
 
 class TestFeasibility:
     def test_sweep_emits_every_grid_point(self):
