@@ -325,7 +325,7 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, n_grid: int = 4000,
 
     coarse_grid = min(n_grid, max(n_grid // 16, math.ceil(r_max * k_lowest)))
     coarse, coarse_off = _radial_operator(mu2, r_max, coarse_grid)
-    found, shifts, _, _, info = dstebz(coarse, np.full(coarse.size - 1, coarse_off), 2,
+    found, shifts, _, _, info = dstebz(coarse, np.full(coarse_grid - 2, coarse_off), 2,
                                        0.0, 0.0, 1, k_lowest, _SHIFT_TOL, "E")
     if info != 0 or found != k_lowest:
         raise ConvergenceError(f"Sturm bracketing found {found} of {k_lowest} levels "

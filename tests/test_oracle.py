@@ -293,12 +293,13 @@ class TestRadialFd:
         N in {2000, 4000, 8000}, up to 8 levels) the polish missed it by at
         most 1.4e-12, at N = 8000; on six levels of two N = 8000 draws a
         long-double Sturm bisection put ?pteqr within 8e-13 of the truth
-        and the polish within 3e-14.  A full-precision ?stebz stops at eps ||T|| and misses by 5e-12 to
-        2e-10, 3.0e-11 at (4, 1, -1).  The last four draws are where the
-        coarse-grid starting shifts are weakest: mu^2 = 0.26, just above
-        1/4 where u ~ r^(mu + 1/2) is least smooth, and ell = 30 at
-        mu^2 = 1296, whose eighth level the 164-point coarse grid misses
-        by 0.11 at N = 2000; each at N = 2000 and 8000.
+        and the polish within 3e-14.  A full-precision ?stebz stops at
+        eps ||T|| and misses by 5e-12 to 2e-10, 3.0e-11 at (4, 1, -1).
+        The last four draws are where the coarse-grid starting shifts are
+        weakest: mu^2 = 0.26, just above 1/4 where u ~ r^(mu + 1/2) is
+        least smooth, and ell = 30 at mu^2 = 1296, whose eighth level the
+        164-point coarse grid misses by 0.11 at N = 2000; each at N = 2000
+        and 8000.
         """
         from scipy.linalg.lapack import dpteqr
 
