@@ -30,19 +30,16 @@ _EXPORTS = {
     "params": ("FieldConfig", "GeometryKind", "as_geometry_kind"),
     # dark-state observables
     "darkstate": (
-        "FluxCase", "CaseClassification", "SpinPair", "DarkOverlaps", "case_of",
-        "mean_spin", "classify_flux_case", "gauge_potential_phi", "effective_flux",
-        "scalar_potential", "bright_excited_eigenvalues", "dark_overlaps",
-        "epsilon_param", "decoherence_factor", "superposition_norm"),
+        "FluxCase", "CaseClassification", "SpinPair", "case_of", "mean_spin",
+        "classify_flux_case", "epsilon_param"),
     # ring spectrum
     "ring": (
-        "ring_energy", "ground_m", "ring_gap", "ring_spectrum_sweep", "RingSweepRow",
-        "ring_wavefunction"),
+        "ring_energy", "ground_m", "ring_gap", "ring_spectrum_sweep", "RingSweepRow"),
     # harmonic spectrum
     "harmonic": (
         "mu", "harmonic_energy", "ground_quantum_numbers", "harmonic_gap",
         "harmonic_spectrum_sweep", "HarmonicSweepRow", "laguerre_gen", "log_gamma",
-        "RadialFunction", "radial_wavefunction", "radial_profile"),
+        "RadialFunction", "radial_wavefunction"),
     # superpositions
     "superposition": (
         "SuperpositionResult", "superpose_ring", "superpose_harmonic", "small_eps_delta_e",

@@ -70,7 +70,7 @@ def _parse_grid(text: str) -> list[float]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 2:
                 raise UsageError(f"range count must be >= 2, got {count}")
-            _check_table_rows(count, f"range count {count}")
+            _check_table_rows(count, "range count {}")
             values = _linspace(lo, hi, count)
         elif "," in text:
             values = [float(p) for p in text.split(",")]
@@ -184,7 +184,7 @@ def _sigma_grid(args) -> list[float]:
     ell = args.ell
     if ell <= 0:  # a negative ell is left for the trap spectrum to reject
         return [0.0]
-    _check_table_rows(8 * ell + 1, f"the default sigma_ell grid of {8 * ell + 1} points")
+    _check_table_rows(8 * ell + 1, "the default sigma_ell grid of {} points")
     return _linspace(-float(ell), float(ell), 8 * ell + 1)
 
 

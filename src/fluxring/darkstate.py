@@ -3,8 +3,11 @@
 A resonant Lambda scheme with windings +ell and -ell on the two legs has
 one dark eigenstate.  Its mean spin sigma = (alpha^2 - |beta|^2) / N with
 N = alpha^2 + |beta|^2 sets the azimuthal gauge potential A_phi =
-hbar ell sigma / r and an effective flux 2 pi hbar sigma ell.  Two field
-arrangements admit macroscopically distinct dark states:
+hbar ell sigma / r and an effective flux 2 pi hbar sigma ell, and the
+winding leaves a scalar potential hbar^2 ell^2 / 2 M r^2 (Dalibard et
+al., Rev. Mod. Phys. 83 (2011) 1523).  The spectra take these through
+the one product sigma_ell = sigma ell.  Two field arrangements admit
+macroscopically distinct dark states:
 
 * case (i),  |beta|^2 = +alpha_plus * alpha_minus: the two dark states
   overlap by sqrt(1 - sigma^2) and their gradient coupling vanishes;
@@ -21,26 +24,18 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import CaseError, DegeneracyError, DegenerateFieldError, DomainError, UsageError
+from .errors import CaseError, DegenerateFieldError, DomainError, UsageError
 from .params import FieldConfig
-from .ring import _integer, _Record
+from .ring import _Record
 
 __all__ = [
     "FluxCase",
     "CaseClassification",
     "SpinPair",
-    "DarkOverlaps",
     "case_of",
     "mean_spin",
     "classify_flux_case",
-    "gauge_potential_phi",
-    "effective_flux",
-    "scalar_potential",
-    "bright_excited_eigenvalues",
-    "dark_overlaps",
     "epsilon_param",
-    "decoherence_factor",
-    "superposition_norm",
 ]
 
 
@@ -73,22 +68,9 @@ class SpinPair(_Record):
         _check(self.sigma_minus, "sigma_minus", _SPIN)
 
 
-class DarkOverlaps(_Record):
-    """State overlap s = <D+|D-> and gradient coefficient g.
-
-    The azimuthal gradient coupling is <D+-|grad D-+> = i g ell / r, so
-    g = 0 in case (i) and g = -sqrt(1 - sigma^2) in case (ii).
-    The invariant s^2 + g^2 = 1 - sigma^2 holds in both cases.
-    """
-
-    __slots__ = ("s_overlap", "grad_coeff")
-
-
 _CASE_VALUES = {member.value: member for member in FluxCase}
 
 # (rule, test) pairs for _check; each test is False for NaN
-_FINITE = ("finite", math.isfinite)
-_POSITIVE = ("finite and > 0", lambda x: math.isfinite(x) and x > 0.0)
 _NONNEGATIVE = ("finite and >= 0", lambda x: math.isfinite(x) and x >= 0.0)
 _RESIDUAL = (">= 0", lambda x: x >= 0.0)  # inf is NEITHER's residual at beta = 0
 _SPIN = ("in [-1, 1]", lambda x: -1.0 - 1e-12 <= x <= 1.0 + 1e-12)
@@ -183,55 +165,6 @@ def classify_flux_case(config: FieldConfig) -> tuple[CaseClassification, SpinPai
     return verdict, spins
 
 
-def gauge_potential_phi(ell: int, sigma: float, r: float) -> float:
-    """Azimuthal gauge potential A_phi = ell sigma / r, in units of hbar."""
-    _integer(ell, "ell")
-    _check(r, "r", _POSITIVE)
-    _check(sigma, "sigma", _FINITE)
-    return float(ell) * sigma / r
-
-
-def effective_flux(ell: int, sigma: float) -> float:
-    """Flux 2 pi sigma ell of the tube threading the trap axis, in units of hbar."""
-    _integer(ell, "ell")
-    _check(sigma, "sigma", _FINITE)
-    return 2.0 * math.pi * sigma * ell
-
-
-def scalar_potential(ell: int, r: float) -> float:
-    """Repulsive scalar potential ell^2 / r^2 left by the winding, in units
-    of hbar^2/2M."""
-    _integer(ell, "ell")
-    _check(r, "r", _POSITIVE)
-    return float(ell * ell) / (r * r)
-
-
-def bright_excited_eigenvalues(chi_mag2: float, big_n: float) -> tuple[float, float]:
-    """Eigenvalues (+|chi|^2 N, -|chi|^2 N) of the bright/excited sector.
-
-    Valid on two-photon resonance, where the dark state exists.
-    """
-    _check(chi_mag2, "chi_mag2", _NONNEGATIVE)
-    _check(big_n, "N", _NONNEGATIVE)
-    value = chi_mag2 * big_n
-    return value, -value
-
-
-def dark_overlaps(case, sigma: float) -> DarkOverlaps:
-    """Overlap and gradient coefficient of the two dark states.
-
-    Case (i): (sqrt(1 - sigma^2), 0).  Case (ii): (0, -sqrt(1 - sigma^2)).
-    An unclassified arrangement has no closed-form overlaps.
-    """
-    root = _spin_root(sigma)
-    kind = case_of(case)
-    if kind is FluxCase.CASE_I:
-        return DarkOverlaps(root, 0.0)
-    if kind is FluxCase.CASE_II:
-        return DarkOverlaps(0.0, -root)
-    raise CaseError("overlaps are defined only for case (i) or case (ii)")
-
-
 def _spin_root(sigma: float) -> float:
     """sqrt(1 - sigma^2), the overlap factor of two dark states of spin +-sigma."""
     try:
@@ -289,27 +222,3 @@ def epsilon_param(delta_alpha: float, sigma: float, convention: str = "paper") -
     except TypeError:  # "x", 1j or None
         raise DomainError(f"delta_alpha must be >= 0, got {delta_alpha!r}") from None
     return _damping(delta_alpha, convention) * root
-
-
-def decoherence_factor(delta_alpha: float, gamma_t: float) -> float:
-    """Off-diagonal survival exp(-|delta_alpha|^2 gamma t / 2) under photon loss."""
-    if not gamma_t >= 0.0:  # NaN fails it
-        raise DomainError(f"gamma_t must be >= 0, got {gamma_t}")
-    exponent = 0.5 * delta_alpha * delta_alpha * gamma_t
-    if exponent != exponent:  # a NaN delta_alpha, or inf * 0
-        raise DomainError(f"decoherence exponent undefined at delta_alpha={delta_alpha}, "
-                          f"gamma_t={gamma_t}")
-    return math.exp(-exponent)
-
-
-def superposition_norm(overlap_mag: float, psi: float, theta: float) -> float:
-    """Norm sqrt(2 (1 + |<Phi+|Phi->| cos(theta + psi))) of the superposed pair."""
-    if not 0.0 <= overlap_mag <= 1.0:
-        raise DomainError(f"overlap magnitude must lie in [0, 1], got {overlap_mag}")
-    phase = theta + psi
-    if not math.isfinite(phase):
-        raise DomainError(f"theta + psi must be finite, got {phase}")
-    arg = 2.0 * (1.0 + overlap_mag * math.cos(phase))
-    if arg <= 0.0:
-        raise DegeneracyError("superposition norm vanishes for this phase")
-    return math.sqrt(arg)

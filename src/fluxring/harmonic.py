@@ -18,13 +18,10 @@ the density.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
-from .ring import _integer, _natural, _Record, _square_sum, _sweep_window, ground_m
-
-if TYPE_CHECKING:  # the array functions import numpy, so spectra and gaps load without it
-    import numpy as np
+from .ring import _integer, _natural, _Record, _shown, _square_sum, _sweep_window, ground_m
 
 # Energy unit of every trap table.
 _UNIT_LABEL = "hbar*Omega"
@@ -42,7 +39,6 @@ __all__ = [
     "log_gamma",
     "RadialFunction",
     "radial_wavefunction",
-    "radial_profile",
 ]
 
 
@@ -57,7 +53,7 @@ def mu(ell: int, sigma_ell: float, m: int) -> float:
     if type(ell) is not int:  # 4.5 and "4" are no winding; 4.0 is 4
         ell = _integer(ell, "ell")
     if ell < 0:
-        raise DomainError(f"ell must be >= 0, got {ell}")
+        raise DomainError(f"ell must be >= 0, got {_shown(ell)}")
     if type(m) is not int:  # nor are 0.5 and "x" a state
         m = _integer(m, "m")
     radicand = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m
@@ -210,12 +206,6 @@ class RadialFunction(_Record):
         value = np.exp(logpre) * laguerre_gen(self.n, self.mu, x)
         return float(value) if np.isscalar(r) else value
 
-    def peak_radius(self) -> float:
-        """Density maximum sqrt(2 mu) of the n = 0 profile."""
-        if self.n != 0:
-            raise DomainError("peak_radius is defined for n = 0 profiles")
-        return math.sqrt(2.0 * self.mu)
-
 
 def radial_wavefunction(ell: int, sigma_ell: float, n: int, m: int) -> RadialFunction:
     """Build the normalized radial eigenfunction f_{n,m}.
@@ -232,15 +222,3 @@ def radial_wavefunction(ell: int, sigma_ell: float, n: int, m: int) -> RadialFun
         raise DomainError(
             f"normalization prefactor out of representable range for mu={mu_nm}")
     return RadialFunction(ell, sigma_ell, n, m, mu_nm, log_norm)
-
-
-def radial_profile(f: RadialFunction, r_max: float, n_points: int = 512) -> np.ndarray:
-    """Tabulated (r, f(r)) pairs on a uniform grid, ready for dumping."""
-    if not r_max > 0.0:  # NaN fails it
-        raise DomainError(f"r_max must be > 0, got {r_max}")
-    if n_points < 2:
-        raise DomainError(f"n_points must be >= 2, got {n_points}")
-    import numpy as np
-
-    r = np.linspace(0.0, r_max, n_points)
-    return np.column_stack([r, f(r)])

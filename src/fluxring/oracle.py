@@ -34,7 +34,7 @@ from .errors import (CaseError, ConvergenceError, DomainError, DomainSizeError,
                      WindowError)
 from .harmonic import RadialFunction
 from .params import as_geometry_kind
-from .ring import _check_ell, _check_table_rows, _integer, _square_sum, ground_m
+from .ring import _check_ell, _check_table_rows, _integer, _shown, _square_sum, ground_m
 from .superposition import _block_parameters, _check_epsilon, _check_theta, _closed_forms, _row
 
 __all__ = [
@@ -179,10 +179,10 @@ def ring_fd_spectrum(ell: int, sigma_ell: float, n_grid: int = 1024,
     n_grid = _integer(n_grid, "n_grid", UsageError)
     k_lowest = _integer(k_lowest, "k_lowest", UsageError)
     if n_grid < 64:
-        raise UsageError(f"n_grid must be >= 64, got {n_grid}")
-    _check_table_rows(n_grid, f"n_grid = {n_grid}")
+        raise UsageError(f"n_grid must be >= 64, got {_shown(n_grid)}")
+    _check_table_rows(n_grid, "n_grid = {}")
     if k_lowest < 1 or k_lowest > n_grid:
-        raise UsageError(f"k_lowest must be in [1, {n_grid}], got {k_lowest}")
+        raise UsageError(f"k_lowest must be in [1, {n_grid}], got {_shown(k_lowest)}")
     ell = _check_ell(ell)
     m_check = ground_m(sigma_ell)  # DomainError unless sigma_ell is a finite real
     if method == "circulant":
@@ -308,10 +308,10 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, n_grid: int = 4000,
     n_grid = _integer(n_grid, "n_grid", UsageError)
     k_lowest = _integer(k_lowest, "k_lowest", UsageError)
     if n_grid < 2000:
-        raise UsageError(f"n_grid must be >= 2000, got {n_grid}")
-    _check_table_rows(n_grid, f"n_grid = {n_grid}")
+        raise UsageError(f"n_grid must be >= 2000, got {_shown(n_grid)}")
+    _check_table_rows(n_grid, "n_grid = {}")
     if k_lowest < 1 or k_lowest > n_grid - 1:
-        raise UsageError(f"k_lowest must be in [1, {n_grid - 1}], got {k_lowest}")
+        raise UsageError(f"k_lowest must be in [1, {n_grid - 1}], got {_shown(k_lowest)}")
     ell = _check_ell(ell)
     ground_m(sigma_ell)  # DomainError unless sigma_ell is a finite real
     m = _integer(m, "m")

@@ -23,7 +23,6 @@ __all__ = [
     "ring_gap",
     "ring_spectrum_sweep",
     "RingSweepRow",
-    "ring_wavefunction",
 ]
 
 
@@ -36,10 +35,24 @@ _UNIT_LABEL = "hbar^2/2I"
 _MAX_TABLE_ROWS = 1_000_000
 
 
+def _shown(value) -> str:
+    """str(value) for an error message, or the size of an int too long for
+    str(), which raises ValueError past sys.get_int_max_str_digits() digits."""
+    try:
+        return str(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"
+
+
 def _check_table_rows(rows: int, what: str) -> None:
-    """UsageError when a table of `rows` rows would exceed _MAX_TABLE_ROWS."""
+    """UsageError when a table of `rows` rows would exceed _MAX_TABLE_ROWS.
+
+    what names the table; a {} in it shows rows, formatted only then.
+    """
     if rows > _MAX_TABLE_ROWS:
-        raise UsageError(f"{what} exceeds the {_MAX_TABLE_ROWS}-row table limit")
+        raise UsageError(f"{what.format(_shown(rows))} exceeds the {_MAX_TABLE_ROWS}-row "
+                         f"table limit")
 
 
 def _integer(value, name: str, error: type = DomainError) -> int:
@@ -58,7 +71,7 @@ def _natural(value, name: str, error: type = DomainError) -> int:
     """value as an int >= 0, by _integer's rule; error otherwise."""
     value = _integer(value, name, error)
     if value < 0:
-        raise error(f"{name} must be a nonnegative integer, got {value}")
+        raise error(f"{name} must be a nonnegative integer, got {_shown(value)}")
     return value
 
 
@@ -157,8 +170,8 @@ def _square_sum(ell: int, sigma_ell: float, m: int) -> float:
 
 def _square_sum_error(ell: int, sigma_ell: float) -> DomainError:
     """The error of an ell^2 + m^2 with no float, for callers that convert it inline."""
-    return DomainError(f"ell^2 + m^2 exceeds the float range at ell={ell}, "
-                       f"sigma_ell={sigma_ell}")
+    return DomainError(f"ell^2 + m^2 exceeds the float range at ell={_shown(ell)}, "
+                       f"sigma_ell={_shown(sigma_ell)}")
 
 
 def ring_energy(ell: int, sigma_ell: float, m: int) -> float:
@@ -170,7 +183,7 @@ def ring_energy(ell: int, sigma_ell: float, m: int) -> float:
     if type(ell) is not int:  # 4.5 and "4" are no winding; 4.0 is 4
         ell = _integer(ell, "ell")
     if ell < 0:
-        raise DomainError(f"ell must be >= 0, got {ell}")
+        raise DomainError(f"ell must be >= 0, got {_shown(ell)}")
     if type(m) is not int:  # nor are 0.5 and "x" a state
         m = _integer(m, "m")
     energy = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m
@@ -254,7 +267,7 @@ def _sweep_window(ell: int, sigma_ell_values: Sequence[float] | Iterable[float],
         m_window = math.ceil(max(abs(s) for s in grid)) + 2
     m_window = _integer(m_window, "m_window", UsageError)
     if m_window < 1:
-        raise UsageError(f"m_window must be >= 1, got {m_window}")
+        raise UsageError(f"m_window must be >= 1, got {_shown(m_window)}")
     if m_window < worst + 1:
         raise UsageError(
             f"m_window {m_window} does not cover the ground state and one neighbor "
@@ -284,13 +297,3 @@ def ring_spectrum_sweep(ell: int, sigma_ell_values: Sequence[float] | Iterable[f
         rows += [new_row(RingSweepRow, (s, m, energy, energy == e_min, gap))
                  for m, energy in zip(ms, energies)]
     return rows
-
-
-def ring_wavefunction(m: int, phi):
-    """Normalized angular eigenfunction exp(i m phi) / sqrt(2 pi).
-
-    Accepts a scalar angle or an array of angles.
-    """
-    import numpy as np  # only here, so spectra and gaps load without numpy
-
-    return np.exp(1j * m * phi) / math.sqrt(2.0 * math.pi)

@@ -1,4 +1,4 @@
-"""Dark-state observables: mean spin, case classification, flux, overlaps."""
+"""Dark-state observables: mean spin, case classification, the overlap epsilon."""
 
 import math
 
@@ -8,23 +8,15 @@ from fluxring import (
     CaseClassification,
     CaseError,
     DegenerateFieldError,
-    DegeneracyError,
     DomainError,
     FieldConfig,
     FluxCase,
     SpinPair,
     UsageError,
-    bright_excited_eigenvalues,
     case_of,
     classify_flux_case,
-    dark_overlaps,
-    decoherence_factor,
-    effective_flux,
     epsilon_param,
-    gauge_potential_phi,
     mean_spin,
-    scalar_potential,
-    superposition_norm,
 )
 
 # exp(-1) * sqrt(1 - 0.36) evaluated at 50 digits and rounded to double
@@ -148,61 +140,6 @@ class TestCaseClassification:
             case_of(value)
 
 
-class TestFluxTube:
-    def test_gauge_potential_scales_as_one_over_r(self):
-        assert gauge_potential_phi(4, 0.5, 2.0) == pytest.approx(1.0, rel=1e-15)
-        assert gauge_potential_phi(4, 0.5, 4.0) == pytest.approx(0.5, rel=1e-15)
-
-    def test_gauge_potential_rejects_origin(self):
-        with pytest.raises(DomainError):
-            gauge_potential_phi(4, 0.5, 0.0)
-
-    def test_effective_flux(self):
-        """Phi = 2 pi hbar sigma ell, the line integral of A_phi."""
-        assert effective_flux(4, 0.5) == pytest.approx(2.0 * math.pi * 2.0, rel=1e-15)
-        assert effective_flux(4, -0.5) == -effective_flux(4, 0.5)
-
-    def test_scalar_potential(self):
-        assert scalar_potential(3, 2.0) == pytest.approx(9.0 / 4.0, rel=1e-15)
-        with pytest.raises(DomainError):
-            scalar_potential(3, -1.0)
-
-    def test_bright_excited_pair(self):
-        up, down = bright_excited_eigenvalues(2.0, 3.0)
-        assert up == 6.0 and down == -6.0
-
-
-class TestDarkOverlaps:
-    def test_case_i_has_no_gradient_coupling(self):
-        ov = dark_overlaps("i", 0.6)
-        assert ov.s_overlap == pytest.approx(0.8, rel=1e-15)
-        assert ov.grad_coeff == 0.0
-
-    def test_case_ii_is_orthogonal_with_gradient_coupling(self):
-        ov = dark_overlaps("ii", 0.6)
-        assert ov.s_overlap == 0.0
-        assert ov.grad_coeff == pytest.approx(-0.8, rel=1e-15)
-
-    def test_invariant_s2_plus_g2(self):
-        """s^2 + g^2 = 1 - sigma^2 in both cases."""
-        for case in ("i", "ii"):
-            for sigma in (-0.9, -0.3, 0.0, 0.25, 0.7):
-                ov = dark_overlaps(case, sigma)
-                total = ov.s_overlap**2 + ov.grad_coeff**2
-                assert total == pytest.approx(1.0 - sigma * sigma, abs=1e-15)
-
-    def test_rejects_unphysical_spin_and_neither(self):
-        with pytest.raises(DomainError):
-            dark_overlaps("i", 1.5)
-        with pytest.raises(CaseError):
-            dark_overlaps(FluxCase.NEITHER, 0.5)
-
-    @pytest.mark.parametrize("case", ["i", "ii"])
-    def test_nan_spin_is_a_domain_error(self, case):
-        with pytest.raises(DomainError, match="sigma must lie in \\[-1, 1\\], got nan"):
-            dark_overlaps(case, math.nan)
-
-
 class TestEpsilonParam:
     def test_paper_convention_value(self):
         assert epsilon_param(1.0, 0.6) == pytest.approx(EPSILON_PAPER_1_06, rel=1e-15)
@@ -237,67 +174,15 @@ class TestEpsilonParam:
             epsilon_param(1.0, math.nan)
 
 
-class TestDecoherenceAndNorm:
-    def test_decoherence_factor(self):
-        """exp(-|delta_alpha|^2 gamma t / 2) for photon loss at rate gamma."""
-        assert decoherence_factor(3.0, 1.0) == pytest.approx(math.exp(-4.5), rel=1e-15)
-        assert decoherence_factor(0.0, 5.0) == 1.0
-        with pytest.raises(DomainError):
-            decoherence_factor(1.0, -0.1)
-
-    def test_superposition_norm(self):
-        assert superposition_norm(0.5, 0.0, 0.0) == pytest.approx(math.sqrt(3.0), rel=1e-15)
-        assert superposition_norm(0.0, 1.0, 2.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-
-    def test_norm_vanishes_at_destructive_phase(self):
-        with pytest.raises(DegeneracyError):
-            superposition_norm(1.0, math.pi, 0.0)
-
-    def test_norm_rejects_bad_overlap(self):
-        with pytest.raises(DomainError):
-            superposition_norm(1.2, 0.0, 0.0)
-
-
 class TestNanInputs:
-    """Every check fails on NaN, so no NaN input comes back as a number."""
-
-    @pytest.mark.parametrize("call", [
-        lambda: decoherence_factor(1.0, math.nan),
-        lambda: decoherence_factor(math.nan, 1.0),
-        lambda: decoherence_factor(math.inf, 0.0),
-        lambda: superposition_norm(0.5, math.nan, 0.0),
-        lambda: superposition_norm(0.5, 0.0, math.inf),
-        lambda: gauge_potential_phi(4, 0.5, math.nan),
-        lambda: scalar_potential(4, math.nan),
-        lambda: bright_excited_eigenvalues(1.0, math.nan),
-    ], ids=["gamma_t", "delta_alpha", "inf-times-0", "psi", "theta", "gauge-r", "scalar-r",
-            "big-n"])
-    def test_is_a_domain_error(self, call):
-        with pytest.raises(DomainError):
-            call()
+    """An input that is no number ends in a DomainError, not a bare TypeError."""
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: gauge_potential_phi(4, math.nan, 1.0), "^sigma must be finite, got nan$"),
-        (lambda: effective_flux(4, math.nan), "^sigma must be finite, got nan$"),
-        (lambda: bright_excited_eigenvalues(math.nan, 1.0),
-         "^chi_mag2 must be finite and >= 0, got nan$"),
-    ], ids=["gauge-sigma", "flux-sigma", "chi"])
-    def test_unchecked_parameter_returned_nan(self, call, message):
-        """Each of these returned NaN before sigma and |chi|^2 were checked."""
-        with pytest.raises(DomainError, match=message):
-            call()
-
-    @pytest.mark.parametrize("call, message", [
-        (lambda: scalar_potential(4, "x"), "^r must be finite and > 0, got 'x'$"),
         (lambda: epsilon_param("x", 0.5), "^delta_alpha must be >= 0, got 'x'$"),
-        (lambda: dark_overlaps("i", "x"), r"^sigma must lie in \[-1, 1\], got x$"),
+        (lambda: epsilon_param(1.0, "x"), r"^sigma must lie in \[-1, 1\], got x$"),
         (lambda: mean_spin("x", 1.0),
          "^alpha and beta_mag2 must be real numbers, got 'x' and 1.0$"),
-        (lambda: scalar_potential("x", 1.0), "^ell must be an integer, got 'x'$"),
-        (lambda: gauge_potential_phi(4.5, 0.5, 1.0), "^ell must be an integer, got 4.5$"),
-        (lambda: effective_flux(None, 0.5), "^ell must be an integer, got None$"),
-    ], ids=["scalar-r", "epsilon-delta-alpha", "overlaps-sigma", "mean-spin-alpha",
-            "scalar-ell", "gauge-ell", "flux-ell"])
+    ], ids=["epsilon-delta-alpha", "epsilon-sigma", "mean-spin-alpha"])
     def test_a_non_number_is_a_domain_error(self, call, message):
         """Each of these raised a bare TypeError."""
         with pytest.raises(DomainError, match=message):

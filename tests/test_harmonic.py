@@ -19,7 +19,6 @@ from fluxring import (
     laguerre_gen,
     log_gamma,
     mu,
-    radial_profile,
     radial_wavefunction,
 )
 
@@ -235,11 +234,11 @@ class TestRadialWavefunction:
         assert f(0.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_ground_state_peak(self):
+        """The n = 0 profile peaks at r = sqrt(2 mu)."""
         f = radial_wavefunction(4, 1.0, 0, -1)
-        assert f.peak_radius() == pytest.approx(math.sqrt(2.0 * math.sqrt(15.0)), rel=1e-15)
         r = np.linspace(0.01, 12.0, 12000)
         r_star = r[np.argmax(f(r))]
-        assert r_star == pytest.approx(f.peak_radius(), abs=2e-3)
+        assert r_star == pytest.approx(math.sqrt(2 * f.mu), abs=2e-3)
 
     @pytest.mark.parametrize("n", [math.nan, 1.5, -1])
     def test_n_takes_the_integer_rule(self, n):
@@ -257,12 +256,6 @@ class TestRadialWavefunction:
         f = radial_wavefunction(4, 1.0, 0, -1)
         with pytest.raises(DomainError):
             f(math.nan)
-        with pytest.raises(DomainError):
-            radial_profile(f, math.nan)
-
-    def test_peak_radius_only_for_nodeless_state(self):
-        with pytest.raises(DomainError):
-            radial_wavefunction(4, 1.0, 2, -1).peak_radius()
 
     def test_node_count(self):
         """The n-th radial state crosses zero n times away from the axis."""
@@ -320,19 +313,3 @@ class TestRadialFunctionType:
 
         f = radial_wavefunction(4, 1.0, 2, -1)
         assert pickle.loads(pickle.dumps(f)) == f
-
-
-class TestRadialProfile:
-    def test_shape_and_endpoints(self):
-        f = radial_wavefunction(4, 1.0, 0, -1)
-        table = radial_profile(f, 8.0, n_points=33)
-        assert table.shape == (33, 2)
-        assert table[0, 0] == 0.0 and table[-1, 0] == 8.0
-        np.testing.assert_allclose(table[:, 1], f(table[:, 0]), rtol=0, atol=0)
-
-    def test_validation(self):
-        f = radial_wavefunction(4, 1.0, 0, -1)
-        with pytest.raises(DomainError):
-            radial_profile(f, 0.0)
-        with pytest.raises(DomainError):
-            radial_profile(f, 5.0, n_points=1)

@@ -1,5 +1,6 @@
 """The package's lazy export table against the modules it resolves names from."""
 
+import ast
 import dataclasses
 import enum
 import importlib
@@ -19,7 +20,6 @@ OPTIONS = {
     "epsilon_param": {"convention": "paper"},
     "ring_spectrum_sweep": {"m_window": None},
     "harmonic_spectrum_sweep": {"m_window": None},
-    "radial_profile": {"n_points": 512},
     "superpose_ring": {"theta": 0.0},
     "superpose_harmonic": {"theta": 0.0},
     "feasibility_sweep": {"theta": 0.0, "convention": "paper"},
@@ -32,6 +32,10 @@ OPTIONS = {
     "superposition_block_scan": {"theta": 0.0},
     "run_verification": {"ring_grid": 1024, "radial_grid": 4000, "tolerance_scale": 1.0},
 }
+
+# Exports that no module of the package loads, kept on purpose: the paper's
+# small-epsilon law, which the acceptance tests check against the exact pencil.
+UNCALLED = {"small_eps_delta_e"}
 
 
 def _options(obj) -> dict:
@@ -69,6 +73,49 @@ def test_options_inventory():
     found = {name: options for name in exported
              if (options := _options(getattr(fluxring, name)))}
     assert found == OPTIONS
+
+
+def _load_sites() -> dict:
+    """Each exported name, errors aside, with the top-level definitions that load
+    it as a name or an attribute (None for a load at module level), in the
+    package's modules and in the bench and tools scripts that drive it.  The
+    package's __init__.py, which only resolves the names, is left out."""
+    root = Path(__file__).resolve().parents[1]
+    sites = {name: set() for module, names in fluxring._EXPORTS.items()
+             if module != "errors" for name in names}
+    paths = [*(root / "src" / "fluxring").glob("*.py"), *(root / "bench").glob("*.py"),
+             *(root / "tools").glob("*.py")]
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)  # a def or class; None at module level
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded = node.attr
+                else:
+                    continue
+                if loaded in sites:
+                    sites[loaded].add(owner)
+    return sites
+
+
+def test_every_export_has_a_caller():
+    """Every export is loaded outside its own definition and outside the
+    definitions of exports that nothing reaches; a name that only its unit tests
+    call shows up here instead of growing the public surface."""
+    sites = _load_sites()
+    uncalled: set = set()
+    while True:  # an export loaded only inside uncalled exports is uncalled too
+        found = {name for name, owners in sites.items()
+                 if not any(owner is None or owner != name and owner not in uncalled
+                            for owner in owners)}
+        if found == uncalled:
+            break
+        uncalled = found
+    assert uncalled == UNCALLED
 
 
 def test_bench_tracer_wraps_every_layer_and_restores_it(monkeypatch):

@@ -10,8 +10,8 @@ import pickle
 
 import pytest
 
-from fluxring import (CaseClassification, DarkOverlaps, FieldConfig, FluxCase, GeometryKind,
-                      RadialFunction, SpinPair, SuperpositionResult)
+from fluxring import (CaseClassification, FieldConfig, FluxCase, GeometryKind, RadialFunction,
+                      SpinPair, SuperpositionResult)
 
 XI = ((-0.1 + 0j), (0.005 + 0j))
 ZETA = ((-0.1 + 0j), (1.995 + 0j))
@@ -42,10 +42,6 @@ RECORDS = {
         SpinPair, ("sigma_plus", "sigma_minus"),
         (0.6, -0.6), (0.6, -0.5),
         "SpinPair(sigma_plus=0.6, sigma_minus=-0.6)"),
-    "DarkOverlaps": (
-        DarkOverlaps, ("s_overlap", "grad_coeff"),
-        (0.8, 0.0), (0.0, -0.8),
-        "DarkOverlaps(s_overlap=0.8, grad_coeff=0.0)"),
     "FieldConfig": (
         FieldConfig, ("alpha_plus", "alpha_minus", "beta", "theta", "ell"),
         (2.0, 0.5, 1j, 0.5, 3), (2.0, 0.5, 1j, 0.5, 4),

@@ -6,17 +6,24 @@ import re
 import numpy as np
 import pytest
 
+import fluxring.ring
 from fluxring import (
     DomainError,
     UsageError,
+    build_block,
     ground_m,
     harmonic_gap,
     harmonic_spectrum_sweep,
+    mu,
+    radial_fd_spectrum,
     ring_energy,
+    ring_fd_spectrum,
     ring_gap,
     ring_spectrum_sweep,
-    ring_wavefunction,
 )
+
+# An integer past Python's 4300-digit limit on int-to-str conversion
+HUGE = 10**5000
 
 
 class TestRingEnergy:
@@ -182,6 +189,20 @@ class TestRingSweep:
         with pytest.raises(DomainError, match="^ell must be an integer, got 4.5$"):
             sweep(4.5, [0.0])
 
+    @pytest.mark.parametrize("sweep, levels", [(ring_spectrum_sweep, 1),
+                                               (harmonic_spectrum_sweep, 3)],
+                             ids=["ring", "trap"])
+    def test_row_cap_is_exact(self, monkeypatch, sweep, levels):
+        """The cap counts grid points times the 2 m_window + 1 window times the
+        levels: a table of exactly the cap is built, one row more is refused."""
+        rows = 2 * 7 * levels
+        monkeypatch.setattr(fluxring.ring, "_MAX_TABLE_ROWS", rows)
+        assert len(sweep(4, [0.0, 1.0], m_window=3)) == rows
+        monkeypatch.setattr(fluxring.ring, "_MAX_TABLE_ROWS", rows - 1)
+        with pytest.raises(UsageError, match=f"^the sigma_ell grid times the m window "
+                                             f"exceeds the {rows - 1}-row table limit$"):
+            sweep(4, [0.0, 1.0], m_window=3)
+
     @pytest.mark.parametrize("m_window", [2.5, math.nan, math.inf, "2"])
     def test_window_must_be_an_integer(self, m_window):
         """2.5 no longer tabulates |m| <= 2, and NaN is no bare ValueError."""
@@ -189,28 +210,28 @@ class TestRingSweep:
             ring_spectrum_sweep(4, [0.0], m_window=m_window)
 
 
-class TestRingWavefunction:
-    def test_uniform_magnitude(self):
-        phi = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-        psi = ring_wavefunction(3, phi)
-        np.testing.assert_allclose(np.abs(psi), 1.0 / math.sqrt(2.0 * math.pi), rtol=1e-15)
+SQUARE_SUM = (r"^ell\^2 \+ m\^2 exceeds the float range at ell=an integer of 16610 bits, "
+              r"sigma_ell=1\.0$")
+NEGATIVE_ELL = "^ell must be >= 0, got a negative integer of 16610 bits$"
+HUGE_GRID = "^n_grid = an integer of 16610 bits exceeds the 1000000-row table limit$"
 
-    def test_normalized_on_the_circle(self):
-        phi = np.linspace(0.0, 2.0 * math.pi, 2001)
-        psi = ring_wavefunction(2, phi)
-        norm = np.trapezoid(np.abs(psi) ** 2, phi)
-        assert norm == pytest.approx(1.0, abs=1e-12)
 
-    def test_periodicity(self):
-        phi = np.linspace(0.0, 2.0 * math.pi, 17)
-        for m in (-5, -1, 0, 2):
-            np.testing.assert_allclose(
-                ring_wavefunction(m, phi + 2.0 * math.pi),
-                ring_wavefunction(m, phi), rtol=0, atol=1e-12)
-
-    def test_orthogonality(self):
-        phi = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        f = ring_wavefunction(1, phi)
-        g = ring_wavefunction(4, phi)
-        overlap = np.conj(f) @ g * (2.0 * math.pi / phi.size)
-        assert abs(overlap) < 1e-12
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ring_energy(HUGE, 1.0, -1), DomainError, SQUARE_SUM),
+    (lambda: mu(HUGE, 1.0, -1), DomainError, SQUARE_SUM),
+    (lambda: ring_gap(HUGE, 1.0), DomainError, SQUARE_SUM),
+    (lambda: harmonic_gap(HUGE, 1.0), DomainError, SQUARE_SUM),
+    (lambda: ring_spectrum_sweep(HUGE, [1.0]), DomainError, SQUARE_SUM),
+    (lambda: build_block("i", "ring", HUGE, 1.0, 0.1), DomainError, SQUARE_SUM),
+    (lambda: ring_gap(-HUGE, 1.0), DomainError, NEGATIVE_ELL),
+    (lambda: ring_energy(-HUGE, 1.0, -1), DomainError, NEGATIVE_ELL),
+    (lambda: radial_fd_spectrum(4, 1.0, -1, n_grid=HUGE), UsageError, HUGE_GRID),
+    (lambda: ring_fd_spectrum(4, 1.0, n_grid=HUGE), UsageError, HUGE_GRID),
+], ids=["ring_energy", "mu", "ring_gap", "harmonic_gap", "ring_spectrum_sweep",
+        "build_block", "ring_gap-negative", "ring_energy-negative", "radial_fd_spectrum",
+        "ring_fd_spectrum"])
+def test_an_integer_too_long_for_str_is_a_typed_error(call, error, message):
+    """Each raised a bare ValueError from str() of the integer in its own error
+    message; the message now gives the integer's size in bits."""
+    with pytest.raises(error, match=message):
+        call()
