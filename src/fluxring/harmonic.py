@@ -67,9 +67,16 @@ def mu(ell: int, sigma_ell: float, m: int) -> float:
 
 
 def harmonic_energy(ell: int, sigma_ell: float, n: int, m: int) -> float:
-    """Trap level E_{n,m} = 2 n + mu_m + 1 in units of hbar*Omega."""
-    n = _natural(n, "n")
-    return 2.0 * n + mu(ell, sigma_ell, m) + 1.0
+    """Trap level E_{n,m} = 2 n + mu_m + 1 in units of hbar*Omega; a level
+    beyond the float range raises DomainError, as in ring_energy."""
+    n, mu_m = _natural(n, "n"), mu(ell, sigma_ell, m)
+    try:
+        energy = 2.0 * n + mu_m + 1.0
+    except OverflowError:  # an n with no float
+        energy = math.inf
+    if energy == math.inf:
+        raise DomainError(f"2 n + mu_m + 1 exceeds the float range at n={_shown(n)}")
+    return energy
 
 
 def ground_quantum_numbers(sigma_ell: float) -> tuple[int, int]:

@@ -185,6 +185,7 @@ def ring_fd_spectrum(ell: int, sigma_ell: float, n_grid: int = 1024,
         raise UsageError(f"k_lowest must be in [1, {n_grid}], got {_shown(k_lowest)}")
     ell = _check_ell(ell)
     m_check = ground_m(sigma_ell)  # DomainError unless sigma_ell is a finite real
+    _square_sum(ell, sigma_ell, 0)  # DomainError unless ell^2 has a float
     if method == "circulant":
         fd = np.sort(_ring_fd_circulant_eigs(ell, sigma_ell, n_grid))[:k_lowest]
     elif method == "dense":

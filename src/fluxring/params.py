@@ -12,7 +12,7 @@ import enum
 import math
 
 from .errors import ConfigError
-from .ring import _check_ell, _Record
+from .ring import _check_ell, _Record, _shown
 
 __all__ = [
     "FieldConfig",
@@ -32,8 +32,10 @@ def _as_real(name: str, value) -> float:
         value = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a real number, got {value!r}") from exc
+    except OverflowError:  # an int past the float range, 10**400
+        raise ConfigError(f"{name} must be finite, got {_shown(value, repr)}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {_shown(value, repr)}")
     return value
 
 
@@ -65,7 +67,7 @@ class FieldConfig(_Record):
         except OverflowError:  # 10**400, or a finite beta whose |beta|^2 has no float
             finite = False
         if not finite:
-            raise ConfigError(f"beta and |beta|^2 must be finite, got {self.beta!r}")
+            raise ConfigError(f"beta and |beta|^2 must be finite, got {_shown(self.beta, repr)}")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "theta", _as_real("theta", self.theta))
         object.__setattr__(self, "ell", _check_ell(self.ell, ConfigError))

@@ -35,11 +35,11 @@ _UNIT_LABEL = "hbar^2/2I"
 _MAX_TABLE_ROWS = 1_000_000
 
 
-def _shown(value) -> str:
-    """str(value) for an error message, or the size of an int too long for
-    str(), which raises ValueError past sys.get_int_max_str_digits() digits."""
+def _shown(value, text=str) -> str:
+    """text(value), str or repr, for an error message, or the size of an int too
+    long for them: both raise ValueError past sys.get_int_max_str_digits() digits."""
     try:
-        return str(value)
+        return text(value)
     except ValueError:
         sign = "a negative" if value < 0 else "an"
         return f"{sign} integer of {value.bit_length()} bits"

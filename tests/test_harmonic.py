@@ -93,6 +93,15 @@ class TestHarmonicEnergy:
         with pytest.raises(DomainError):
             harmonic_energy(4, 0.0, -1, 0)
 
+    @pytest.mark.parametrize("n", [2**1023, 2**1100], ids=["2^1023", "2^1100"])
+    def test_level_beyond_the_float_range_rejected(self, n):
+        """2 n overflowed to inf at n = 2^1023 and raised a bare OverflowError at
+        n = 2^1100; n = 2^1022 still has a level."""
+        with pytest.raises(DomainError, match=f"^2 n \\+ mu_m \\+ 1 exceeds the float "
+                                              f"range at n={n}$"):
+            harmonic_energy(4, 1.0, n, -1)
+        assert harmonic_energy(4, 1.0, 2**1022, -1) == float(2**1023)
+
     @pytest.mark.parametrize("n", [0.5, math.nan, "1"])
     def test_rejects_a_fractional_n(self, n):
         """harmonic_energy(4, 1.0, 0.5, 0) read 6.0 before n took the integer rule."""

@@ -259,12 +259,21 @@ class TestRingFd:
         ((4.5, 1.0), "^ell must be an integer, got 4.5$"),
         (("x", 1.0), "^ell must be an integer, got 'x'$"),
         ((-4, 1.0), "^ell must be a nonnegative integer, got -4$"),
+        pytest.param((2**512, 1.0), rf"^ell\^2 \+ m\^2 exceeds the float range at "
+                                    rf"ell={2**512}, sigma_ell=1\.0$", id="ell-2^512"),
     ])
     def test_winding_and_flux_are_checked(self, args, message):
         """NaN raised a bare ValueError, inf a RuntimeWarning and then an OverflowError,
-        ell = 4.5 or -4 returned a report and ell = 'x' raised a bare TypeError."""
+        ell = 4.5 or -4 returned a report, ell = 'x' raised a bare TypeError and an
+        ell whose square has no float a bare OverflowError."""
         with pytest.raises(DomainError, match=message):
             ring_fd_spectrum(*args, n_grid=64)
+
+    def test_largest_winding_with_a_float_square(self):
+        """2^511 squared is 2^1022, in range: the route still builds its report."""
+        report = ring_fd_spectrum(2**511, 1.2, n_grid=64, k_lowest=3)
+        assert report.reference[0] == float(2**1022)
+        assert report.max_rel_dev == 0.0
 
 
 class TestRadialFd:

@@ -56,6 +56,14 @@ class TestFieldConfig:
         with pytest.raises(ConfigError, match=message):
             FieldConfig(**fields)
 
+    @pytest.mark.parametrize("name", ["alpha_plus", "alpha_minus", "theta", "beta"])
+    def test_rejects_an_integer_past_the_float_range(self, name):
+        """10**400 has no float: every field but beta raised a bare OverflowError."""
+        fields = {"alpha_plus": 1.0, "alpha_minus": 0.5, "beta": 1.0, name: 10**400}
+        rule = r"beta and \|beta\|\^2" if name == "beta" else name
+        with pytest.raises(ConfigError, match=f"^{rule} must be finite, got 10{{400}}$"):
+            FieldConfig(**fields)
+
     def test_rejects_bad_winding(self):
         """ell is a photon winding number: integer and nonnegative."""
         with pytest.raises(ConfigError):

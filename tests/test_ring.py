@@ -8,18 +8,29 @@ import pytest
 
 import fluxring.ring
 from fluxring import (
+    ConfigError,
     DomainError,
+    FieldConfig,
     UsageError,
     build_block,
+    feasibility_boundary,
+    feasibility_sweep,
     ground_m,
+    harmonic_energy,
     harmonic_gap,
     harmonic_spectrum_sweep,
+    laguerre_gen,
     mu,
     radial_fd_spectrum,
+    radial_wavefunction,
     ring_energy,
     ring_fd_spectrum,
     ring_gap,
     ring_spectrum_sweep,
+    run_verification,
+    superpose_harmonic,
+    superpose_ring,
+    superposition_block_scan,
 )
 
 # An integer past Python's 4300-digit limit on int-to-str conversion
@@ -214,6 +225,8 @@ SQUARE_SUM = (r"^ell\^2 \+ m\^2 exceeds the float range at ell=an integer of 166
               r"sigma_ell=1\.0$")
 NEGATIVE_ELL = "^ell must be >= 0, got a negative integer of 16610 bits$"
 HUGE_GRID = "^n_grid = an integer of 16610 bits exceeds the 1000000-row table limit$"
+HUGE_M = r"^ell\^2 \+ m\^2 exceeds the float range at ell=4, sigma_ell=1\.0$"
+HUGE_ORDER = "^n exceeds the 10000-step recurrence limit$"
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -227,11 +240,67 @@ HUGE_GRID = "^n_grid = an integer of 16610 bits exceeds the 1000000-row table li
     (lambda: ring_energy(-HUGE, 1.0, -1), DomainError, NEGATIVE_ELL),
     (lambda: radial_fd_spectrum(4, 1.0, -1, n_grid=HUGE), UsageError, HUGE_GRID),
     (lambda: ring_fd_spectrum(4, 1.0, n_grid=HUGE), UsageError, HUGE_GRID),
+    (lambda: harmonic_spectrum_sweep(HUGE, [1.0]), DomainError, SQUARE_SUM),
+    (lambda: build_block("i", "harmonic", HUGE, 1.0, 0.1), DomainError, SQUARE_SUM),
+    (lambda: mu(-HUGE, 1.0, -1), DomainError, NEGATIVE_ELL),
+    (lambda: harmonic_gap(-HUGE, 1.0), DomainError, NEGATIVE_ELL),
+    (lambda: harmonic_energy(HUGE, 1.0, 0, -1), DomainError, SQUARE_SUM),
+    (lambda: harmonic_energy(4, 1.0, HUGE, -1), DomainError,
+     "^2 n \\+ mu_m \\+ 1 exceeds the float range at n=an integer of 16610 bits$"),
+    (lambda: harmonic_energy(4, 1.0, -HUGE, -1), DomainError,
+     "^n must be a nonnegative integer, got a negative integer of 16610 bits$"),
+    (lambda: radial_fd_spectrum(HUGE, 1.0, -1), DomainError, SQUARE_SUM),
+    (lambda: ring_fd_spectrum(HUGE, 1.0), DomainError, SQUARE_SUM),
+    (lambda: ring_fd_spectrum(4, 1.0, k_lowest=HUGE), UsageError,
+     r"^k_lowest must be in \[1, 1024\], got an integer of 16610 bits$"),
+    (lambda: radial_fd_spectrum(4, 1.0, -1, k_lowest=HUGE), UsageError,
+     r"^k_lowest must be in \[1, 3999\], got an integer of 16610 bits$"),
+    (lambda: ring_energy(4, 1.0, HUGE), DomainError, HUGE_M),
+    (lambda: mu(4, 1.0, HUGE), DomainError, HUGE_M),
+    (lambda: build_block("i", "ring", 4, 1.0, 0.1, m=HUGE), DomainError, HUGE_M),
+    (lambda: radial_fd_spectrum(4, 1.0, HUGE), DomainError, HUGE_M),
+    (lambda: superpose_ring("i", HUGE, 1.0, 0.1), DomainError, SQUARE_SUM),
+    (lambda: superpose_harmonic("i", HUGE, 1.0, 0.1), DomainError, SQUARE_SUM),
+    (lambda: feasibility_sweep("i", "ring", HUGE, [1.0], [0.1]), DomainError, SQUARE_SUM),
+    (lambda: feasibility_boundary("i", "ring", HUGE, 1.0), DomainError, SQUARE_SUM),
+    (lambda: superposition_block_scan("i", "ring", HUGE, 1.0, 0.1), DomainError,
+     SQUARE_SUM),
+    (lambda: radial_wavefunction(HUGE, 1.0, 0, -1), DomainError, SQUARE_SUM),
+    (lambda: radial_wavefunction(4, 1.0, HUGE, -1), DomainError, HUGE_ORDER),
+    (lambda: laguerre_gen(HUGE, 1.0, 2.0), DomainError, HUGE_ORDER),
+    (lambda: ring_spectrum_sweep(4, [1.0], m_window=HUGE), UsageError,
+     "^the sigma_ell grid times the m window exceeds the 1000000-row table limit$"),
+    (lambda: ring_spectrum_sweep(4, [1.0], m_window=-HUGE), UsageError,
+     "^m_window must be >= 1, got a negative integer of 16610 bits$"),
+    (lambda: run_verification(ring_grid=HUGE), UsageError, HUGE_GRID),
+    (lambda: run_verification(radial_grid=HUGE), UsageError, HUGE_GRID),
+    (lambda: FieldConfig(2.0, 0.5, 1j, ell=-HUGE), ConfigError,
+     "^ell must be a nonnegative integer, got a negative integer of 16610 bits$"),
+    (lambda: FieldConfig(HUGE, 0.5, 1j), ConfigError,
+     "^alpha_plus must be finite, got an integer of 16610 bits$"),
+    (lambda: FieldConfig(2.0, -HUGE, 1j), ConfigError,
+     "^alpha_minus must be finite, got a negative integer of 16610 bits$"),
+    (lambda: FieldConfig(2.0, 0.5, HUGE), ConfigError,
+     r"^beta and \|beta\|\^2 must be finite, got an integer of 16610 bits$"),
+    (lambda: FieldConfig(2.0, 0.5, 1j, HUGE), ConfigError,
+     "^theta must be finite, got an integer of 16610 bits$"),
 ], ids=["ring_energy", "mu", "ring_gap", "harmonic_gap", "ring_spectrum_sweep",
         "build_block", "ring_gap-negative", "ring_energy-negative", "radial_fd_spectrum",
-        "ring_fd_spectrum"])
+        "ring_fd_spectrum", "harmonic_spectrum_sweep", "build_block-harmonic",
+        "mu-negative", "harmonic_gap-negative", "harmonic_energy", "harmonic_energy-n",
+        "harmonic_energy-negative-n", "radial_fd_spectrum-ell", "ring_fd_spectrum-ell",
+        "ring_fd_spectrum-k_lowest", "radial_fd_spectrum-k_lowest", "ring_energy-m", "mu-m",
+        "build_block-m", "radial_fd_spectrum-m", "superpose_ring", "superpose_harmonic",
+        "feasibility_sweep", "feasibility_boundary", "superposition_block_scan",
+        "radial_wavefunction", "radial_wavefunction-n", "laguerre_gen", "m_window",
+        "m_window-negative", "run_verification-ring_grid", "run_verification-radial_grid",
+        "FieldConfig-negative-ell", "FieldConfig-alpha_plus", "FieldConfig-alpha_minus",
+        "FieldConfig-beta", "FieldConfig-theta"])
 def test_an_integer_too_long_for_str_is_a_typed_error(call, error, message):
-    """Each raised a bare ValueError from str() of the integer in its own error
-    message; the message now gives the integer's size in bits."""
+    """Every integer parameter of the package, at a value past the str limit.
+    The first ten raised a bare ValueError from str() of the integer in their
+    own error message, ring_fd_spectrum's ell, harmonic_energy's n and
+    FieldConfig's real fields a bare OverflowError from float(); each message
+    now gives the integer's size in bits."""
     with pytest.raises(error, match=message):
         call()
