@@ -24,9 +24,9 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import CaseError, DegenerateFieldError, DomainError, UsageError
+from .errors import CaseError, ConfigError, DegenerateFieldError, DomainError, UsageError
 from .params import FieldConfig
-from .ring import _Record
+from .ring import _check, _Record, _shown
 
 __all__ = [
     "FluxCase",
@@ -54,8 +54,8 @@ class CaseClassification(_Record):
 
     def __post_init__(self) -> None:
         if not isinstance(self.case, FluxCase):
-            raise CaseError(f"case must be a FluxCase, got {self.case!r}")
-        _check(self.residual, "classification residual", _RESIDUAL)
+            raise CaseError(f"case must be a FluxCase, got {_shown(self.case, repr)}")
+        _check("residual", self.residual)
 
 
 class SpinPair(_Record):
@@ -64,28 +64,11 @@ class SpinPair(_Record):
     __slots__ = ("sigma_plus", "sigma_minus")
 
     def __post_init__(self) -> None:
-        _check(self.sigma_plus, "sigma_plus", _SPIN)
-        _check(self.sigma_minus, "sigma_minus", _SPIN)
+        _check("sigma_plus", self.sigma_plus)
+        _check("sigma_minus", self.sigma_minus)
 
 
 _CASE_VALUES = {member.value: member for member in FluxCase}
-
-# (rule, test) pairs for _check; each test is False for NaN
-_NONNEGATIVE = ("finite and >= 0", lambda x: math.isfinite(x) and x >= 0.0)
-_RESIDUAL = (">= 0", lambda x: x >= 0.0)  # inf is NEITHER's residual at beta = 0
-_SPIN = ("in [-1, 1]", lambda x: -1.0 - 1e-12 <= x <= 1.0 + 1e-12)
-
-
-def _check(value, name: str, rule: tuple) -> None:
-    """DomainError unless value passes the rule's test.  A value the test
-    cannot compare ("x", 1j, None, or an int with no float) fails it too."""
-    text, holds = rule
-    try:
-        ok = holds(value)
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise DomainError(f"{name} must be {text}, got {value!r}")
 
 
 def case_of(case) -> FluxCase:
@@ -101,7 +84,7 @@ def case_of(case) -> FluxCase:
     try:
         return FluxCase(str(case).lower())
     except ValueError as exc:
-        raise CaseError(f"unknown flux case {case!r}") from exc
+        raise CaseError(f"unknown flux case {_shown(case, repr)}") from exc
 
 
 def mean_spin(alpha: float, beta_mag2: float) -> float:
@@ -116,22 +99,18 @@ def mean_spin(alpha: float, beta_mag2: float) -> float:
     |alpha^2 - |beta|^2| <= alpha^2 + |beta|^2, and rounding is monotone,
     so the rounded difference never exceeds the rounded norm in size.
     Vanishing total weight raises DegenerateFieldError; a NaN or
-    overflowing weight, or an amplitude that is no real number, DomainError.
+    overflowing weight, or an amplitude outside its rule, DomainError.
     """
+    _check("alpha", alpha)
+    _check("beta_mag2", beta_mag2)
+    a2 = alpha * alpha
     try:
-        if not beta_mag2 >= 0.0:  # NaN fails both checks
-            raise DomainError(f"beta_mag2 must be >= 0, got {beta_mag2}")
-        a2 = alpha * alpha
-        try:
-            norm = a2 + beta_mag2
-        except OverflowError:  # an int alpha^2 with no float
-            norm = math.inf
-        finite = norm < math.inf
-    except TypeError:  # "x", None, or a complex alpha
-        raise DomainError(f"alpha and beta_mag2 must be real numbers, got {alpha!r} "
-                          f"and {beta_mag2!r}") from None
-    if not finite:
-        raise DomainError(f"alpha^2 + beta_mag2 must be finite, got {norm} at alpha = {alpha}")
+        norm = a2 + beta_mag2
+    except OverflowError:  # an int alpha^2 with no float
+        norm = math.inf
+    if not norm < math.inf:  # NaN fails it
+        raise DomainError(f"alpha^2 + beta_mag2 must be finite, got {norm} at "
+                          f"alpha = {_shown(alpha)}")
     if norm == 0.0:
         raise DegenerateFieldError("field amplitudes carry no weight")
     return (a2 - beta_mag2) / norm
@@ -145,6 +124,8 @@ def classify_flux_case(config: FieldConfig) -> tuple[CaseClassification, SpinPai
     |beta|^2 with tolerance 1e-9.  beta = 0 satisfies both at once only
     when alpha_plus*alpha_minus = 0 too, which is a degenerate field.
     """
+    if not isinstance(config, FieldConfig):
+        raise ConfigError(f"config must be a FieldConfig, got {_shown(config, repr)}")
     b2 = config.beta_mag2
     prod = config.alpha_plus * config.alpha_minus
     res_i = abs(b2 - prod)
@@ -167,12 +148,7 @@ def classify_flux_case(config: FieldConfig) -> tuple[CaseClassification, SpinPai
 
 def _spin_root(sigma: float) -> float:
     """sqrt(1 - sigma^2), the overlap factor of two dark states of spin +-sigma."""
-    try:
-        inside = -1.0 <= sigma <= 1.0  # NaN fails it
-    except TypeError:  # "x", 1j or None
-        inside = False
-    if not inside:
-        raise DomainError(f"sigma must lie in [-1, 1], got {sigma}")
+    sigma = _check("sigma", sigma)
     return math.sqrt(1.0 - sigma * sigma)
 
 
@@ -183,14 +159,14 @@ def _damping_scale(convention: str) -> float:
         return 1.0
     if convention == "standard":
         return 2.0
-    raise UsageError(f"unknown overlap convention {convention!r}")
+    raise UsageError(f"unknown overlap convention {_shown(convention, repr)}")
 
 
 def _damping(delta_alpha: float, convention: str) -> float:
     """Coherent-state damping exp(-delta_alpha^2), or exp(-delta_alpha^2 / 2)
-    under the 'standard' convention; delta_alpha >= 0 (not NaN) is checked first."""
-    if not delta_alpha >= 0.0:
-        raise DomainError(f"delta_alpha must be >= 0, got {delta_alpha}")
+    under the 'standard' convention; delta_alpha faces its rule first."""
+    if type(delta_alpha) is not float or not delta_alpha >= 0.0:
+        delta_alpha = _check("delta_alpha", delta_alpha)
     return math.exp(-delta_alpha * delta_alpha / _damping_scale(convention))
 
 
@@ -215,10 +191,5 @@ def epsilon_param(delta_alpha: float, sigma: float, convention: str = "paper") -
     >>> round(epsilon_param(1.0, 0.6), 7)
     0.2943036
     """
-    # a delta_alpha that is negative, NaN or no number is reported before sigma,
-    # the convention after it
-    try:
-        root = _spin_root(sigma) if delta_alpha >= 0.0 else 1.0
-    except TypeError:  # "x", 1j or None
-        raise DomainError(f"delta_alpha must be >= 0, got {delta_alpha!r}") from None
-    return _damping(delta_alpha, convention) * root
+    # delta_alpha faces its rule first, then the convention, then sigma
+    return _damping(delta_alpha, convention) * _spin_root(sigma)

@@ -21,7 +21,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
-from .ring import _integer, _natural, _Record, _shown, _square_sum, _sweep_window, ground_m
+from .ring import _check, _Record, _shown, _square_sum, _sweep_window, ground_m
 
 # Energy unit of every trap table.
 _UNIT_LABEL = "hbar*Omega"
@@ -47,17 +47,18 @@ def mu(ell: int, sigma_ell: float, m: int) -> float:
 
     The radicand is nonnegative whenever |sigma_ell| <= ell; anything
     negative means the requested state does not exist.  A radicand beyond
-    the float range or an ell or m that is no integer raises DomainError,
+    the float range or a parameter outside its rule raises DomainError,
     as in ring_energy.
     """
-    if type(ell) is not int:  # 4.5 and "4" are no winding; 4.0 is 4
-        ell = _integer(ell, "ell")
-    if ell < 0:
-        raise DomainError(f"ell must be >= 0, got {_shown(ell)}")
+    if type(ell) is not int or ell < 0:  # 4.5, "4" and -1 are no winding; 4.0 is 4
+        ell = _check("ell", ell)
     if type(m) is not int:  # nor are 0.5 and "x" a state
-        m = _integer(m, "m")
+        m = _check("m", m)
+    if type(sigma_ell) is not float:  # a NaN or infinite float is caught below
+        _check("sigma_ell", sigma_ell)
     radicand = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m
     if not 0.0 <= radicand < math.inf:
+        _check("sigma_ell", sigma_ell)
         if -math.inf < radicand < 0.0:
             raise DomainError(
                 f"mu^2 = {radicand} < 0 for ell={ell}, sigma_ell={sigma_ell}, m={m}")
@@ -69,7 +70,9 @@ def mu(ell: int, sigma_ell: float, m: int) -> float:
 def harmonic_energy(ell: int, sigma_ell: float, n: int, m: int) -> float:
     """Trap level E_{n,m} = 2 n + mu_m + 1 in units of hbar*Omega; a level
     beyond the float range raises DomainError, as in ring_energy."""
-    n, mu_m = _natural(n, "n"), mu(ell, sigma_ell, m)
+    if type(n) is not int or n < 0:
+        n = _check("n", n)
+    mu_m = mu(ell, sigma_ell, m)
     try:
         energy = 2.0 * n + mu_m + 1.0
     except OverflowError:  # an n with no float
@@ -95,9 +98,9 @@ def harmonic_gap(ell: int, sigma_ell: float) -> float:
     |sigma_ell| <= ell), so the radial level (1, m_check), 2 above, never
     wins.  At sigma_ell = 0 the gap is sqrt(ell^2 + 1) - ell, which closes
     slowly with ell, and it vanishes exactly at half-integer sigma_ell.
-    ell must be an integer; its sign is left to mu.
     """
-    _integer(ell, "ell")
+    if type(ell) is not int or ell < 0:
+        ell = _check("ell", ell)
     mc = ground_m(sigma_ell)
     e0 = harmonic_energy(ell, sigma_ell, 0, mc)
     return min(harmonic_energy(ell, sigma_ell, 0, mc - 1),
@@ -146,32 +149,28 @@ def harmonic_spectrum_sweep(ell: int, sigma_ell_values: Sequence[float] | Iterab
     return rows
 
 
-def _order(n) -> int:
-    """n by _natural's rule and at most _MAX_ORDER, or DomainError."""
-    if (n := _natural(n, "n")) > _MAX_ORDER:
-        raise DomainError(f"n exceeds the {_MAX_ORDER}-step recurrence limit")
-    return n
-
-
 def laguerre_gen(n: int, a: float, x):
     """Generalized Laguerre polynomial L_n^a(x) by the three-term recurrence.
 
     (k+1) L_{k+1} = (2k + 1 + a - x) L_k - (k + a) L_{k-1}
 
     Exact for the small orders used here; accepts scalar or array x >= 0.
-    n is at most _MAX_ORDER = 10000, or DomainError.
+    n is at most _MAX_ORDER = 10000 and a is finite and > -1, or DomainError.
 
     Examples
     --------
     >>> laguerre_gen(2, 1.0, 2.0)
     -1.0
     """
-    n = _order(n)
-    if not a > -1.0:  # NaN fails it
-        raise DomainError(f"a must be > -1, got {a}")
+    if (n := _check("n", n)) > _MAX_ORDER:
+        raise DomainError(f"n exceeds the {_MAX_ORDER}-step recurrence limit")
+    a = _check("a", a)
     import numpy as np
 
-    xs = np.asarray(x, dtype=float)
+    try:
+        xs = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("x must hold numbers") from None
     if not np.all(xs >= 0.0):  # NaN fails it
         raise DomainError("x must be >= 0")
     prev = np.zeros_like(xs)
@@ -183,9 +182,7 @@ def laguerre_gen(n: int, a: float, x):
 
 def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0; a thin domain guard over math.lgamma."""
-    if not x > 0.0:  # NaN fails it
-        raise DomainError(f"log_gamma needs x > 0, got {x}")
-    return math.lgamma(x)
+    return math.lgamma(_check("x", x))
 
 
 class RadialFunction(_Record):
@@ -202,9 +199,12 @@ class RadialFunction(_Record):
     def __call__(self, r):
         import numpy as np
 
-        rs = np.asarray(r, dtype=float)
-        if not np.all(rs >= 0.0):  # NaN fails it
-            raise DomainError("r must be >= 0")
+        try:
+            rs = np.asarray(r, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError("r must hold numbers") from None
+        if not np.all((rs >= 0.0) & (rs < np.inf)):  # NaN fails it
+            raise DomainError("r must be finite and >= 0")
         x = 0.5 * rs * rs
         logx = np.log(np.where(x > 0.0, x, 1.0))
         axis = -np.inf if self.mu > 0.0 else 0.0  # limit of mu log x at the axis
@@ -220,9 +220,10 @@ def radial_wavefunction(ell: int, sigma_ell: float, n: int, m: int) -> RadialFun
     The normalization C = sqrt(n! / Gamma(n + mu + 1)) is evaluated as
     exp(0.5 (log n! - log Gamma(n + mu + 1))); if that prefactor cannot be
     represented the state is outside the supported range.  n takes
-    laguerre_gen's rule: an integer in [0, 10000], or DomainError.
+    laguerre_gen's bound: an integer in [0, 10000], or DomainError.
     """
-    n = _order(n)
+    if (n := _check("n", n)) > _MAX_ORDER:
+        raise DomainError(f"n exceeds the {_MAX_ORDER}-step recurrence limit")
     mu_nm = mu(ell, sigma_ell, m)
     log_norm = 0.5 * (log_gamma(n + 1.0) - log_gamma(n + mu_nm + 1.0))
     if not math.isfinite(log_norm) or abs(log_norm) > 700.0:

@@ -28,14 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .darkstate import _NONNEGATIVE, FluxCase, _check, case_of
+from .darkstate import FluxCase, case_of
 from .errors import (CaseError, ConvergenceError, DomainError, DomainSizeError,
                      SingularOverlapError, UsageError, ValidationError, VerificationError,
                      WindowError)
 from .harmonic import RadialFunction
 from .params import as_geometry_kind
-from .ring import _check_ell, _check_table_rows, _integer, _shown, _square_sum, ground_m
-from .superposition import _block_parameters, _check_epsilon, _check_theta, _closed_forms, _row
+from .ring import _check, _check_table_rows, _shown, _square_sum, ground_m
+from .superposition import _block_parameters, _closed_forms, _row
 
 __all__ = [
     "GenEig2",
@@ -78,8 +78,11 @@ class OracleReport:
         NaN fails every tolerance.  No numpy warning is raised.  A report
         holds one to a few cells, so the deviations are plain floats.
         """
-        computed = np.asarray(computed, dtype=float)
-        reference = np.asarray(reference, dtype=float)
+        try:
+            computed = np.asarray(computed, dtype=float)
+            reference = np.asarray(reference, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError("computed and reference must hold numbers") from None
         if computed.shape != reference.shape:
             raise ValidationError("computed and reference lists differ in length")
         got = computed.ravel().tolist()
@@ -105,7 +108,10 @@ def hermitian_eigs(h, compute_vectors: bool = False):
     come back as columns, and their residuals are checked against
     1e-10 ||H||, so a solver failure is raised rather than returned.
     """
-    h = np.asarray(h, dtype=complex)
+    try:
+        h = np.asarray(h, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("h must hold numbers") from None
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {h.shape}")
     if not np.isfinite(h).all():
@@ -176,14 +182,10 @@ def ring_fd_spectrum(ell: int, sigma_ell: float, n_grid: int = 1024,
     small grids.  ell must be an integer >= 0 and sigma_ell a finite
     real, or DomainError.
     """
-    n_grid = _integer(n_grid, "n_grid", UsageError)
-    k_lowest = _integer(k_lowest, "k_lowest", UsageError)
-    if n_grid < 64:
-        raise UsageError(f"n_grid must be >= 64, got {_shown(n_grid)}")
+    n_grid = _check("n_grid", n_grid, lo=64)
     _check_table_rows(n_grid, "n_grid = {}")
-    if k_lowest < 1 or k_lowest > n_grid:
-        raise UsageError(f"k_lowest must be in [1, {n_grid}], got {_shown(k_lowest)}")
-    ell = _check_ell(ell)
+    k_lowest = _check("k_lowest", k_lowest, hi=n_grid)
+    ell = _check("ell", ell)
     m_check = ground_m(sigma_ell)  # DomainError unless sigma_ell is a finite real
     _square_sum(ell, sigma_ell, 0)  # DomainError unless ell^2 has a float
     if method == "circulant":
@@ -193,7 +195,7 @@ def ring_fd_spectrum(ell: int, sigma_ell: float, n_grid: int = 1024,
             raise UsageError("dense method is meant for grids up to 128 points")
         fd = hermitian_eigs(_ring_fd_dense(ell, sigma_ell, n_grid))[:k_lowest]
     else:
-        raise UsageError(f"unknown method {method!r}")
+        raise UsageError(f"unknown method {_shown(method, repr)}")
     # the k lowest levels of (m + sigma_ell)^2 lie within k/2 + 1 of -sigma_ell
     ms = m_check + np.arange(-(k_lowest + 4), k_lowest + 5, dtype=float)
     analytic = np.sort(ell * ell + ms * ms + 2.0 * sigma_ell * ms)[:k_lowest]
@@ -306,16 +308,12 @@ def radial_fd_spectrum(ell: int, sigma_ell: float, m: int, n_grid: int = 4000,
     window or meets a singular shifted matrix, and a failed certificate,
     raise ConvergenceError; there is no fallback.
     """
-    n_grid = _integer(n_grid, "n_grid", UsageError)
-    k_lowest = _integer(k_lowest, "k_lowest", UsageError)
-    if n_grid < 2000:
-        raise UsageError(f"n_grid must be >= 2000, got {_shown(n_grid)}")
+    n_grid = _check("n_grid", n_grid, lo=2000)
     _check_table_rows(n_grid, "n_grid = {}")
-    if k_lowest < 1 or k_lowest > n_grid - 1:
-        raise UsageError(f"k_lowest must be in [1, {n_grid - 1}], got {_shown(k_lowest)}")
-    ell = _check_ell(ell)
+    k_lowest = _check("k_lowest", k_lowest, hi=n_grid - 1)
+    ell = _check("ell", ell)
     ground_m(sigma_ell)  # DomainError unless sigma_ell is a finite real
-    m = _integer(m, "m")
+    m = _check("m", m)
     mu2 = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m
     if mu2 < 0.0:
         raise DomainError(f"mu^2 = {mu2} < 0; no such radial state")
@@ -590,16 +588,16 @@ def build_block(case, geometry, ell: int, sigma_ell: float, epsilon: float,
     if kind is FluxCase.NEITHER:
         raise CaseError("blocks exist only for case (i) or case (ii)")
     geo = as_geometry_kind(geometry)
-    _check_theta(theta)
-    ell = _check_ell(ell)
-    _check_epsilon(epsilon)
+    _check("theta", theta)
+    ell = _check("ell", ell)
+    _check("epsilon", epsilon)
     mc = ground_m(sigma_ell)  # rejects NaN, inf and non-numbers, as superpose_* does
     stacked = isinstance(m, Iterable)
     if stacked:
         # a range holds integers already; any other sequence is checked entry by entry
-        ms = m if isinstance(m, range) else [_integer(mm, "m") for mm in m]
+        ms = m if isinstance(m, range) else [_check("m", mm) for mm in m]
     else:
-        ms = [mc if m is None else _integer(m, "m")]
+        ms = [mc if m is None else _check("m", m)]
     h, a = _blocks(kind is FluxCase.CASE_I, geo, ell, sigma_ell, epsilon, theta, ms)
     return GenEig2(h if stacked else h[0], a)
 
@@ -692,8 +690,12 @@ def quadrature_overlap(f: RadialFunction, g: RadialFunction) -> float:
     has not settled by then raises ConvergenceError instead of returning
     a value.  The rule sees only r_max, never mu or the normalization,
     and each profile is evaluated once per order on an array (once in
-    all when g is f).
+    all when g is f).  f and g must be profiles, callables with a radial
+    exponent mu as a RadialFunction is, or DomainError.
     """
+    for name, profile in (("f", f), ("g", g)):
+        if not (callable(profile) and hasattr(profile, "mu")):
+            raise DomainError(f"{name} must be a RadialFunction, got {_shown(profile, repr)}")
     r_max = math.sqrt(2.0 * max(f.mu, g.mu)) + 12.0
     order, previous = _GAUSS_FIRST_ORDER, None
     while True:
@@ -758,7 +760,7 @@ def run_verification(ring_grid: int = 1024, radial_grid: int = 4000,
     matrix-vector products.  The eigensolver self-test's residual covers
     all 40 columns in one expression.
     """
-    _check(tolerance_scale, "tolerance_scale", _NONNEGATIVE)
+    _check("tolerance_scale", tolerance_scale)
     checks: list[dict] = []
 
     def record(name: str, deviation: float, tolerance: float) -> None:

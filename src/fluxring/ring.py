@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, SingularOverlapError, UsageError
 
 __all__ = [
     "ring_energy",
@@ -55,29 +55,90 @@ def _check_table_rows(rows: int, what: str) -> None:
                          f"table limit")
 
 
-def _integer(value, name: str, error: type = DomainError) -> int:
-    """value as an int when it equals one; error for 2.5, NaN, inf, "3" or [3]."""
-    if type(value) is int:  # the common case, without the two int() calls below
-        return value
+def _amplitude(value) -> float:
+    """float(value) of a real amplitude, which a complex with no imaginary part is."""
+    if isinstance(value, complex) and value.imag == 0.0:
+        value = value.real
+    return float(value)
+
+
+# The one rule of each scalar parameter, by name; _check applies it.  An
+# integer is (int, lowest, highest, error class): an int, or a value equal
+# to one (4.0 is 4; 4.5, NaN, "4" and [4] are not), within bounds that a
+# route may tighten.  A real is (float, test, rule, error class), as are a
+# real amplitude (_amplitude) and beta (complex): the test reads the value
+# converted, an int past the float range as the infinity of its sign, and
+# text, None or 1j fail it.  One message format serves every rule, names
+# the value through _shown, and is the CLI's: "ell must be >= 0, got -1".
+_RULES = {
+    "ell": (int, 0, None, DomainError),
+    "m": (int, None, None, DomainError),
+    "n": (int, 0, None, DomainError),
+    "m_window": (int, 1, None, UsageError),
+    "n_grid": (int, None, None, UsageError),  # each FD route sets its least grid
+    "k_lowest": (int, 1, None, UsageError),  # and its most levels
+    "sigma_ell": (float, math.isfinite, "must be finite", DomainError),
+    "theta": (float, math.isfinite, "must be finite", DomainError),
+    "alpha_plus": (_amplitude, math.isfinite, "must be finite", DomainError),
+    "alpha_minus": (_amplitude, math.isfinite, "must be finite", DomainError),
+    "alpha": (float, lambda x: True, "must be a real number", DomainError),
+    "beta": (complex, lambda b: math.isfinite(abs(b) ** 2), "and |beta|^2 must be finite",
+             DomainError),
+    "beta_mag2": (float, lambda x: x >= 0.0, "must be >= 0", DomainError),
+    "residual": (float, lambda x: x >= 0.0, "must be >= 0", DomainError),  # inf is NEITHER's
+    "sigma": (float, lambda x: -1.0 <= x <= 1.0, "must lie in [-1, 1]", DomainError),
+    "sigma_plus": (float, lambda x: abs(x) <= 1.0 + 1e-12, "must be in [-1, 1]", DomainError),
+    "sigma_minus": (float, lambda x: abs(x) <= 1.0 + 1e-12, "must be in [-1, 1]", DomainError),
+    # epsilon >= 1 raises SingularOverlapError instead: the metric is indefinite
+    "epsilon": (float, lambda x: 0.0 <= x < 1.0, "must be >= 0", DomainError),
+    "delta_alpha": (float, lambda x: x >= 0.0, "must be >= 0", DomainError),
+    "a": (float, lambda x: -1.0 < x < math.inf, "must be finite and > -1", DomainError),
+    "x": (float, lambda x: x > 0.0, "must be > 0", DomainError),
+    "tolerance_scale": (float, lambda x: 0.0 <= x < math.inf, "must be finite and >= 0",
+                        DomainError),
+}
+
+
+def _check(name: str, value, error: type | None = None, lo: int | None = None,
+           hi: int | None = None):
+    """value as the int, float or complex that the rule of its name admits,
+    or that rule's error (error, when given) with the rule's message.
+    lo and hi replace an integer's bounds for one route.  The hottest
+    routes call it only for a value that is no int, or no float that
+    passes the rule's test, so the common case costs no call."""
+    kind, test, rule, default = _RULES[name]
+    error = error or default
+    number = value
+    if type(value) is not kind:
+        try:
+            if not (hasattr(value, "__float__") or hasattr(value, "__index__")
+                    or hasattr(value, "__complex__")):  # text or a buffer: float() parses it
+                raise TypeError
+            try:
+                number = kind(value)
+            except OverflowError:  # an int with no float reads as its infinity
+                number = kind(math.inf if value > 0 else -math.inf)
+            if kind is int and number != value:  # 4.5, but not 4.0
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):  # "4", None, 1j; NaN and inf for an int
+            if kind is int or kind is complex:
+                what = "an integer" if kind is int else "a complex number"
+                raise error(f"{name} must be {what}, got {_shown(value, repr)}") from None
+            raise error(f"{name} {rule}, got {_shown(value, repr)}") from None
+    if kind is int:
+        lo, hi = test if lo is None else lo, rule if hi is None else hi
+        if (lo is not None and number < lo) or (hi is not None and number > hi):
+            bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise error(f"{name} must be {bounds}, got {_shown(number)}")
+        return number
     try:
-        if value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
+        if test(number):
+            return number
+    except OverflowError:  # |beta| of a complex with finite parts
         pass
-    raise error(f"{name} must be an integer, got {value!r}")
-
-
-def _natural(value, name: str, error: type = DomainError) -> int:
-    """value as an int >= 0, by _integer's rule; error otherwise."""
-    value = _integer(value, name, error)
-    if value < 0:
-        raise error(f"{name} must be a nonnegative integer, got {_shown(value)}")
-    return value
-
-
-def _check_ell(ell, error: type = DomainError) -> int:
-    """The winding number as an int >= 0: the one rule for every layer."""
-    return _natural(ell, "ell", error)
+    if name == "epsilon" and number >= 1.0:
+        raise SingularOverlapError(f"epsilon = {_shown(value)} >= 1")
+    raise error(f"{name} {rule}, got {_shown(value, repr)}")
 
 
 class _Record:
@@ -178,16 +239,17 @@ def ring_energy(ell: int, sigma_ell: float, m: int) -> float:
     """Energy ell^2 + m^2 + 2 sigma_ell m of angular-momentum state m.
 
     An energy beyond the float range raises DomainError rather than
-    returning an infinity, and so does an ell or m that is no integer.
+    returning an infinity, and so does a parameter outside its rule.
     """
-    if type(ell) is not int:  # 4.5 and "4" are no winding; 4.0 is 4
-        ell = _integer(ell, "ell")
-    if ell < 0:
-        raise DomainError(f"ell must be >= 0, got {_shown(ell)}")
+    if type(ell) is not int or ell < 0:  # 4.5, "4" and -1 are no winding; 4.0 is 4
+        ell = _check("ell", ell)
     if type(m) is not int:  # nor are 0.5 and "x" a state
-        m = _integer(m, "m")
+        m = _check("m", m)
+    if type(sigma_ell) is not float:  # a NaN or infinite float is caught below
+        _check("sigma_ell", sigma_ell)
     energy = _square_sum(ell, sigma_ell, m) + 2.0 * sigma_ell * m
     if not math.isfinite(energy):
+        _check("sigma_ell", sigma_ell)
         raise DomainError(f"ell^2 + m^2 + 2 sigma_ell m exceeds the float range at "
                           f"ell={ell}, sigma_ell={sigma_ell}")
     return energy
@@ -201,12 +263,8 @@ def ground_m(sigma_ell: float) -> int:
     n is never formed as floor(sigma_ell + 1/2): that sum rounds, and
     picks the wrong m at 0.49999999999999994 and at 2^52 + 1.
     """
-    try:
-        finite = math.isfinite(sigma_ell)
-    except (TypeError, OverflowError):  # "1.0", 1j, or an int with no float
-        finite = False
-    if not finite:
-        raise DomainError(f"sigma_ell must be finite, got {sigma_ell!r}")
+    if type(sigma_ell) is not float or sigma_ell - sigma_ell != 0.0:  # NaN for inf and NaN
+        _check("sigma_ell", sigma_ell)
     n = round(sigma_ell)  # exact; a tie went to the even neighbour
     if sigma_ell - n == 0.5:  # exact too: the tie goes up, to floor(sigma_ell) + 1
         n += 1
@@ -220,10 +278,10 @@ def ring_gap(ell: int, sigma_ell: float) -> float:
     x = sigma_ell + m_check in [-1/2, 1/2], E_{m_check + k} - E_{m_check}
     = k (k + 2 x), which is at most 1 for k = +-1 and at least 2 for
     |k| >= 2.  The result is independent of ell, 1-periodic in sigma_ell,
-    and vanishes exactly at half-integer sigma_ell.  ell must be an
-    integer; its sign is left to ring_energy.
+    and vanishes exactly at half-integer sigma_ell.
     """
-    _integer(ell, "ell")
+    if type(ell) is not int or ell < 0:
+        ell = _check("ell", ell)
     mc = ground_m(sigma_ell)
     e0 = ring_energy(ell, sigma_ell, mc)
     return min(ring_energy(ell, sigma_ell, mc - 1), ring_energy(ell, sigma_ell, mc + 1)) - e0
@@ -248,14 +306,14 @@ def _sweep_window(ell: int, sigma_ell_values: Sequence[float] | Iterable[float],
     """The sigma_ell grid as floats and the |m| window every spectrum sweep tabulates.
 
     The window defaults to ceil(max |sigma_ell|) + 2 and must at least
-    contain the ground state plus one neighbor at every grid point.  A
-    non-integer ell or a ground state whose ell^2 + m^2 has no float
-    raises DomainError, and a table of more than _MAX_TABLE_ROWS rows
-    (grid x window x levels) raises UsageError, all before any row is
-    built.  A negative ell is left for the first energy to reject.
+    contain the ground state plus one neighbor at every grid point.  An
+    ell or grid entry outside its rule, or a ground state whose
+    ell^2 + m^2 has no float, raises DomainError, and a table of more
+    than _MAX_TABLE_ROWS rows (grid x window x levels) raises
+    UsageError, all before any row is built.
     """
-    _integer(ell, "ell")
-    grid = [float(s) for s in sigma_ell_values]
+    _check("ell", ell)
+    grid = [s if type(s) is float else _check("sigma_ell", s) for s in sigma_ell_values]
     if not grid:
         raise UsageError("sigma_ell grid is empty")
     worst = 0
@@ -265,9 +323,7 @@ def _sweep_window(ell: int, sigma_ell_values: Sequence[float] | Iterable[float],
         worst = max(worst, abs(mc))
     if m_window is None:
         m_window = math.ceil(max(abs(s) for s in grid)) + 2
-    m_window = _integer(m_window, "m_window", UsageError)
-    if m_window < 1:
-        raise UsageError(f"m_window must be >= 1, got {_shown(m_window)}")
+    m_window = _check("m_window", m_window)
     if m_window < worst + 1:
         raise UsageError(
             f"m_window {m_window} does not cover the ground state and one neighbor "

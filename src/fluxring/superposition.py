@@ -55,11 +55,10 @@ from typing import NamedTuple
 
 from .darkstate import (FluxCase, _damping, _damping_scale, _delta_alpha_at, _spin_root,
                         case_of)
-from .errors import (CaseError, DegeneracyError, DomainError, ExpansionWarning,
-                     SingularOverlapError, UsageError)
+from .errors import CaseError, DegeneracyError, DomainError, ExpansionWarning, UsageError
 from .harmonic import harmonic_gap
 from .params import GeometryKind, as_geometry_kind
-from .ring import (_check_ell, _check_table_rows, _Record, _square_sum, _square_sum_error,
+from .ring import (_check, _check_table_rows, _Record, _square_sum, _square_sum_error,
                    ground_m, ring_gap)
 
 __all__ = [
@@ -151,16 +150,6 @@ def _block_parameters(geometry: GeometryKind, ell: int, sigma_ell: float,
     return center, d, q
 
 
-def _check_theta(theta: float) -> None:
-    """Every route into a block rejects a relative phase that is no finite number."""
-    try:
-        finite = math.isfinite(theta)
-    except (TypeError, OverflowError):  # "x", 1j, or an int with no float
-        finite = False
-    if not finite:
-        raise DomainError(f"theta must be finite, got {theta!r}")
-
-
 class _Row(NamedTuple):
     """Everything a superposition depends on except epsilon and the gap.
 
@@ -178,17 +167,6 @@ class _Row(NamedTuple):
     sigma: float
 
 
-def _check_epsilon(epsilon: float) -> None:
-    try:
-        nonnegative = 0.0 <= epsilon  # NaN fails it
-    except TypeError:  # "0.1", 1j or None
-        nonnegative = False
-    if not nonnegative:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
-    if epsilon >= 1.0:
-        raise SingularOverlapError(f"epsilon = {epsilon} >= 1")
-
-
 def _spin(ell: int, sigma_ell: float) -> float:
     """The mean spin sigma = sigma_ell / ell.  An ell with no float has no
     float ell^2 either, so it raises the DomainError of ell^2 + m^2."""
@@ -196,18 +174,6 @@ def _spin(ell: int, sigma_ell: float) -> float:
         return sigma_ell / ell
     except OverflowError:
         raise _square_sum_error(ell, sigma_ell) from None
-
-
-def _check_sigma_ell(ell: int, sigma_ell: float) -> int:
-    """m_check of a finite real sigma_ell with |sigma_ell| <= ell."""
-    try:
-        beyond = abs(sigma_ell) > ell
-    except TypeError:  # "1.0": ground_m names it
-        beyond = False
-    if beyond:
-        raise DomainError(
-            f"|sigma_ell| = {abs(sigma_ell)} exceeds ell = {ell} (|sigma| > 1)")
-    return ground_m(sigma_ell)  # rejects NaN and non-numbers, which _is_half_integer cannot take
 
 
 def _degenerate(sigma_ell: float) -> str:
@@ -219,15 +185,21 @@ def _row(kind: FluxCase, geo: GeometryKind, ell: int, sigma_ell: float, epsilon:
     """Run every check of a superposition at (sigma_ell, epsilon), in order,
     and return the invariants of its row.
 
-    Later points of the row need only _check_epsilon, which _closed_forms
-    runs.  The case (ii) sigma = 0 warning points stacklevel frames up.
+    Later points of the row need only the epsilon rule, which
+    _closed_forms runs.  The case (ii) sigma = 0 warning points stacklevel
+    frames up.
     """
     if kind is FluxCase.NEITHER:
         raise CaseError("superpositions exist only for case (i) or case (ii)")
-    _check_theta(theta)
-    ell = _check_ell(ell)
-    _check_epsilon(epsilon)
-    mc = _check_sigma_ell(ell, sigma_ell)
+    if type(theta) is not float or theta - theta != 0.0:  # NaN for inf and NaN
+        _check("theta", theta)
+    if type(ell) is not int or ell < 0:
+        ell = _check("ell", ell)
+    if type(epsilon) is not float or not 0.0 <= epsilon < 1.0:
+        _check("epsilon", epsilon)
+    mc = ground_m(sigma_ell)  # the sigma_ell rule, which _is_half_integer needs passed
+    if abs(sigma_ell) > ell:
+        raise DomainError(f"|sigma_ell| = {abs(sigma_ell)} exceeds ell = {ell} (|sigma| > 1)")
     if _is_half_integer(sigma_ell):
         raise DegeneracyError(_degenerate(sigma_ell))
     sigma = 0.0
@@ -273,7 +245,7 @@ def _closed_forms(row: _Row, epsilons: Iterable[float]) -> list[float]:
         sqrt = math.sqrt
         for eps in epsilons:
             if not 0.0 <= eps < 1.0:
-                _check_epsilon(eps)
+                _check("epsilon", eps)
             s = sqrt(1.0 - eps * eps)
             one_plus_s = 1.0 + s
             one_minus_s = eps * eps / one_plus_s
@@ -284,7 +256,7 @@ def _closed_forms(row: _Row, epsilons: Iterable[float]) -> list[float]:
     hypot = math.hypot
     for eps in epsilons:
         if not 0.0 <= eps < 1.0:
-            _check_epsilon(eps)
+            _check("epsilon", eps)
         r_plus_sigma = hypot(sigma, eps) + sigma
         if r_plus_sigma > 0.0:
             r_minus_sigma = eps * eps / r_plus_sigma
@@ -382,9 +354,12 @@ def small_eps_delta_e(case, geometry, ell: int, sigma_ell: float,
     geo = as_geometry_kind(geometry)
     if kind is FluxCase.NEITHER:
         raise CaseError("expansion exists only for case (i) or case (ii)")
-    ell = _check_ell(ell)
-    _check_epsilon(epsilon)
-    mc = _check_sigma_ell(ell, sigma_ell)
+    if type(ell) is not int or ell < 0:
+        ell = _check("ell", ell)
+    _check("epsilon", epsilon)
+    mc = ground_m(sigma_ell)
+    if abs(sigma_ell) > ell:
+        raise DomainError(f"|sigma_ell| = {abs(sigma_ell)} exceeds ell = {ell} (|sigma| > 1)")
     if kind is FluxCase.CASE_II:
         if ell == 0:
             raise DomainError("case (ii) needs ell >= 1 to define the mean spin")
@@ -437,10 +412,14 @@ def feasibility_sweep(case, geometry, ell: int,
     from integer windings at fixed mean spin); delta_alpha sets epsilon
     through the coherent-state overlap.  Every grid point is emitted with
     its mixing ratio and feasible flag so the infeasible region stays
-    visible in the output.
+    visible in the output.  ell and each grid entry face their rules
+    first; a delta_alpha that is a float faces its rule in its point's turn.
     """
-    sig_grid = [float(s) for s in sigma_ell_values]
-    da_grid = [float(d) for d in delta_alpha_values]
+    if type(ell) is not int or ell < 0:
+        ell = _check("ell", ell)
+    sig_grid = [_check("sigma_ell", s) for s in sigma_ell_values]
+    da_grid = [float(d) if isinstance(d, float) else _check("delta_alpha", d)
+               for d in delta_alpha_values]
     if not sig_grid or not da_grid:
         raise UsageError("feasibility grid is empty")
     _check_table_rows(len(sig_grid) * len(da_grid),
@@ -468,7 +447,7 @@ def feasibility_sweep(case, geometry, ell: int,
                     row = _row(kind, geo, ell, s, damp * root, theta, stacklevel=3)
                     gap = _gap(geo, row.ell, s)
                 elif not 0.0 <= damp * root < 1.0:
-                    _check_epsilon(damp * root)
+                    _check("epsilon", damp * root)
                 damps.append(damp)
         epsilons = [damp * root for damp in damps]
         forms = _closed_forms(row, epsilons)
@@ -492,8 +471,11 @@ def feasibility_boundary(case, geometry, ell: int, sigma_ell: float,
                          theta: float = 0.0, convention: str = "paper") -> float:
     """Smallest delta_alpha with |delta_e| <= gap, by bisecting the float bits
     from the closed-form bracket (module docstring): at most 64 kernel calls.
-    sigma_ell = 0 gives 0.0; a result above 20.0, or none, raises DomainError."""
-    _check_sweep_sigma_ell(ell, sigma_ell)
+    sigma_ell = 0 gives 0.0; a result above 20.0, or none, raises DomainError.
+    ell and sigma_ell face their rules before they are compared."""
+    if type(ell) is not int or ell < 0:
+        ell = _check("ell", ell)
+    _check_sweep_sigma_ell(ell, _check("sigma_ell", sigma_ell))
     kind = case_of(case)
     geo = as_geometry_kind(geometry)
     root = _spin_root(_spin(ell, sigma_ell))

@@ -92,11 +92,11 @@ class TestCaseClassification:
 
     @pytest.mark.parametrize("record, args, error, message", [
         (CaseClassification, (FluxCase.CASE_I, -0.5), DomainError,
-         r"^classification residual must be >= 0, got -0\.5$"),
+         r"^residual must be >= 0, got -0\.5$"),
         (CaseClassification, (FluxCase.CASE_I, math.nan), DomainError,
-         "^classification residual must be >= 0, got nan$"),
+         "^residual must be >= 0, got nan$"),
         (CaseClassification, (FluxCase.CASE_I, "x"), DomainError,
-         "^classification residual must be >= 0, got 'x'$"),
+         "^residual must be >= 0, got 'x'$"),
         (CaseClassification, ("i", 0.1), CaseError, "^case must be a FluxCase, got 'i'$"),
         (SpinPair, (0.5, -1.5), DomainError, r"^sigma_minus must be in \[-1, 1\], got -1\.5$"),
         (SpinPair, (math.nan, 0.0), DomainError, r"^sigma_plus must be in \[-1, 1\], got nan$"),
@@ -179,9 +179,9 @@ class TestNanInputs:
 
     @pytest.mark.parametrize("call, message", [
         (lambda: epsilon_param("x", 0.5), "^delta_alpha must be >= 0, got 'x'$"),
-        (lambda: epsilon_param(1.0, "x"), r"^sigma must lie in \[-1, 1\], got x$"),
+        (lambda: epsilon_param(1.0, "x"), r"^sigma must lie in \[-1, 1\], got 'x'$"),
         (lambda: mean_spin("x", 1.0),
-         "^alpha and beta_mag2 must be real numbers, got 'x' and 1.0$"),
+         "^alpha must be a real number, got 'x'$"),
     ], ids=["epsilon-delta-alpha", "epsilon-sigma", "mean-spin-alpha"])
     def test_a_non_number_is_a_domain_error(self, call, message):
         """Each of these raised a bare TypeError."""

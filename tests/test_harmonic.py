@@ -251,7 +251,7 @@ class TestRadialWavefunction:
 
     @pytest.mark.parametrize("n", [math.nan, 1.5, -1])
     def test_n_takes_the_integer_rule(self, n):
-        with pytest.raises(DomainError, match="^n must be a"):
+        with pytest.raises(DomainError, match="^n must be (an integer|>= 0), got "):
             radial_wavefunction(4, 1.0, n, 0)
 
     @pytest.mark.parametrize("n", [10_001, 10**300, 2**1100])

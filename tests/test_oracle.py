@@ -258,7 +258,7 @@ class TestRingFd:
         ((4, math.inf), "^sigma_ell must be finite, got inf$"),
         ((4.5, 1.0), "^ell must be an integer, got 4.5$"),
         (("x", 1.0), "^ell must be an integer, got 'x'$"),
-        ((-4, 1.0), "^ell must be a nonnegative integer, got -4$"),
+        ((-4, 1.0), "^ell must be >= 0, got -4$"),
         pytest.param((2**512, 1.0), rf"^ell\^2 \+ m\^2 exceeds the float range at "
                                     rf"ell={2**512}, sigma_ell=1\.0$", id="ell-2^512"),
     ])
@@ -421,7 +421,7 @@ class TestRadialFd:
         ((4, math.nan, -1), "^sigma_ell must be finite, got nan$"),
         ((4, math.inf, -1), "^sigma_ell must be finite, got inf$"),
         ((4.5, 1.0, -1), "^ell must be an integer, got 4.5$"),
-        ((-4, 1.0, -1), "^ell must be a nonnegative integer, got -4$"),
+        ((-4, 1.0, -1), "^ell must be >= 0, got -4$"),
         ((4, 1.0, -1.5), "^m must be an integer, got -1.5$"),
         ((4, 1.0, "x"), "^m must be an integer, got 'x'$"),
         ((4, 1.0, 10**200), r"^ell\^2 \+ m\^2 exceeds the float range at ell=4, "

@@ -38,13 +38,13 @@ class TestFieldConfig:
         assert FieldConfig(alpha_plus=1.0, alpha_minus=0.5, beta=1e154).beta_mag2 < math.inf
 
     @pytest.mark.parametrize("name, value, message", [
-        ("alpha_plus", "x", "^alpha_plus must be a real number, got 'x'$"),
+        ("alpha_plus", "x", "^alpha_plus must be finite, got 'x'$"),
         ("beta", "x", "^beta must be a complex number, got 'x'$"),
         ("beta", None, "^beta must be a complex number, got None$"),
         ("beta", [1], r"^beta must be a complex number, got \[1\]$"),
-        ("alpha_plus", "2.0", "^alpha_plus must be a real number, got '2.0'$"),
-        ("alpha_minus", b"0.5", "^alpha_minus must be a real number, got b'0.5'$"),
-        ("theta", array("b", b"1"), r"^theta must be a real number, got array\('b', \[49\]\)$"),
+        ("alpha_plus", "2.0", "^alpha_plus must be finite, got '2.0'$"),
+        ("alpha_minus", b"0.5", "^alpha_minus must be finite, got b'0.5'$"),
+        ("theta", array("b", b"1"), r"^theta must be finite, got array\('b', \[49\]\)$"),
         ("beta", "1+2j", r"^beta must be a complex number, got '1\+2j'$"),
         ("beta", b"1", "^beta must be a complex number, got b'1'$"),
     ])

@@ -248,7 +248,7 @@ HUGE_ORDER = "^n exceeds the 10000-step recurrence limit$"
     (lambda: harmonic_energy(4, 1.0, HUGE, -1), DomainError,
      "^2 n \\+ mu_m \\+ 1 exceeds the float range at n=an integer of 16610 bits$"),
     (lambda: harmonic_energy(4, 1.0, -HUGE, -1), DomainError,
-     "^n must be a nonnegative integer, got a negative integer of 16610 bits$"),
+     "^n must be >= 0, got a negative integer of 16610 bits$"),
     (lambda: radial_fd_spectrum(HUGE, 1.0, -1), DomainError, SQUARE_SUM),
     (lambda: ring_fd_spectrum(HUGE, 1.0), DomainError, SQUARE_SUM),
     (lambda: ring_fd_spectrum(4, 1.0, k_lowest=HUGE), UsageError,
@@ -275,7 +275,7 @@ HUGE_ORDER = "^n exceeds the 10000-step recurrence limit$"
     (lambda: run_verification(ring_grid=HUGE), UsageError, HUGE_GRID),
     (lambda: run_verification(radial_grid=HUGE), UsageError, HUGE_GRID),
     (lambda: FieldConfig(2.0, 0.5, 1j, ell=-HUGE), ConfigError,
-     "^ell must be a nonnegative integer, got a negative integer of 16610 bits$"),
+     "^ell must be >= 0, got a negative integer of 16610 bits$"),
     (lambda: FieldConfig(HUGE, 0.5, 1j), ConfigError,
      "^alpha_plus must be finite, got an integer of 16610 bits$"),
     (lambda: FieldConfig(2.0, -HUGE, 1j), ConfigError,

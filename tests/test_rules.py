@@ -27,7 +27,7 @@ import pytest
 
 import fluxring
 from fluxring import (CaseError, ConfigError, DomainError, FieldConfig, FluxCase,
-                      FluxRingError, SingularOverlapError, UsageError)
+                      FluxRingError, SingularOverlapError, UsageError, ValidationError)
 
 HUGE = 10**5000  # past Python's 4300-digit limit on int-to-str conversion
 CORPUS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "text": "1", "none": None,
@@ -239,107 +239,6 @@ EXPORTS = {
                           "radial_grid": Rule("n_grid", lo=2000)}),
 }
 
-# the ids that fail before each parameter name has its one rule: export-parameter
-# and the corpus labels it fails at, then the names and ids of the other tests
-KNOWN_ESCAPES = {f"{prefix}-{label}" for prefix, labels in [
-    ("FieldConfig-alpha_plus", "text none complex"),
-    ("FieldConfig-alpha_minus", "text none complex"),
-    ("FieldConfig-theta", "text none complex"),
-    ("FieldConfig-ell", "-10^5000 -3"),
-    ("CaseClassification-case", "10^5000 -10^5000"),
-    ("CaseClassification-residual", "nan -inf text none complex -10^5000 -3"),
-    ("SpinPair-sigma_plus", "10^5000 -10^5000"),
-    ("SpinPair-sigma_minus", "10^5000 -10^5000"),
-    ("case_of-case", "10^5000 -10^5000"),
-    ("as_geometry_kind-value", "10^5000 -10^5000"),
-    ("mean_spin-alpha", "text none complex 10^5000 -10^5000"),
-    ("mean_spin-beta_mag2", "text none complex -10^5000"),
-    ("classify_flux_case-config", "nan inf -inf text none complex 2^1100 10^5000 -10^5000 4.5 -3"),
-    ("epsilon_param-delta_alpha", "2^1100 10^5000 -10^5000"),
-    ("epsilon_param-sigma", "text 10^5000 -10^5000"),
-    ("epsilon_param-convention", "10^5000 -10^5000"),
-    ("ring_energy-sigma_ell", "nan inf -inf text none complex 2^1100 10^5000 -10^5000"),
-    ("ground_m-sigma_ell", "10^5000 -10^5000"),
-    ("ring_gap-sigma_ell", "10^5000 -10^5000"),
-    ("ring_spectrum_sweep-ell", "-10^5000"),
-    ("ring_spectrum_sweep-sigma_ell_values", "text none complex 2^1100 10^5000 -10^5000"),
-    ("mu-sigma_ell", "nan inf -inf text none complex 2^1100 10^5000 -10^5000"),
-    ("harmonic_energy-sigma_ell", "nan inf -inf text none complex 2^1100 10^5000 -10^5000"),
-    ("harmonic_energy-n", "-10^5000 -3"),
-    ("ground_quantum_numbers-sigma_ell", "10^5000 -10^5000"),
-    ("harmonic_gap-sigma_ell", "10^5000 -10^5000"),
-    ("harmonic_spectrum_sweep-ell", "-10^5000"),
-    ("harmonic_spectrum_sweep-sigma_ell_values", "text none complex 2^1100 10^5000 -10^5000"),
-    ("laguerre_gen-n", "-10^5000 -3"),
-    ("laguerre_gen-a", "nan inf -inf text none complex 2^1100 10^5000 -10^5000 -3"),
-    ("laguerre_gen-x", "complex 2^1100 10^5000 -10^5000"),
-    ("log_gamma-x", "nan -inf text none complex 2^1100 10^5000 -10^5000 -3"),
-    ("radial_wavefunction-sigma_ell", "nan inf -inf text none complex 2^1100 10^5000 -10^5000"),
-    ("radial_wavefunction-n", "-10^5000 -3"),
-    ("RadialFunction.__call__-r", "inf complex 2^1100 10^5000 -10^5000"),
-    ("superpose_ring-case", "10^5000 -10^5000"),
-    ("superpose_ring-ell", "-10^5000 -3"),
-    ("superpose_ring-sigma_ell", "inf -inf 2^1100 10^5000 -10^5000"),
-    ("superpose_ring-epsilon", "10^5000 -10^5000"),
-    ("superpose_ring-theta", "10^5000 -10^5000"),
-    ("superpose_harmonic-case", "10^5000 -10^5000"),
-    ("superpose_harmonic-ell", "-10^5000 -3"),
-    ("superpose_harmonic-sigma_ell", "inf -inf 2^1100 10^5000 -10^5000"),
-    ("superpose_harmonic-epsilon", "10^5000 -10^5000"),
-    ("superpose_harmonic-theta", "10^5000 -10^5000"),
-    ("small_eps_delta_e-case", "10^5000 -10^5000"),
-    ("small_eps_delta_e-geometry", "10^5000 -10^5000"),
-    ("small_eps_delta_e-ell", "-10^5000 -3"),
-    ("small_eps_delta_e-sigma_ell", "inf -inf 2^1100 10^5000 -10^5000"),
-    ("small_eps_delta_e-epsilon", "10^5000 -10^5000"),
-    ("feasibility_sweep-case", "10^5000 -10^5000"),
-    ("feasibility_sweep-geometry", "10^5000 -10^5000"),
-    ("feasibility_sweep-ell", "nan -inf text none complex -10^5000 -3"),
-    ("feasibility_sweep-sigma_ell_values", "nan inf -inf text none complex 2^1100 10^5000 -10^5000"),
-    ("feasibility_sweep-delta_alpha_values", "text none complex 2^1100 10^5000 -10^5000 -3"),
-    ("feasibility_sweep-theta", "10^5000 -10^5000"),
-    ("feasibility_sweep-convention", "10^5000 -10^5000"),
-    ("feasibility_boundary-case", "10^5000 -10^5000"),
-    ("feasibility_boundary-geometry", "10^5000 -10^5000"),
-    ("feasibility_boundary-ell", "nan -inf text none complex -10^5000 -3"),
-    ("feasibility_boundary-sigma_ell", "nan inf -inf text none complex 2^1100 10^5000 -10^5000"),
-    ("feasibility_boundary-theta", "10^5000 -10^5000"),
-    ("feasibility_boundary-convention", "10^5000 -10^5000"),
-    ("build_block-case", "10^5000 -10^5000"),
-    ("build_block-geometry", "10^5000 -10^5000"),
-    ("build_block-ell", "-10^5000 -3"),
-    ("build_block-sigma_ell", "10^5000 -10^5000"),
-    ("build_block-epsilon", "10^5000 -10^5000"),
-    ("build_block-theta", "10^5000 -10^5000"),
-    ("OracleReport.from_arrays-computed", "complex 2^1100 10^5000 -10^5000"),
-    ("OracleReport.from_arrays-reference", "complex 2^1100 10^5000 -10^5000"),
-    ("hermitian_eigs-h", "2^1100 10^5000 -10^5000"),
-    ("ring_fd_spectrum-ell", "-10^5000 -3"),
-    ("ring_fd_spectrum-sigma_ell", "10^5000 -10^5000"),
-    ("ring_fd_spectrum-method", "10^5000 -10^5000"),
-    ("radial_fd_spectrum-ell", "-10^5000 -3"),
-    ("radial_fd_spectrum-sigma_ell", "10^5000 -10^5000"),
-    ("superposition_block_scan-case", "10^5000 -10^5000"),
-    ("superposition_block_scan-geometry", "10^5000 -10^5000"),
-    ("superposition_block_scan-ell", "-10^5000 -3"),
-    ("superposition_block_scan-sigma_ell", "inf -inf 2^1100 10^5000 -10^5000"),
-    ("superposition_block_scan-epsilon", "10^5000 -10^5000"),
-    ("superposition_block_scan-theta", "10^5000 -10^5000"),
-    ("quadrature_norm-f", "nan inf -inf text none complex 2^1100 10^5000 -10^5000 4.5 -3"),
-    ("quadrature_overlap-f", "nan inf -inf text none complex 2^1100 10^5000 -10^5000 4.5 -3"),
-    ("quadrature_overlap-g", "nan inf -inf text none complex 2^1100 10^5000 -10^5000 4.5 -3"),
-    ("run_verification-tolerance_scale", "10^5000 -10^5000"),
-] for label in labels.split()}
-KNOWN_SPLITS = {"delta_alpha", "ell", "epsilon", "m", "m_window", "sigma_ell", "theta",
-                "boundary-text-ell", "sweep-text-ell", "boundary-none-sigma_ell",
-                "sweep-none-sigma_ell"}
-
-
-def _marked(ids):
-    return [pytest.param(i, marks=[pytest.mark.xfail(strict=True)] if i in KNOWN_SPLITS else [])
-            for i in ids]
-
-
 def _parameters(call) -> list[str]:
     """The parameter names of call, a record's fields for a record."""
     if isinstance(call, type) and hasattr(call, "_SETTERS"):
@@ -353,9 +252,7 @@ def _cases():
         for name in covered:
             spec = specs.get(name) or Rule(name)
             for label, value in CORPUS.items():
-                case_id = f"{export}-{name}-{label}"
-                marks = [pytest.mark.xfail(strict=True)] if case_id in KNOWN_ESCAPES else []
-                yield pytest.param(export, name, spec, value, id=case_id, marks=marks)
+                yield pytest.param(export, name, spec, value, id=f"{export}-{name}-{label}")
 
 
 def _call(export: str, name: str, value):
@@ -394,33 +291,33 @@ def test_bad_value_ends_in_its_rule(export, name, spec, value):
 
 
 def _takers() -> dict:
-    """Each scalar rule name without route bounds, with the (export, parameter)
-    pairs that take it."""
+    """Each scalar rule name without route bounds, with the (export, parameter,
+    spec) triples that take it."""
     takers: dict = {}
     for export, (call, point, specs) in EXPORTS.items():
         for name in point:
             spec = specs.get(name) or Rule(name)
             if isinstance(spec, Rule) and spec.lo is None and spec.hi is None:
-                takers.setdefault(spec.name, []).append((export, name))
-    return {name: pairs for name, pairs in takers.items() if len(pairs) > 1}
+                takers.setdefault(spec.name, []).append((export, name, spec))
+    return {name: triples for name, triples in takers.items() if len(triples) > 1}
 
 
 @pytest.mark.filterwarnings("ignore::fluxring.ExpansionWarning")
-@pytest.mark.parametrize("name", _marked(sorted(_takers())))
+@pytest.mark.parametrize("name", sorted(_takers()))
 def test_a_name_refuses_a_value_with_one_message_on_every_route(name):
     """Where the rule of a name refuses a value, every export that takes the name
     raises the same message, and the same class outside FieldConfig."""
     for label, value in CORPUS.items():
-        if expected(name, value) is None:
-            continue
         messages, classes = set(), set()
-        for export, parameter in _takers()[name]:
+        for export, parameter, spec in _takers()[name]:
+            if spec.outcome(value) is None:  # a None default
+                continue
             with pytest.raises(FluxRingError) as caught:
                 _call(export, parameter, value)
             messages.add(str(caught.value))
             if export != "FieldConfig":
                 classes.add(type(caught.value))
-        assert len(messages) == 1 and len(classes) <= 1, (label, messages, classes)
+        assert len(messages) <= 1 and len(classes) <= 1, (label, messages, classes)
 
 
 SWEEP_ORDER = {
@@ -435,7 +332,7 @@ SWEEP_ORDER = {
 }
 
 
-@pytest.mark.parametrize("case", _marked(SWEEP_ORDER))
+@pytest.mark.parametrize("case", sorted(SWEEP_ORDER))
 def test_sweeps_check_each_parameter_by_its_rule_before_comparing_them(case):
     """|sigma_ell| < ell was compared before either had faced its rule: a text ell
     raised a UsageError naming sigma_ell, and a None sigma_ell a bare TypeError."""
@@ -443,3 +340,19 @@ def test_sweeps_check_each_parameter_by_its_rule_before_comparing_them(case):
     with pytest.raises(FluxRingError) as caught:
         call()
     assert (type(caught.value), str(caught.value)) == (DomainError, message)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: fluxring.hermitian_eigs("x"), ValidationError, "h must hold numbers"),
+    (lambda: fluxring.OracleReport.from_arrays("a", "b"), ValidationError,
+     "computed and reference must hold numbers"),
+    (lambda: PROFILE("x"), DomainError, "r must hold numbers"),
+    (lambda: fluxring.laguerre_gen(1, 1.0, "x"), DomainError, "x must hold numbers"),
+    (lambda: PROFILE([1.0, math.inf]), DomainError, "r must be finite and >= 0"),
+], ids=["hermitian_eigs", "from_arrays", "profile", "laguerre_gen", "profile-inf"])
+def test_an_array_that_holds_no_numbers_is_a_typed_error(call, error, message):
+    """The first four raised a bare ValueError from np.asarray, and an infinite
+    radius an invalid-value RuntimeWarning with a NaN profile."""
+    with pytest.raises(FluxRingError) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)

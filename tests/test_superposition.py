@@ -328,7 +328,7 @@ class TestBuildBlock:
         for build in (lambda: build_block("i", "ring", ell, 1.0, 0.1),
                       lambda: build_block("ii", "harmonic", ell, 1.0, 0.1, m=range(-6, 7)),
                       lambda: superpose_ring("i", ell, 1.0, 0.1)):
-            with pytest.raises(DomainError, match="^ell must be (a nonnegative|an) integer, got "):
+            with pytest.raises(DomainError, match="^ell must be (>= 0|an integer), got "):
                 build()
 
     @pytest.mark.parametrize("sigma_ell", [math.nan, math.inf, -math.inf, "1.0", None])
@@ -761,7 +761,7 @@ class TestFeasibility:
             with pytest.raises(SingularOverlapError, match=r"^epsilon = 1\.0 >= 1$") as caught:
                 feasibility_sweep(case, geometry, 4, [1, 0], [0.5, 0.0])
             assert [entry.name for entry in caught.traceback[-2:]] == [
-                "_closed_forms", "_check_epsilon"]
+                "_closed_forms", "_check"]
 
         if case == "ii":
             with pytest.warns(ExpansionWarning, match="case \\(ii\\) with sigma = 0"):
