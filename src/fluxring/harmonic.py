@@ -162,9 +162,12 @@ def laguerre_gen(n: int, a: float, x):
     >>> laguerre_gen(2, 1.0, 2.0)
     -1.0
     """
-    if (n := _check("n", n)) > _MAX_ORDER:
+    if type(n) is not int or n < 0:
+        n = _check("n", n)
+    if n > _MAX_ORDER:
         raise DomainError(f"n exceeds the {_MAX_ORDER}-step recurrence limit")
-    a = _check("a", a)
+    if type(a) is not float or not -1.0 < a < math.inf:  # a profile's mu passes at once
+        a = _check("a", a)
     import numpy as np
 
     try:
@@ -182,7 +185,9 @@ def laguerre_gen(n: int, a: float, x):
 
 def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0; a thin domain guard over math.lgamma."""
-    return math.lgamma(_check("x", x))
+    if type(x) is not float or not x > 0.0:
+        x = _check("x", x)
+    return math.lgamma(x)
 
 
 class RadialFunction(_Record):
@@ -203,7 +208,7 @@ class RadialFunction(_Record):
             rs = np.asarray(r, dtype=float)
         except (TypeError, ValueError, OverflowError):
             raise DomainError("r must hold numbers") from None
-        if not np.all((rs >= 0.0) & (rs < np.inf)):  # NaN fails it
+        if not ((rs >= 0.0) & (rs < np.inf)).all():  # NaN fails it; .all() skips np.all's frame
             raise DomainError("r must be finite and >= 0")
         x = 0.5 * rs * rs
         logx = np.log(np.where(x > 0.0, x, 1.0))
@@ -222,7 +227,9 @@ def radial_wavefunction(ell: int, sigma_ell: float, n: int, m: int) -> RadialFun
     represented the state is outside the supported range.  n takes
     laguerre_gen's bound: an integer in [0, 10000], or DomainError.
     """
-    if (n := _check("n", n)) > _MAX_ORDER:
+    if type(n) is not int or n < 0:
+        n = _check("n", n)
+    if n > _MAX_ORDER:
         raise DomainError(f"n exceeds the {_MAX_ORDER}-step recurrence limit")
     mu_nm = mu(ell, sigma_ell, m)
     log_norm = 0.5 * (log_gamma(n + 1.0) - log_gamma(n + mu_nm + 1.0))
