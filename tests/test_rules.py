@@ -131,7 +131,7 @@ class Own:
     """A choice or record-typed parameter: every corpus value is refused with its message."""
 
     def __init__(self, error, message):
-        self.error, self.message, self.grid = error, message, False
+        self.error, self.message = error, message
 
     def given(self, value):
         return value
@@ -142,8 +142,6 @@ class Own:
 
 class Array:
     """An array parameter: any answer or typed error will do."""
-
-    grid = False
 
     def given(self, value):
         return value
