@@ -21,7 +21,8 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
-from .ring import _check, _Record, _shown, _square_sum, _sweep_window, ground_m
+from .ring import (_check, _number_array, _Record, _shown, _square_sum, _sweep_window,
+                   ground_m)
 
 # Energy unit of every trap table.
 _UNIT_LABEL = "hbar*Omega"
@@ -154,8 +155,9 @@ def laguerre_gen(n: int, a: float, x):
 
     (k+1) L_{k+1} = (2k + 1 + a - x) L_k - (k + a) L_{k-1}
 
-    Exact for the small orders used here; accepts scalar or array x >= 0.
-    n is at most _MAX_ORDER = 10000 and a is finite and > -1, or DomainError.
+    Exact for the small orders used here; accepts scalar or array x >= 0
+    of bool, int or float dtype (text is no number).  n is at most
+    _MAX_ORDER = 10000 and a is finite and > -1, or DomainError.
 
     Examples
     --------
@@ -170,10 +172,7 @@ def laguerre_gen(n: int, a: float, x):
         a = _check("a", a)
     import numpy as np
 
-    try:
-        xs = np.asarray(x, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("x must hold numbers") from None
+    xs = _number_array(x, "x")
     if not np.all(xs >= 0.0):  # NaN fails it
         raise DomainError("x must be >= 0")
     prev = np.zeros_like(xs)
@@ -193,9 +192,10 @@ def log_gamma(x: float) -> float:
 class RadialFunction(_Record):
     """Evaluator for the normalized radial profile f_{n,m}(r).
 
-    Calling it with r (scalar or array, in units of r0) assembles the
-    prefactor in the log domain, so large mu never overflows.  A frozen
-    record of (ell, sigma_ell, n, m, mu, log_norm); repr leaves log_norm out.
+    Calling it with r (scalar or array of bool, int or float dtype, in
+    units of r0) assembles the prefactor in the log domain, so large mu
+    never overflows.  A frozen record of (ell, sigma_ell, n, m, mu,
+    log_norm); repr leaves log_norm out.
     """
 
     __slots__ = ("ell", "sigma_ell", "n", "m", "mu", "log_norm")
@@ -204,10 +204,7 @@ class RadialFunction(_Record):
     def __call__(self, r):
         import numpy as np
 
-        try:
-            rs = np.asarray(r, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError("r must hold numbers") from None
+        rs = _number_array(r, "r")
         if not ((rs >= 0.0) & (rs < np.inf)).all():  # NaN fails it; .all() skips np.all's frame
             raise DomainError("r must be finite and >= 0")
         x = 0.5 * rs * rs

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (CaseError, ConvergenceError, DomainError, DomainSizeError,
                      WindowError)
 from .harmonic import RadialFunction
 from .params import as_geometry_kind
-from .ring import _check, _check_table_rows, _shown, _square_sum, ground_m
+from .ring import _check, _check_table_rows, _number_array, _shown, _square_sum, ground_m
 from .superposition import _block_parameters, _closed_forms, _row
 
 __all__ = [
@@ -77,14 +77,17 @@ class OracleReport:
         or NaN has no meaningful deviation: then both maxima are NaN, and
         NaN fails every tolerance.  No numpy warning is raised.  A report
         holds one to a few cells, so the deviations are plain floats.
+        Both sides must hold bool, int or float numbers, the same number
+        of them, and metadata must be a mapping or None (ValidationError).
         """
-        try:
-            computed = np.asarray(computed, dtype=float)
-            reference = np.asarray(reference, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError("computed and reference must hold numbers") from None
+        what = "computed and reference"
+        computed = _number_array(computed, what, ValidationError)
+        reference = _number_array(reference, what, ValidationError)
         if computed.shape != reference.shape:
             raise ValidationError("computed and reference lists differ in length")
+        if not (metadata is None or isinstance(metadata, Mapping)):
+            raise ValidationError(
+                f"metadata must be a mapping or None, got {_shown(metadata, repr)}")
         got = computed.ravel().tolist()
         want = reference.ravel().tolist()
         if not (all(map(math.isfinite, got)) and all(map(math.isfinite, want))):
@@ -107,11 +110,10 @@ def hermitian_eigs(h, compute_vectors: bool = False):
     lower triangle.  With compute_vectors=True the unit-norm eigenvectors
     come back as columns, and their residuals are checked against
     1e-10 ||H||, so a solver failure is raised rather than returned.
+    Entries of any other dtype kind than bool, int, float or complex
+    (text, say) raise ValidationError.
     """
-    try:
-        h = np.asarray(h, dtype=complex)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError("h must hold numbers") from None
+    h = _number_array(h, "h", ValidationError, complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {h.shape}")
     if not np.isfinite(h).all():
@@ -388,8 +390,9 @@ class GenEig2:
     be Hermitian.  a is one overlap A shared by the blocks, or a (k, 2, 2)
     stack of them, one per block of a stacked h.  Every overlap is the
     unit-diagonal [[1, eps e^{i theta}], [conj, 1]] with eps < 1.  Every
-    entry of h and a must be finite, and so must its magnitude.  The
-    checks run on construction, before any arithmetic that could warn,
+    entry of h and a must be a finite number (of bool, int, float or
+    complex dtype), and so must its magnitude.  The checks run on
+    construction, before any arithmetic that could warn,
     and raise DomainError (SingularOverlapError for eps >= 1); so does
     any other shape, or an a that does not hold one overlap per block.
 
@@ -426,12 +429,12 @@ class GenEig2:
                 blocks = f"the {len(h)} blocks of h" if stacked else "the single block h"
                 raise DomainError(f"a holds {len(a)} overlaps for {blocks}; give one overlap "
                                   "shared by the blocks or one per block")
+        if not (h.dtype.kind in "biufc" and a.dtype.kind in "biufc"):  # numpy parses text
+            raise DomainError("h and a must hold numbers")
         dtype = complex if "c" in (h.dtype.kind, a.dtype.kind) else float
-        try:  # own read-only copies: a caller's later edit cannot skip the checks
-            h = np.array(h, dtype=dtype)
-            a = np.array(a, dtype=dtype)
-        except (TypeError, ValueError, OverflowError):  # entries that are not numbers
-            raise DomainError("h and a must hold numbers") from None
+        # own read-only copies: a caller's later edit cannot skip the checks
+        h = np.array(h, dtype=dtype)
+        a = np.array(a, dtype=dtype)
         h.setflags(write=False)
         a.setflags(write=False)
         object.__setattr__(self, "h", h)
@@ -500,8 +503,9 @@ def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues ascending, eigenvectors as columns, normalized
     in the A metric), shaped (2,) and (2, 2) for one block and (k, 2) and
     (k, 2, 2) for a (k, 2, 2) stack; a bare (h, a) tuple is checked as a
-    GenEig2 first.  Each overlap's eigenbasis is analytic, so A^(-1/2) is
-    closed form, built by GenEig2 once per overlap: one shared by every
+    GenEig2 first, and any other problem raises DomainError.  Each
+    overlap's eigenbasis is analytic, so A^(-1/2) is closed form, built
+    by GenEig2 once per overlap: one shared by every
     block, or one per block.  All blocks go to LAPACK in one
     np.linalg.eigh call, and each block's residual must stay within
     1e-12 of its largest entry (VerificationError).  A block gives the
@@ -517,6 +521,9 @@ def gen_eig_2x2(problem: GenEig2 | tuple) -> tuple[np.ndarray, np.ndarray]:
     14.9899244
     """
     if not isinstance(problem, GenEig2):
+        if not (isinstance(problem, tuple) and len(problem) == 2):
+            raise DomainError(
+                f"problem must be a GenEig2 or an (h, a) pair, got {_shown(problem, repr)}")
         problem = GenEig2(*problem)
     h, a = problem.h, problem.a
     a_inv_half = problem._a_inv_half
@@ -660,6 +667,7 @@ _GAUSS_FIRST_ORDER = 64    # first Gauss-Legendre order; each refinement doubles
 _GAUSS_MAX_ORDER = 2048    # the order past which the rule gives up
 _GAUSS_TOL = 1e-12         # |Q_n - Q_2n| that counts as settled
 _GAUSS_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GAUSS_PAIRED: list[np.ndarray] = []  # the nodes of the first two orders and 1.0, joined
 
 
 def _graded_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -688,36 +696,42 @@ def quadrature_overlap(f: RadialFunction, g: RadialFunction) -> float:
     order.  Orders run 64, 128, ... up to
     2048; Q_2n is returned once |Q_n - Q_2n| <= 1e-12, and a rule that
     has not settled by then raises ConvergenceError instead of returning
-    a value.  The rule sees only r_max, never mu or the normalization,
-    and each profile is evaluated once per order on an array (once in
-    all when g is f).  f and g must be profiles, callables with a radial
+    a value.  The rule sees only r_max, never mu or the normalization.
+    Each profile is evaluated on an array: once on the joined nodes of
+    orders 64 and 128 and r_max, then once per further order (f alone
+    when g is f).  f and g must be profiles, callables with a radial
     exponent mu as a RadialFunction is, or DomainError.
     """
     for name, profile in (("f", f), ("g", g)):
         if not (callable(profile) and hasattr(profile, "mu")):
             raise DomainError(f"{name} must be a RadialFunction, got {_shown(profile, repr)}")
     r_max = math.sqrt(2.0 * max(f.mu, g.mu)) + 12.0
-    order, previous = _GAUSS_FIRST_ORDER, None
-    while True:
-        nodes, weights = _graded_rule(order)
-        r = r_max * nodes
-        if previous is None:  # r_max rides along for the tail check
-            r = np.append(r, r_max)
-        fr = f(r)
-        product = fr * fr if g is f else fr * g(r)
-        if previous is None:
-            tail = abs(float(product[-1])) * r_max * 2.0
-            if tail > 1e-8:
-                raise DomainSizeError(f"integrand tail estimate {tail} at r_max = {r_max}")
-            product = product[:-1]
-        value = float(r_max * r_max * (weights @ product))
-        if previous is not None and abs(value - previous) <= _GAUSS_TOL:
-            return value
+    order = _GAUSS_FIRST_ORDER
+    first, second = _graded_rule(order), _graded_rule(2 * order)
+    if not _GAUSS_PAIRED:  # the node 1.0 puts r_max at the end for the tail check
+        _GAUSS_PAIRED.append(np.concatenate((first[0], second[0], [1.0])))
+    product = _profile_product(f, g, r_max * _GAUSS_PAIRED[0])
+    tail = abs(float(product[-1])) * r_max * 2.0
+    if tail > 1e-8:
+        raise DomainSizeError(f"integrand tail estimate {tail} at r_max = {r_max}")
+    previous = float(r_max * r_max * (first[1] @ product[:order]))
+    value = float(r_max * r_max * (second[1] @ product[order:-1]))
+    order *= 2
+    while not abs(value - previous) <= _GAUSS_TOL:  # NaN never settles
         if order >= _GAUSS_MAX_ORDER:
             raise ConvergenceError(
                 f"Gauss-Legendre rule unsettled: orders {order // 2} and {order} "
                 f"differ by {abs(value - previous)}")
         order, previous = 2 * order, value
+        nodes, weights = _graded_rule(order)
+        value = float(r_max * r_max * (weights @ _profile_product(f, g, r_max * nodes)))
+    return value
+
+
+def _profile_product(f: RadialFunction, g: RadialFunction, r: np.ndarray) -> np.ndarray:
+    """f(r) g(r), with one evaluation when g is f."""
+    fr = f(r)
+    return fr * fr if g is f else fr * g(r)
 
 
 def quadrature_norm(f: RadialFunction) -> float:

@@ -55,6 +55,31 @@ def _check_table_rows(rows: int, what: str) -> None:
                          f"table limit")
 
 
+def _grid(values, name: str):
+    """An iterator over the entries of the name grid, or UsageError naming a value
+    that is no grid (None, a number)."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise UsageError(f"{name} grid must be iterable, got {_shown(values, repr)}") from None
+
+
+def _number_array(value, what: str, error: type = DomainError, dtype: type = float):
+    """value as an ndarray of dtype, float or complex, or error(f"{what} must hold
+    numbers") unless its dtype kind is bool, int, float or (for complex) complex.
+    Text, None and other objects are no numbers, although numpy would parse
+    text as one; a float64 array passes on its dtype alone."""
+    import numpy as np
+
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):  # a ragged nesting has no array
+        array = None
+    if array is None or array.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+        raise error(f"{what} must hold numbers")
+    return np.asarray(array, dtype=dtype)
+
+
 def _amplitude(value) -> float:
     """float(value) of a real amplitude, which a complex with no imaginary part is."""
     if isinstance(value, complex) and value.imag == 0.0:
@@ -308,12 +333,13 @@ def _sweep_window(ell: int, sigma_ell_values: Sequence[float] | Iterable[float],
     The window defaults to ceil(max |sigma_ell|) + 2 and must at least
     contain the ground state plus one neighbor at every grid point.  An
     ell or grid entry outside its rule, or a ground state whose
-    ell^2 + m^2 has no float, raises DomainError, and a table of more
-    than _MAX_TABLE_ROWS rows (grid x window x levels) raises
-    UsageError, all before any row is built.
+    ell^2 + m^2 has no float, raises DomainError; a grid that is not
+    iterable, and a table of more than _MAX_TABLE_ROWS rows (grid x
+    window x levels), raise UsageError, all before any row is built.
     """
     _check("ell", ell)
-    grid = [s if type(s) is float else _check("sigma_ell", s) for s in sigma_ell_values]
+    grid = [s if type(s) is float else _check("sigma_ell", s)
+            for s in _grid(sigma_ell_values, "sigma_ell")]
     if not grid:
         raise UsageError("sigma_ell grid is empty")
     worst = 0

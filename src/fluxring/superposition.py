@@ -58,7 +58,7 @@ from .darkstate import (FluxCase, _damping, _damping_scale, _delta_alpha_at, _sp
 from .errors import CaseError, DegeneracyError, DomainError, ExpansionWarning, UsageError
 from .harmonic import harmonic_gap
 from .params import GeometryKind, as_geometry_kind
-from .ring import (_check, _check_table_rows, _Record, _square_sum, _square_sum_error,
+from .ring import (_check, _check_table_rows, _grid, _Record, _square_sum, _square_sum_error,
                    ground_m, ring_gap)
 
 __all__ = [
@@ -414,12 +414,13 @@ def feasibility_sweep(case, geometry, ell: int,
     its mixing ratio and feasible flag so the infeasible region stays
     visible in the output.  ell and each grid entry face their rules
     first; a delta_alpha that is a float faces its rule in its point's turn.
+    A grid that is not iterable, or empty, raises UsageError.
     """
     if type(ell) is not int or ell < 0:
         ell = _check("ell", ell)
-    sig_grid = [_check("sigma_ell", s) for s in sigma_ell_values]
+    sig_grid = [_check("sigma_ell", s) for s in _grid(sigma_ell_values, "sigma_ell")]
     da_grid = [float(d) if isinstance(d, float) else _check("delta_alpha", d)
-               for d in delta_alpha_values]
+               for d in _grid(delta_alpha_values, "delta_alpha")]
     if not sig_grid or not da_grid:
         raise UsageError("feasibility grid is empty")
     _check_table_rows(len(sig_grid) * len(da_grid),

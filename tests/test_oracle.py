@@ -1,6 +1,7 @@
 """Numerical oracle layer: LAPACK-backed eigensolvers, FD routes, block scans."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -598,6 +599,64 @@ class TestStackedPencils:
             gen_eig_2x2(per_block)
 
 
+class _Counted:
+    """Stand-in profile that counts its calls and passes them to a real profile."""
+
+    def __init__(self, profile):
+        self.profile, self.mu, self.calls = profile, profile.mu, 0
+
+    def __call__(self, r):
+        self.calls += 1
+        return self.profile(r)
+
+
+def _recorded_orders(monkeypatch) -> list:
+    """The orders of every _graded_rule call from now on, in call order."""
+    orders = []
+    rule = oracle._graded_rule
+
+    def recorded(order):
+        orders.append(order)
+        return rule(order)
+
+    monkeypatch.setattr(oracle, "_graded_rule", recorded)
+    return orders
+
+
+def _per_order_overlap(f, g):
+    """quadrature_overlap evaluated once per order: r_max appended to the order-64
+    nodes for the tail, then the same dot products and settle test."""
+    r_max = math.sqrt(2.0 * max(f.mu, g.mu)) + 12.0
+    order, previous = 64, None
+    while True:
+        nodes, weights = oracle._graded_rule(order)
+        r = r_max * nodes
+        if previous is None:
+            r = np.append(r, r_max)
+        product = f(r) * g(r)
+        if previous is None:
+            product = product[:-1]
+        value = float(r_max * r_max * (weights @ product))
+        if previous is not None and abs(value - previous) <= 1e-12:
+            return value
+        order, previous = 2 * order, value
+
+
+def _profile_pairs():
+    """A seeded sample of profile pairs with one (ell, sigma_ell, m), and one pair
+    whose rule refines to order 512."""
+    rng = random.Random(39)
+    pairs = []
+    while len(pairs) < 60:
+        ell, sigma_ell, m = rng.randint(0, 12), round(rng.uniform(0.0, 2.7), 3), rng.randint(-3, 3)
+        if ell * ell + m * m + 2.0 * sigma_ell * m <= 0.0:
+            continue  # no radial exponent
+        pairs.append(tuple(radial_wavefunction(ell, sigma_ell, rng.randint(0, 5), m)
+                           for _ in range(2)))
+    big = radial_wavefunction(150, 1.0, 10, -1)
+    return pairs + [(big, big)]
+
+
 class TestQuadrature:
     def test_norms_are_one(self):
         for n in (0, 1, 3):
@@ -650,6 +709,33 @@ class TestQuadrature:
                             limit=200, epsabs=1e-12, epsrel=1e-12)
         assert abs(quadrature_norm(f) - reference) <= 1e-12
         assert orders == [64, 128, 256, 512]
+
+    def test_each_profile_is_called_once_when_the_rule_settles_at_128(self, monkeypatch):
+        """Orders 64 and 128 share one evaluation of each profile."""
+        orders = _recorded_orders(monkeypatch)
+        f = _Counted(radial_wavefunction(4, 1.0, 0, -1))
+        g = _Counted(radial_wavefunction(4, 1.0, 2, -1))
+        quadrature_norm(f)
+        assert orders == [64, 128] and f.calls == 1
+        quadrature_overlap(f, g)
+        assert (f.calls, g.calls) == (2, 1)
+
+    def test_each_further_order_costs_one_more_call(self, monkeypatch):
+        orders = _recorded_orders(monkeypatch)
+        f = _Counted(radial_wavefunction(150, 1.0, 10, -1))
+        quadrature_norm(f)
+        assert orders == [64, 128, 256, 512] and f.calls == 3
+        g = _Counted(f.profile)
+        quadrature_overlap(f, g)
+        assert (f.calls, g.calls) == (6, 3)
+
+    def test_values_keep_the_bits_of_one_evaluation_per_order(self):
+        """Norms and overlaps equal a per-order evaluation bit for bit, past
+        order 128 too: each profile is elementwise in r."""
+        for f, g in _profile_pairs():
+            for left, right in ((f, f), (f, g)):
+                got = quadrature_overlap(left, right)
+                assert got.hex() == _per_order_overlap(left, right).hex(), (left, right)
 
     def test_jump_inside_the_domain_never_settles(self):
         class Step:

@@ -11,12 +11,14 @@ table-size or cross-parameter check of its route).  The class matches on
 every route except FieldConfig, whose every field raises ConfigError.
 
 Choice parameters (case, geometry, convention, method) and record-typed
-ones (config, f, g) carry their own messages.  Array parameters (h,
-computed, reference, laguerre_gen's x, a profile's r) have no scalar
-rule; they only have to end in an answer or a typed error.  Left out:
-the enums (a lookup by value), the row and result records the package
-builds itself, GenEig2's arrays (tests/test_superposition.py),
-gen_eig_2x2's problem, metadata and compute_vectors.
+ones (config, f, g, problem, metadata) carry their own messages.  Array
+parameters (h, computed, reference, laguerre_gen's x, a profile's r)
+have no scalar rule: they refuse text with their route's "... must hold
+numbers", and any other value only has to end in an answer or a typed
+error.  A grid that is not iterable is a UsageError.  Left out: the
+enums (a lookup by value), the row and result records the package
+builds itself, GenEig2's arrays (tests/test_superposition.py) and
+compute_vectors.
 """
 
 import inspect
@@ -128,32 +130,40 @@ class Rule:
 
 
 class Own:
-    """A choice or record-typed parameter: every corpus value is refused with its message."""
+    """A choice or record-typed parameter: every corpus value is refused with its
+    message; none_ok lets a None default through."""
 
-    def __init__(self, error, message):
-        self.error, self.message = error, message
+    def __init__(self, error, message, none_ok=False):
+        self.error, self.message, self.none_ok = error, message, none_ok
 
     def given(self, value):
         return value
 
     def outcome(self, value):
+        if value is None and self.none_ok:
+            return None
         return self.error, self.message.format(shown(value))
 
 
 class Array:
-    """An array parameter: any answer or typed error will do."""
+    """An array parameter of the route that names it `what`: text is refused with
+    the route's error, and any other value may end in an answer or a typed error."""
+
+    def __init__(self, error, what):
+        self.error, self.message = error, f"{what} must hold numbers"
 
     def given(self, value):
         return value
 
     def outcome(self, value):
-        return None
+        return (self.error, self.message) if isinstance(value, str) else None
 
 
 CASE = Own(CaseError, "unknown flux case {}")
 GEOMETRY = Own(ConfigError, "unknown geometry {}")
 CONVENTION = Own(UsageError, "unknown overlap convention {}")
 PROFILE = fluxring.radial_wavefunction(4, 1.0, 0, -1)
+BLOCK = fluxring.build_block("i", "ring", 4, 1.0, 0.1)
 POINT = dict(case="i", ell=4, sigma_ell=1.0, epsilon=0.1, theta=0.0)
 
 # export -> (callable, its valid point, a spec for each parameter that differs from
@@ -189,11 +199,12 @@ EXPORTS = {
                                 dict(ell=4, sigma_ell_values=[1.0], m_window=3),
                                 {"sigma_ell_values": Rule("sigma_ell", grid=True),
                                  "m_window": Rule("m_window", none_ok=True)}),
-    "laguerre_gen": (fluxring.laguerre_gen, dict(n=2, a=1.0, x=2.0), {"x": Array()}),
+    "laguerre_gen": (fluxring.laguerre_gen, dict(n=2, a=1.0, x=2.0),
+                     {"x": Array(DomainError, "x")}),
     "log_gamma": (fluxring.log_gamma, dict(x=2.5), {}),
     "radial_wavefunction": (fluxring.radial_wavefunction,
                             dict(ell=4, sigma_ell=1.0, n=0, m=-1), {}),
-    "RadialFunction.__call__": (PROFILE, dict(r=1.0), {"r": Array()}),
+    "RadialFunction.__call__": (PROFILE, dict(r=1.0), {"r": Array(DomainError, "r")}),
     "superpose_ring": (fluxring.superpose_ring, POINT, {"case": CASE}),
     "superpose_harmonic": (fluxring.superpose_harmonic, POINT, {"case": CASE}),
     "small_eps_delta_e": (fluxring.small_eps_delta_e,
@@ -211,10 +222,18 @@ EXPORTS = {
                              {"case": CASE, "geometry": GEOMETRY, "convention": CONVENTION}),
     "build_block": (fluxring.build_block, dict(POINT, geometry="ring", m=-1),
                     {"case": CASE, "geometry": GEOMETRY, "m": Rule("m", none_ok=True)}),
+    "gen_eig_2x2": (fluxring.gen_eig_2x2, dict(problem=BLOCK),
+                    {"problem": Own(DomainError,
+                                    "problem must be a GenEig2 or an (h, a) pair, got {}")}),
     "OracleReport.from_arrays": (fluxring.OracleReport.from_arrays,
-                                 dict(computed=[1.0], reference=[1.0]),
-                                 {"computed": Array(), "reference": Array()}),
-    "hermitian_eigs": (fluxring.hermitian_eigs, dict(h=[[1.0]]), {"h": Array()}),
+                                 dict(computed=[1.0], reference=[1.0], metadata=None),
+                                 {"computed": Array(ValidationError, "computed and reference"),
+                                  "reference": Array(ValidationError, "computed and reference"),
+                                  "metadata": Own(ValidationError,
+                                                  "metadata must be a mapping or None, got {}",
+                                                  none_ok=True)}),
+    "hermitian_eigs": (fluxring.hermitian_eigs, dict(h=[[1.0]]),
+                       {"h": Array(ValidationError, "h")}),
     "ring_fd_spectrum": (fluxring.ring_fd_spectrum,
                          dict(ell=4, sigma_ell=1.2, n_grid=64, k_lowest=9, method="circulant"),
                          {"n_grid": Rule("n_grid", lo=64), "k_lowest": Rule("k_lowest", hi=64),
@@ -262,7 +281,7 @@ def _call(export: str, name: str, value):
 @pytest.mark.parametrize("export", sorted(EXPORTS))
 def test_every_export_covers_its_parameters_and_returns_at_its_point(export):
     call, point, specs = EXPORTS[export]
-    left_out = {"metadata", "compute_vectors"}
+    left_out = {"compute_vectors"}
     assert set(point) == set(_parameters(call)) - left_out
     assert set(specs) <= set(point)
     call(**point)
@@ -340,6 +359,25 @@ def test_sweeps_check_each_parameter_by_its_rule_before_comparing_them(case):
     assert (type(caught.value), str(caught.value)) == (DomainError, message)
 
 
+GRIDS = [("ring_spectrum_sweep", "sigma_ell_values", "sigma_ell"),
+         ("harmonic_spectrum_sweep", "sigma_ell_values", "sigma_ell"),
+         ("feasibility_sweep", "sigma_ell_values", "sigma_ell"),
+         ("feasibility_sweep", "delta_alpha_values", "delta_alpha")]
+
+
+@pytest.mark.parametrize("label", sorted(set(CORPUS) - {"text"}))  # text is a grid of letters
+@pytest.mark.parametrize("export, parameter, grid", GRIDS,
+                         ids=[f"{export}-{parameter}" for export, parameter, _ in GRIDS])
+def test_a_grid_that_is_not_iterable_is_a_usage_error(export, parameter, grid, label):
+    """Iterating None or a number raised a bare TypeError."""
+    call, point, _ = EXPORTS[export]
+    value = CORPUS[label]
+    with pytest.raises(FluxRingError) as caught:
+        call(**dict(point, **{parameter: value}))
+    assert (type(caught.value), str(caught.value)) == (
+        UsageError, f"{grid} grid must be iterable, got {shown(value)}")
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: fluxring.hermitian_eigs("x"), ValidationError, "h must hold numbers"),
     (lambda: fluxring.OracleReport.from_arrays("a", "b"), ValidationError,
@@ -347,10 +385,20 @@ def test_sweeps_check_each_parameter_by_its_rule_before_comparing_them(case):
     (lambda: PROFILE("x"), DomainError, "r must hold numbers"),
     (lambda: fluxring.laguerre_gen(1, 1.0, "x"), DomainError, "x must hold numbers"),
     (lambda: PROFILE([1.0, math.inf]), DomainError, "r must be finite and >= 0"),
-], ids=["hermitian_eigs", "from_arrays", "profile", "laguerre_gen", "profile-inf"])
+    (lambda: fluxring.laguerre_gen(1, 1.0, "1"), DomainError, "x must hold numbers"),
+    (lambda: fluxring.hermitian_eigs([["2"]]), ValidationError, "h must hold numbers"),
+    (lambda: PROFILE("1"), DomainError, "r must hold numbers"),
+    (lambda: fluxring.GenEig2([["1", "0"], ["0", "2"]], [[1.0, 0.0], [0.0, 1.0]]),
+     DomainError, "h and a must hold numbers"),
+    (lambda: fluxring.OracleReport.from_arrays(["1"], ["1"]), ValidationError,
+     "computed and reference must hold numbers"),
+], ids=["hermitian_eigs", "from_arrays", "profile", "laguerre_gen", "profile-inf",
+        "laguerre_gen-text", "hermitian_eigs-text", "profile-text", "GenEig2-text",
+        "from_arrays-text"])
 def test_an_array_that_holds_no_numbers_is_a_typed_error(call, error, message):
     """The first four raised a bare ValueError from np.asarray, and an infinite
-    radius an invalid-value RuntimeWarning with a NaN profile."""
+    radius an invalid-value RuntimeWarning with a NaN profile.  The text cases
+    answered: numpy parses "1" as the number 1."""
     with pytest.raises(FluxRingError) as caught:
         call()
     assert (type(caught.value), str(caught.value)) == (error, message)
