@@ -1,6 +1,8 @@
 """Harmonic trap: Landau-like levels, gap, Laguerre tools, radial functions."""
 
+import hashlib
 import math
+import random
 import re
 import time
 
@@ -23,6 +25,32 @@ from fluxring import (
 )
 
 LN_SQRT_PI = 0.5723649429247001  # log Gamma(1/2), 50-digit value rounded
+
+# sha256 of the float.hex values below, pinned on the recurrence started at k = 0
+# from zeros and ones and on the profile with two x > 0 masks: a faster
+# evaluation must keep every bit
+LAGUERRE_DIGEST = "31aa8e9755fd5913299d5ebfc99b756c86cbd7b96da7f2c19d9729cc080ebe89"
+PROFILE_DIGEST = "81ac3c456e70145c8e78c751eb9fe2aefa52baf7bf8f02d948f863a07be3f46a"
+
+
+def _hex_digest(values) -> str:
+    return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
+
+
+def _pinned_profiles():
+    """Seeded profiles, n from 0 to 5 and mu from 0 to 12, each with r = 0 and the
+    joined nodes of the quadrature's orders 64 and 128 on [0, r_max], r_max last."""
+    rng = random.Random(4040)
+    states = [(0, 0.0, 0, 0), (1, 0.9, 5, -1), (12, 0.0, 3, 0)]  # mu = 0, 0.447, 12
+    for _ in range(9):
+        ell = rng.randint(1, 12)
+        states.append((ell, round(rng.uniform(-ell, ell), 3), rng.randint(0, 5),
+                       rng.randint(-3, 3)))
+    u = [0.5 * (np.polynomial.legendre.leggauss(k)[0] + 1.0) for k in (64, 128)]
+    t = np.concatenate(([0.0], u[0] * u[0], u[1] * u[1], [1.0]))
+    for state in states:
+        f = radial_wavefunction(*state)
+        yield f, (math.sqrt(2.0 * f.mu) + 12.0) * t
 
 
 class TestMu:
@@ -205,6 +233,35 @@ class TestLaguerre:
             scipy.special.eval_genlaguerre(10_000, 1.0, 2.0), rel=1e-9)
 
 
+    def test_values_keep_their_bits(self):
+        """L_n^a(x) for n = 0..6, a in {-0.5, 0, 0.7, 3} and x in {0, 0.3, 2, 11},
+        from each scalar x and from the array of all four."""
+        xs = [0.0, 0.3, 2.0, 11.0]
+        values = []
+        for n in range(7):
+            for a in (-0.5, 0.0, 0.7, 3.0):
+                values += [laguerre_gen(n, a, x) for x in xs]
+                values += laguerre_gen(n, a, np.array(xs)).tolist()
+        assert len(values) == 224
+        assert _hex_digest(values) == LAGUERRE_DIGEST
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_return_types(self, n):
+        """A scalar gives a float, an array an ndarray of its shape, and a 0-d array
+        a 0-d ndarray at n = 0 but a numpy float64 from n = 1."""
+        for x in (2.0, 2, np.float64(2.0)):
+            assert type(laguerre_gen(n, 1.0, x)) is float
+        zero_d = laguerre_gen(n, 1.0, np.array(2.0))
+        if n == 0:
+            assert type(zero_d) is np.ndarray and zero_d.shape == ()
+        else:
+            assert type(zero_d) is np.float64
+        for x in ([[1.0, 2.0, 3.0]], np.array([1, 2, 3])):
+            out = laguerre_gen(n, 1.0, x)
+            assert type(out) is np.ndarray and out.dtype == np.float64
+            assert out.shape == np.shape(x)
+
+
 class TestLogGamma:
     def test_known_values(self):
         assert log_gamma(1.0) == 0.0
@@ -293,6 +350,27 @@ class TestRadialWavefunction:
         f = radial_wavefunction(4, 1.0, 0, -1)
         with pytest.raises(DomainError):
             f(-0.5)
+
+    def test_values_keep_their_bits(self):
+        """Seeded profiles on r = 0 and the quadrature nodes, as one array and at
+        every 16th node as a scalar."""
+        values = []
+        for f, r in _pinned_profiles():
+            values += f(r).tolist()
+            values += [f(float(x)) for x in r[::16]]
+        assert len(values) == 12 * (194 + 13)
+        assert _hex_digest(values) == PROFILE_DIGEST
+
+    def test_return_types(self):
+        """A scalar gives a float, a 0-d array a numpy float64 and an array an
+        ndarray of its shape."""
+        for n in (0, 2):
+            f = radial_wavefunction(4, 1.0, n, -1)
+            for r in (2.0, 2, np.float64(2.0)):
+                assert type(f(r)) is float
+            assert type(f(np.array(2.0))) is np.float64
+            out = f([[0.0, 1.0, 2.0]])
+            assert type(out) is np.ndarray and out.shape == (1, 3)
 
     def test_rejects_overflowing_normalization(self):
         with pytest.raises(DomainError):
