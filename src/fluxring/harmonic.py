@@ -28,6 +28,7 @@ from .ring import (_check, _number_array, _Record, _shown, _square_sum, _sweep_w
 _UNIT_LABEL = "hbar*Omega"
 # laguerre_gen runs n Python steps: 5 ms at this n for a scalar x, 31 ms on 2048 points
 _MAX_ORDER = 10_000
+_R_MAX = 1.8961503816218352e154  # the largest radius whose r^2/2 is finite
 
 __all__ = [
     "mu",
@@ -155,9 +156,9 @@ def laguerre_gen(n: int, a: float, x):
 
     (k+1) L_{k+1} = (2k + 1 + a - x) L_k - (k + a) L_{k-1}
 
-    Exact for the small orders used here; accepts scalar or array x >= 0
-    of bool, int or float dtype (text is no number).  n is at most
-    _MAX_ORDER = 10000 and a is finite and > -1, or DomainError.
+    from L_0 = 1 and L_1 = 1 + a - x (its k = 0 step, bit for bit).  x >= 0 is a
+    scalar, which gives a float, or an array of bool, int or float dtype (text is
+    no number), which gives an ndarray.  n <= 10000 and a finite > -1, or DomainError.
 
     Examples
     --------
@@ -173,11 +174,10 @@ def laguerre_gen(n: int, a: float, x):
     import numpy as np
 
     xs = _number_array(x, "x")
-    if not np.all(xs >= 0.0):  # NaN fails it
+    if not (xs >= 0.0).all():  # NaN fails it; .all() skips np.all's frame
         raise DomainError("x must be >= 0")
-    prev = np.zeros_like(xs)
-    cur = np.ones_like(xs)
-    for k in range(n):
+    prev, cur = 1.0, ((1.0 + a) - xs if n else np.ones(xs.shape))
+    for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 + a - xs) * cur - (k + a) * prev) / (k + 1)
     return float(cur) if np.isscalar(x) else cur
 
@@ -192,10 +192,10 @@ def log_gamma(x: float) -> float:
 class RadialFunction(_Record):
     """Evaluator for the normalized radial profile f_{n,m}(r).
 
-    Calling it with r (scalar or array of bool, int or float dtype, in
-    units of r0) assembles the prefactor in the log domain, so large mu
-    never overflows.  A frozen record of (ell, sigma_ell, n, m, mu,
-    log_norm); repr leaves log_norm out.
+    Calling it with r in [0, _R_MAX], where r^2/2 is finite (scalar or array of
+    bool, int or float dtype, in units of r0), builds the prefactor in the log
+    domain, so large mu never overflows.  A frozen record of (ell, sigma_ell,
+    n, m, mu, log_norm); repr leaves log_norm out.
     """
 
     __slots__ = ("ell", "sigma_ell", "n", "m", "mu", "log_norm")
@@ -205,13 +205,13 @@ class RadialFunction(_Record):
         import numpy as np
 
         rs = _number_array(r, "r")
-        if not ((rs >= 0.0) & (rs < np.inf)).all():  # NaN fails it; .all() skips np.all's frame
-            raise DomainError("r must be finite and >= 0")
+        if not ((rs >= 0.0) & (rs <= _R_MAX)).all():  # NaN fails it; .all() skips np.all's frame
+            raise DomainError(f"r must be in [0, {_R_MAX}]")
         x = 0.5 * rs * rs
-        logx = np.log(np.where(x > 0.0, x, 1.0))
+        off_axis = x > 0.0
+        logx = np.log(np.where(off_axis, x, 1.0))
         axis = -np.inf if self.mu > 0.0 else 0.0  # limit of mu log x at the axis
-        logpre = (self.log_norm - 0.5 * x
-                  + np.where(x > 0.0, 0.5 * self.mu * logx, axis))
+        logpre = self.log_norm - 0.5 * x + np.where(off_axis, 0.5 * self.mu * logx, axis)
         value = np.exp(logpre) * laguerre_gen(self.n, self.mu, x)
         return float(value) if np.isscalar(r) else value
 

@@ -693,10 +693,11 @@ def quadrature_overlap(f: RadialFunction, g: RadialFunction) -> float:
     a profile extending past r_max (n = 20 at ell = 4, say) fails.  The
     integral comes from Gauss-Legendre rules on r = r_max u^2, u in
     [0, 1], with nodes from numpy's leggauss (Golub-Welsch), cached per
-    order.  Orders run 64, 128, ... up to
-    2048; Q_2n is returned once |Q_n - Q_2n| <= 1e-12, and a rule that
-    has not settled by then raises ConvergenceError instead of returning
-    a value.  The rule sees only r_max, never mu or the normalization.
+    order.  Orders run 64, 128, ... up to 2048; Q_2n is returned once
+    |Q_n - Q_2n| <= 1e-12, and a rule that has not settled by then, or
+    whose two orders differ by NaN, raises ConvergenceError instead of
+    returning a value.  The rule sees only r_max, never mu or the
+    normalization.
     Each profile is evaluated on an array: once on the joined nodes of
     orders 64 and 128 and r_max, then once per further order (f alone
     when g is f).  f and g must be profiles, callables with a radial
@@ -718,7 +719,7 @@ def quadrature_overlap(f: RadialFunction, g: RadialFunction) -> float:
     value = float(r_max * r_max * (second[1] @ product[order:-1]))
     order *= 2
     while not abs(value - previous) <= _GAUSS_TOL:  # NaN never settles
-        if order >= _GAUSS_MAX_ORDER:
+        if order >= _GAUSS_MAX_ORDER or math.isnan(value - previous):  # nor refines
             raise ConvergenceError(
                 f"Gauss-Legendre rule unsettled: orders {order // 2} and {order} "
                 f"differ by {abs(value - previous)}")

@@ -323,6 +323,26 @@ class TestRadialWavefunction:
         with pytest.raises(DomainError):
             f(math.nan)
 
+    @pytest.mark.parametrize("n, r", [(2, 1e200), (0, 1e155), (0, math.inf), (0, -0.5),
+                                      (0, math.nan), (0, [0.0, 2.0e154])])
+    def test_one_message_for_every_refused_radius(self, n, r):
+        """1e200 and 1e155 gave NaN with overflow and invalid-value warnings: r^2/2
+        overflowed.  Every r past the largest radius whose r^2/2 is finite is refused."""
+        with pytest.raises(DomainError, match=r"^r must be in \[0, 1\.8961503816218352e\+154\]$"):
+            radial_wavefunction(4, 1.0, n, -1)(r)
+
+    def test_largest_radius_is_the_last_with_a_finite_half_square(self):
+        from fluxring.harmonic import _R_MAX
+
+        assert math.isfinite(0.5 * _R_MAX * _R_MAX)
+        beyond = math.nextafter(_R_MAX, math.inf)
+        assert 0.5 * beyond * beyond == math.inf
+        for ell, sigma_ell, m in ((4, 1.0, -1), (0, 0.0, 0)):
+            f = radial_wavefunction(ell, sigma_ell, 0, m)
+            assert f(_R_MAX) == 0.0 and f([1e154, _R_MAX]).tolist() == [0.0, 0.0]
+        with pytest.raises(DomainError):
+            f(beyond)
+
     def test_node_count(self):
         """The n-th radial state crosses zero n times away from the axis."""
         r = np.linspace(1e-3, 16.0, 20000)

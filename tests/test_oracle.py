@@ -749,6 +749,24 @@ class TestQuadrature:
         with pytest.raises(ConvergenceError, match="orders 1024 and 2048 differ"):
             quadrature_norm(Step())
 
+    def test_nan_stops_at_the_first_pair_of_orders(self):
+        """A NaN value refined up to order 2048, whose first leggauss call takes
+        about 0.3 s, before it raised."""
+        class Hole:
+            """Stand-in profile: NaN below r = 3, 0 beyond, so the tail check passes."""
+
+            mu = 4.0
+            calls = 0
+
+            def __call__(self, r):
+                Hole.calls += 1
+                return np.where(np.asarray(r) < 3.0, math.nan, 0.0)
+
+        with pytest.raises(ConvergenceError,
+                           match=r"^Gauss-Legendre rule unsettled: orders 64 and 128 differ by nan$"):
+            quadrature_norm(Hole())
+        assert Hole.calls == 1
+
 
 class TestRunVerification:
     def test_all_checks_pass_on_reduced_grids(self):
