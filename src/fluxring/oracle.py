@@ -719,7 +719,7 @@ def quadrature_overlap(f: RadialFunction, g: RadialFunction) -> float:
     value = float(r_max * r_max * (second[1] @ product[order:-1]))
     order *= 2
     while not abs(value - previous) <= _GAUSS_TOL:  # NaN never settles
-        if order >= _GAUSS_MAX_ORDER or math.isnan(value - previous):  # nor refines
+        if order >= _GAUSS_MAX_ORDER or math.isnan(value - previous):  # NaN: stop at once
             raise ConvergenceError(
                 f"Gauss-Legendre rule unsettled: orders {order // 2} and {order} "
                 f"differ by {abs(value - previous)}")

@@ -26,9 +26,8 @@ from fluxring import (
 
 LN_SQRT_PI = 0.5723649429247001  # log Gamma(1/2), 50-digit value rounded
 
-# sha256 of the float.hex values below, pinned on the recurrence started at k = 0
-# from zeros and ones and on the profile with two x > 0 masks: a faster
-# evaluation must keep every bit
+# sha256 of the float.hex values of the tests below: a faster evaluation of the
+# recurrence or the profile must keep every bit
 LAGUERRE_DIGEST = "31aa8e9755fd5913299d5ebfc99b756c86cbd7b96da7f2c19d9729cc080ebe89"
 PROFILE_DIGEST = "81ac3c456e70145c8e78c751eb9fe2aefa52baf7bf8f02d948f863a07be3f46a"
 
